@@ -159,7 +159,9 @@ def cmd_index(args) -> int:
         level = AlgebraElement(module.vertices, vec)
         levels[str(k)] = _algebra_dict(level)
         if central:
-            worst = max(worst, (level - beta.power(k)).norm())
+            # relative, since past 2^53 the float spacing of a level exceeds 1
+            power = beta.power(k)
+            worst = max(worst, (level - power).norm() / max(1.0, power.norm()))
         vec = B @ vec
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
 from .fock import Path, beta_k, paths, phi_k
 
-_POWER_TOL = 1e-14
-_POWER_MAX_ITER = 20_000
+_CERTIFIED_WIDTH = 1e-12
 
 
 def _wielandt_primitive(B: np.ndarray) -> bool:
@@ -42,23 +42,30 @@ def _wielandt_primitive(B: np.ndarray) -> bool:
     return bool(np.all(P > 0))
 
 
-def _power_iteration(M: np.ndarray) -> tuple[float, np.ndarray, int, bool]:
-    """Leading eigenpair of a nonnegative matrix by normalized iteration."""
-    n = M.shape[0]
-    v = np.full(n, 1.0 / n)
-    for it in range(1, _POWER_MAX_ITER + 1):
-        w = M @ v
-        norm = w.sum()
-        if norm <= 0:
-            return 0.0, v, it, False
-        w = w / norm
-        if np.max(np.abs(w - v)) < _POWER_TOL:
-            v = w
-            lam = float(v @ M @ v) / float(v @ v)
-            return lam, v / np.linalg.norm(v), it, True
-        v = w
-    lam = float(v @ M @ v) / float(v @ v)
-    return lam, v / np.linalg.norm(v), _POWER_MAX_ITER, False
+def _perron_pair(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and unit nonnegative eigenvector of a nonnegative matrix.
+
+    Every other eigenvalue has modulus at most the Perron root, so the
+    Perron root is the one with the largest real part.
+    """
+    vals, vecs = np.linalg.eig(M)
+    i = int(np.argmax(vals.real))
+    v = np.abs(vecs[:, i].real)
+    return float(vals[i].real), v / np.linalg.norm(v)
+
+
+def _collatz_wielandt(
+    B: np.ndarray, w: np.ndarray
+) -> tuple[Fraction, Fraction] | None:
+    """Exact min_i and max_i of (Bw)_i / w_i, or None when w has a zero entry."""
+    if not np.all(w > 0):
+        return None
+    wf = [Fraction(x) for x in w]
+    quotients = [
+        sum(Fraction(B[i, j]) * wf[j] for j in np.flatnonzero(B[i])) / wf[i]
+        for i in range(len(wf))
+    ]
+    return min(quotients), max(quotients)
 
 
 @dataclass(frozen=True)
@@ -67,10 +74,19 @@ class PFData:
 
     `eigenvector` is the leading unit eigenvector of the transpose (the
     functional that picks out the growth direction), `right_eigenvector`
-    the one of B itself.  The rate constants certify geometric convergence
-    of the normalized transpose powers to the orthogonal projection Q when
-    that convergence holds; they are meaningful as a certificate only when
-    B is normal, and are None when B is not primitive.
+    the one of B itself, both taken nonnegative from one dense eigensolve
+    each; `iterations` is 0 since nothing iterates.  `radius_bounds` is
+    the Collatz-Wielandt bracket min_i (Bw)_i / w_i <= r <= max_i of the
+    same, computed exactly in Fractions from the binary values of B and
+    the right eigenvector w.  It holds for every nonnegative B and
+    positive w, and is None when w has a zero entry, as on reducible
+    graphs.  `converged` means the bracket exists and its width is at most
+    1e-12 relative to its upper end.
+
+    The rate constants bound the geometric convergence of the normalized
+    transpose powers to the orthogonal projection Q.  They are meaningful
+    as a certificate only when B is normal, and are None unless B is
+    primitive and `converged` holds.
     """
 
     spectral_radius: float
@@ -82,40 +98,22 @@ class PFData:
     rate_C: float | None
     iterations: int
     converged: bool
+    radius_bounds: tuple[Fraction, Fraction] | None
 
 
 def pf_data(module: GraphBimodule) -> PFData:
     B = module.adjacency()
     n = B.shape[0]
     primitive = _wielandt_primitive(B)
-    lam, x, it_x, ok_x = _power_iteration(B.T)
-    lam_r, w, it_w, ok_w = _power_iteration(B)
-    converged = ok_x and ok_w
+    lam, x = _perron_pair(B.T)
+    _, w = _perron_pair(B)
+    bounds = _collatz_wielandt(B, w)
+    converged = bounds is not None and (
+        bounds[1] - bounds[0] <= _CERTIFIED_WIDTH * bounds[1]
+    )
     Q = np.outer(x, x)
-    if n == 1:
-        return PFData(
-            spectral_radius=float(B[0, 0]),
-            eigenvector=np.array([1.0]),
-            right_eigenvector=np.array([1.0]),
-            projection=np.array([[1.0]]),
-            primitive=primitive,
-            rate_alpha=0.0,
-            rate_C=0.0,
-            iterations=max(it_x, it_w),
-            converged=True,
-        )
     if not (primitive and converged):
-        return PFData(
-            spectral_radius=lam,
-            eigenvector=x,
-            right_eigenvector=w,
-            projection=Q,
-            primitive=primitive,
-            rate_alpha=None,
-            rate_C=None,
-            iterations=max(it_x, it_w),
-            converged=converged,
-        )
+        return PFData(lam, x, w, Q, primitive, None, None, 0, converged, bounds)
     # smallest l with ||(1-Q)(B^T/r)^l(1-Q)|| < 1, then a geometric envelope
     # constant covering the powers below l
     comp = np.eye(n) - Q
@@ -130,11 +128,11 @@ def pf_data(module: GraphBimodule) -> PFData:
             break
         power = power @ S
     if l is None:
-        return PFData(lam, x, w, Q, primitive, None, None, max(it_x, it_w), False)
+        return PFData(lam, x, w, Q, primitive, None, None, 0, False, bounds)
     alpha = norms[l] ** (1.0 / l)
-    C = max(norms[p] / alpha**p for p in range(l))
-    C = max(C, norms[l] / alpha**l)
-    return PFData(lam, x, w, Q, primitive, alpha, C, max(it_x, it_w), converged)
+    # alpha = 0 only when 1 - Q vanishes, on a single vertex
+    C = max(norms[p] / alpha**p for p in range(l + 1)) if alpha > 0 else norms[0]
+    return PFData(lam, x, w, Q, primitive, alpha, C, 0, converged, bounds)
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def verify_rate_certificate(
     if not data.primitive:
         raise ValueError("rate certificate requires a primitive adjacency matrix")
     if data.rate_alpha is None or data.rate_C is None:
-        raise ValueError("rate constants unavailable (power iteration failed)")
+        raise ValueError("rate constants unavailable (Perron root not certified)")
     B = module.adjacency()
     S = B.T / data.spectral_radius
     eps = float(np.finfo(float).eps)
@@ -455,9 +453,9 @@ def eta_tilde(
     """Residue coefficient for a path class, with convergence diagnostics.
 
     `target` is a Path or an (r, s, n) triple; the ratio depends on the
-    path only through its endpoints and length.  Primitive graphs get the
-    closed form r^{-n} w_s / w_r from the right Perron eigenvector of the
-    adjacency matrix.  Otherwise a stationary sequence is read off
+    path only through its endpoints and length.  Primitive graphs whose
+    Perron root pf_data certifies get the closed form r^{-n} w_s / w_r from
+    the right Perron eigenvector of the adjacency matrix.  Otherwise a stationary sequence is read off
     directly, a strict growth gap forces the limit 0 exactly, and the
     remaining cases are extrapolated polynomially in 1/k; a sequence with
     no limit (oscillating growth coefficients) is reported unconverged.

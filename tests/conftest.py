@@ -1,6 +1,44 @@
+import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from graphbimod import Edge, GraphBimodule
+
+
+def is_primitive(module: GraphBimodule) -> bool:
+    """Some power of B is positive; the Wielandt exponent bounds which one."""
+    n = len(module.vertices)
+    power = np.linalg.matrix_power(module.adjacency(), n * n - 2 * n + 2)
+    return bool(np.all(power > 0))
+
+
+@st.composite
+def graphs(draw, primitive=False, per_source=None):
+    """Random unweighted graphs on one to five vertices with no sources or sinks.
+
+    Each vertex is the source of one edge of a random permutation, so it is
+    also a range, and of further edges with random ranges: per_source - 1
+    of them when per_source is given, else 0 to 2.  With primitive the
+    permutation is one cycle through every vertex, so the graph is strongly
+    connected, and draws that are still periodic are rejected.
+    """
+    n = draw(st.integers(1, 5))
+    names = [f"v{i}" for i in range(n)]
+    order = draw(st.permutations(names))
+    if primitive:
+        target = dict(zip(order, order[1:] + order[:1]))
+    else:
+        target = dict(zip(names, order))
+    edges = []
+    for s in names:
+        extra = per_source - 1 if per_source else draw(st.integers(0, 2))
+        ranges = [target[s]]
+        ranges += draw(st.lists(st.sampled_from(names), min_size=extra, max_size=extra))
+        edges += [Edge(f"e{len(edges) + j}", r, s) for j, r in enumerate(ranges)]
+    module = GraphBimodule(names, edges)
+    if primitive:
+        assume(is_primitive(module))
+    return module
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +96,19 @@ def lopsided():
             Edge("d", "v", "u"),
         ],
     )
+
+
+@pytest.fixture(scope="session")
+def random_primitive():
+    # six vertices, each the source of two edges (so the Perron root is
+    # exactly 2): a Hamiltonian cycle plus one seeded random range each
+    rng = np.random.default_rng(5)
+    names = [f"v{i}" for i in range(6)]
+    edges = [Edge(f"c{i}", names[(i + 1) % 6], names[i]) for i in range(6)]
+    edges += [Edge(f"x{i}", names[rng.integers(6)], names[i]) for i in range(6)]
+    module = GraphBimodule(names, edges)
+    assert is_primitive(module)
+    return module
 
 
 @pytest.fixture(scope="session")

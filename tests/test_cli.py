@@ -72,6 +72,19 @@ def test_index_central_collapse_verified(capsys, shift_file):
     assert doc["levels"]["6"] == {"z": 64.0}
 
 
+def test_index_central_collapse_is_relative_past_2_53(capsys, tmp_path):
+    # 3^40 exceeds 2^53, so the float levels differ from the powers in
+    # absolute terms; relative to the level the error is round-off
+    o3 = {"vertices": ["z"], "edges": [{"id": e, "r": "z", "s": "z"} for e in "abc"]}
+    p = tmp_path / "o3.json"
+    p.write_text(json.dumps(o3))
+    code, out, _ = run(capsys, "index", str(p), "--depth", "40")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failures"] == []
+    assert doc["central_collapse_max_error"] < 1e-14
+
+
 def test_residue_degree_mode_lists_paths(capsys, shift_file):
     code, out, _ = run(capsys, "residue", shift_file, "--target", "3")
     assert code == 0

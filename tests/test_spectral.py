@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import graphs
+from hypothesis import given, settings, strategies as st
 
 from graphbimod import (
     Edge,
@@ -12,10 +15,28 @@ from graphbimod import (
     verify_rate_certificate,
 )
 from graphbimod.cuntz_pimsner import SpanningElement
-from graphbimod.fock import make_path
+from graphbimod.fock import make_path, paths
 from graphbimod.spectral import GrowthTable, growth_profile
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def _power_iteration(M, tol=1e-14, max_iter=20_000):
+    """Leading eigenpair of a nonnegative matrix by normalized iteration.
+
+    An independent route to the Perron data, kept as an oracle for the
+    dense eigensolve in pf_data.
+    """
+    n = M.shape[0]
+    v = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        w = M @ v
+        w = w / w.sum()
+        if np.max(np.abs(w - v)) < tol:
+            lam = float(w @ M @ w) / float(w @ w)
+            return lam, w / np.linalg.norm(w)
+        v = w
+    raise AssertionError("power iteration did not converge")
 
 
 def test_pf_radius_against_dense_eigensolve(golden, lopsided, cycle3):
@@ -43,6 +64,68 @@ def test_pf_eigenvectors_solve_both_problems(golden, lopsided):
 
 def test_golden_radius_is_golden_ratio(golden):
     assert pf_data(golden).spectral_radius == pytest.approx(PHI, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["golden", "lopsided", "random_primitive"])
+def test_closed_form_matches_power_iteration_oracle(name, request):
+    m = request.getfixturevalue(name)
+    lam, w = _power_iteration(m.adjacency())
+    wi = dict(zip(m.vertices, w))
+    for n in (0, 1, 2):
+        for r, s in sorted({(p.r, p.s) for p in paths(m, n)}):
+            rep = eta_tilde(m, (r, s, n))
+            assert rep.method == "closed_form"
+            assert rep.value == pytest.approx(lam**-n * wi[s] / wi[r], abs=1e-13)
+
+
+def test_radius_bounds_hold_exact_roots(
+    full_shift2, full_shift3, golden, random_primitive
+):
+    assert pf_data(full_shift2).radius_bounds == (2, 2)
+    assert pf_data(full_shift3).radius_bounds == (3, 3)
+    # phi is the root of x^2 - x - 1, which increases past 1/2
+    lo, hi = pf_data(golden).radius_bounds
+    assert Fraction(1, 2) < lo <= hi
+    assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+    # the float root of eig may sit just outside the exact bracket
+    data = pf_data(random_primitive)
+    lo, hi = data.radius_bounds
+    assert lo <= 2 <= hi
+    assert data.converged
+    # B = [[2, 2], [1, 1]]: in floats both quotients (Bw)_i / w_i round to
+    # 3 + 2^-51, above the root 3
+    edges = [Edge(e, r, s) for e, r, s in zip("abcdef", "uuuuvv", "uuvvuv")]
+    lo, hi = pf_data(GraphBimodule(["u", "v"], edges)).radius_bounds
+    assert lo <= 3 <= hi
+
+
+def test_radius_bounds_absent_without_positive_eigenvector(triangular):
+    data = pf_data(triangular)
+    assert data.radius_bounds is None
+    assert not data.converged
+    assert data.iterations == 0
+
+
+@given(
+    st.one_of(
+        graphs(primitive=True),
+        st.integers(2, 3).flatmap(lambda d: graphs(primitive=True, per_source=d)),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_perron_data_on_random_primitive_graphs(m):
+    data = pf_data(m)
+    B = m.adjacency()
+    rho, w = data.spectral_radius, data.right_eigenvector
+    assert np.linalg.norm(B @ w - rho * w) <= 1e-12 * rho
+    assert w.min() > 0
+    assert data.converged
+    lo, hi = data.radius_bounds
+    out_degrees = {len(m.edges_with_source(v)) for v in m.vertices}
+    if len(out_degrees) == 1:
+        # 1^T B = d 1^T with a positive left eigenvector, so the root is d
+        (d,) = out_degrees
+        assert lo <= d <= hi
 
 
 def test_primitivity_classification(golden, triangular, cycle3, full_shift2):
