@@ -30,13 +30,20 @@ from .cuntz_pimsner import (
     commutator_check,
     gram,
     projection_p,
+    spanning_basis_size,
     theta_projection_matrix,
 )
 from .fock import Path, make_path, paths
-from .kms import invariant_traces, kms_check, state_phi_d
+from .kms import invariant_traces, kms_check
 from .spectral import eta_tilde
 
 SCHEMA_VERSION = 1
+
+# kasparov's peak memory grows by about 1.23 KiB per spanning symbol at
+# depth+1 over a 33 MiB interpreter (O5 at depth 3: 609,961 symbols, peak
+# RSS 782 MiB; O2 to depth 7 and O3 to depth 4 agree), so this many keep a
+# run near 870 MiB, under 1 GiB
+KASPAROV_MAX_BASIS = 700_000
 
 
 class CliError(Exception):
@@ -267,6 +274,12 @@ def cmd_residue(args) -> int:
 def cmd_kasparov(args) -> int:
     module = load_graph(args.graph)
     start = time.perf_counter()
+    size = spanning_basis_size(module, args.depth + 1)
+    if size > KASPAROV_MAX_BASIS:
+        raise CliError(
+            f"depth {args.depth} needs {size} spanning symbols at depth "
+            f"{args.depth + 1}, above the limit of {KASPAROV_MAX_BASIS} (about 1 GiB)"
+        )
     failures: list[str] = []
     cfg = ResidueConfig(k_max=args.kmax, tol=args.tol)
     expectation = ConditionalExpectation(module, cfg)
@@ -286,7 +299,7 @@ def cmd_kasparov(args) -> int:
             args.format,
         )
         return 1
-    theta_defect = float(np.max(np.abs(theta - pdata.matrix)))
+    theta_defect = pdata.distance(theta)
     iso_defect = gdata.isometry_defect()
     if min(gdata.psd_min) < -args.tol:
         failures.append(f"gram not positive: min eigenvalue {min(gdata.psd_min)}")
@@ -376,7 +389,7 @@ def cmd_kms(args) -> int:
                     {
                         "path": p.label(),
                         "length": k,
-                        "value": complex(state_phi_d(trace, x)).real,
+                        "value": complex(trace.evaluate(x)).real,
                     }
                 )
         report["phi_d"] = phi_d_rows

@@ -316,7 +316,19 @@ def phi_infty(
     return _expectation_for(module, config).phi(x)
 
 
-# -- spanning basis, Gram matrices, and the Fock projection ----------------
+# -- spanning basis, Gram blocks, and the Fock projection ------------------
+#
+# Phi(x_i* x_j) vanishes unless one symbol extends the other by a common
+# suffix, (mu_j, nu_j) = (mu_i rho, nu_i rho) or the reverse.  The Gram of
+# the spanning family is therefore block-diagonal, one block per
+# suffix-reduced symbol, and the projection and the edge shifts send each
+# basis symbol to at most one other.  Both are kept in that form: blocks
+# as small dense matrices, operators as column maps.
+
+# column -> (row, coefficient); a column that is absent is zero
+ColumnMap = dict[int, tuple[int, float]]
+# (row, column) -> coefficient; absent entries are zero
+EntryMap = dict[tuple[int, int], float]
 
 
 def spanning_basis(module: GraphBimodule, depth: int) -> list[tuple[Path, Path]]:
@@ -338,39 +350,118 @@ def spanning_basis(module: GraphBimodule, depth: int) -> list[tuple[Path, Path]]
     return basis
 
 
+def spanning_basis_size(module: GraphBimodule, depth: int) -> int:
+    """Length of spanning_basis(module, depth), from path counts by source.
+
+    The counts are exact integers built edge by edge, so no path is
+    enumerated: a length-k path with source v is a length-(k-1) path with
+    source r(g) followed by an edge g with s(g) = v.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    level = {v: 1 for v in module.vertices}
+    total = dict(level)
+    for _ in range(depth):
+        nxt = {v: 0 for v in module.vertices}
+        for g in module.edges:
+            nxt[g.s] += level[g.r]
+        level = nxt
+        for v, c in level.items():
+            total[v] += c
+    return sum(t * t for t in total.values())
+
+
+def _max_abs_difference(a: Mapping, b: Mapping) -> float:
+    """Largest |a[k] - b[k]| over both key sets, absent keys reading zero."""
+    return max(
+        (float(abs(a.get(k, 0.0) - b.get(k, 0.0))) for k in a.keys() | b.keys()),
+        default=0.0,
+    )
+
+
+def _compose(outer: ColumnMap, inner: ColumnMap) -> EntryMap:
+    """Entries of the product outer @ inner."""
+    out: EntryMap = {}
+    for j, (k, c) in inner.items():
+        hit = outer.get(k)
+        if hit is not None:
+            out[(hit[0], j)] = hit[1] * c
+    return out
+
+
+def _entries(columns: ColumnMap) -> EntryMap:
+    return {(row, j): c for j, (row, c) in columns.items()}
+
+
+@dataclass(frozen=True)
+class GramBlock:
+    """Gram entries among the symbols (mu_0 rho, nu_0 rho) of one reduced key.
+
+    The block lives on the vertex slice r(nu_0).  `members` are basis
+    indices in ascending order; `quotient` is sqrt(eigenvalue) times the
+    eigenvector, transposed, for each eigenvalue above the cutoff, so it
+    maps coefficient vectors onto the quotient by the block's null space.
+    """
+
+    vertex: int
+    members: np.ndarray
+    matrix: np.ndarray
+    quotient: np.ndarray
+
+
 @dataclass(frozen=True)
 class GramData:
-    """Vertex-sliced Gram matrices of a spanning family with quotient maps.
+    """Vertex-sliced Gram of a spanning family, as diagonal blocks.
 
-    matrices[i] is the Gram matrix of the family under the expectation,
-    evaluated at vertex i.  The quotient map of a vertex sends coefficient
-    vectors to the quotient by the null space of its slice; ranks of
-    operators in the quotient are computed per vertex and summed.
+    Slice v of the Gram is the direct sum of the blocks on vertex v, padded
+    with zero rows for the other symbols.  Ranks of operators in the
+    quotient are computed per vertex, block by block, and summed.
     """
 
     depth: int
     basis: tuple[tuple[Path, Path], ...]
     vertex_names: tuple[str, ...]
-    matrices: np.ndarray
+    blocks: tuple[GramBlock, ...]
+    block_of: np.ndarray
     hermitian_defect: float
     psd_min: tuple[float, ...]
     cutoff: float
-    quotient_maps: tuple[np.ndarray, ...]
     gram_ranks: tuple[int, ...]
 
+    def _row(self, i: int) -> tuple[GramBlock, int]:
+        """The block holding basis index i and the position of i in it."""
+        block = self.blocks[self.block_of[i]]
+        return block, int(np.searchsorted(block.members, i))
+
     def operator_rank(
-        self, columns: np.ndarray, rank_tol: float = 1e-10
+        self, entries: EntryMap, rank_tol: float = 1e-10
     ) -> tuple[dict[str, int], int]:
+        """Per-vertex rank of an operator, given by its entries, in the quotient.
+
+        Only the nonzero columns and the blocks holding a nonzero row are
+        assembled: for each vertex, the quotient map of each such block
+        times the operator's rows in it, stacked.
+        """
+        nonzero = {key: c for key, c in entries.items() if c != 0}
+        cols = {j: n for n, j in enumerate(sorted({j for _, j in nonzero}))}
+        touched: dict[int, np.ndarray] = {}
+        for (i, j), c in nonzero.items():
+            b = int(self.block_of[i])
+            sub = touched.get(b)
+            if sub is None:
+                sub = touched[b] = np.zeros((len(self.blocks[b].members), len(cols)))
+            sub[self._row(i)[1], cols[j]] = c
+        stacks: list[list[np.ndarray]] = [[] for _ in self.vertex_names]
+        for b, sub in touched.items():
+            block = self.blocks[b]
+            if block.quotient.shape[0]:
+                stacks[block.vertex].append(block.quotient @ sub)
         ranks: dict[str, int] = {}
-        total = 0
-        for label, Q in zip(self.vertex_names, self.quotient_maps):
-            if Q.shape[0] == 0:
-                ranks[label] = 0
-                continue
-            r = int(np.linalg.matrix_rank(Q @ columns, tol=rank_tol))
-            ranks[label] = r
-            total += r
-        return ranks, total
+        for label, parts in zip(self.vertex_names, stacks):
+            ranks[label] = (
+                int(np.linalg.matrix_rank(np.vstack(parts), tol=rank_tol)) if parts else 0
+            )
+        return ranks, sum(ranks.values())
 
     def isometry_defect(self) -> float:
         """Worst deviation of the plain path block from the identity.
@@ -381,16 +472,15 @@ class GramData:
         residue coefficients at length zero, which every branch fixes
         at one.
         """
-        plain = [
-            (i, mu) for i, (mu, nu) in enumerate(self.basis) if len(nu) == 0
-        ]
         worst = 0.0
-        for vi, vname in enumerate(self.vertex_names):
-            G = self.matrices[vi]
-            for i, mu in plain:
-                for j, sg in plain:
-                    want = 1.0 if (i == j and mu.s == vname) else 0.0
-                    worst = max(worst, abs(G[i, j] - want))
+        for block in self.blocks:
+            plain = [
+                pos for pos, i in enumerate(block.members) if not self.basis[i][1].edges
+            ]
+            for p in plain:
+                for q in plain:
+                    want = 1.0 if p == q else 0.0
+                    worst = max(worst, float(abs(block.matrix[p, q] - want)))
         return worst
 
 
@@ -400,54 +490,80 @@ def gram(
     expectation: ConditionalExpectation | None = None,
     cutoff: float = 1e-10,
 ) -> GramData:
-    """Gram matrices G[v, i, j] of the depth-limited spanning family."""
+    """Block-diagonal Gram of the depth-limited spanning family.
+
+    Symbols are grouped by their suffix-reduced key, the pair left after
+    stripping the trailing edges mu and nu share.  Inside a block the
+    entry of two members is the coefficient of the longer second leg when
+    one member extends the other, and zero otherwise.  Each block gets its
+    own eigendecomposition.
+    """
     exp_ = expectation or _expectation_for(module, None)
     basis = spanning_basis(module, depth)
     N = len(basis)
-    V = len(module.vertices)
     vidx = {v: i for i, v in enumerate(module.vertices)}
-    mats = np.zeros((V, N, N), dtype=complex)
-    for i, (mu_i, nu_i) in enumerate(basis):
-        for j, (mu_j, nu_j) in enumerate(basis):
-            res = _compose_symbol(nu_i, mu_i, mu_j, nu_j)
-            if res is None:
-                continue
-            a, b = res
-            if a == b:
-                mats[vidx[a.r], i, j] = exp_.coeff(a)
-    herm = float(np.max(np.abs(mats - np.conj(np.swapaxes(mats, 1, 2)))))
-    psd_min = []
-    maps = []
-    ranks = []
-    for v in range(V):
-        H = (mats[v] + mats[v].conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(H)
-        psd_min.append(float(vals.min()) if N else 0.0)
+    groups: dict[tuple, dict[tuple[str, ...], int]] = {}
+    for i, (mu, nu) in enumerate(basis):
+        m, n = mu.ids, nu.ids
+        t = 0
+        while t < len(m) and t < len(n) and m[-1 - t] == n[-1 - t]:
+            t += 1
+        key = (mu.r, m[: len(m) - t], nu.r, n[: len(n) - t])
+        groups.setdefault(key, {})[m[len(m) - t :]] = i
+
+    blocks = []
+    block_of = np.empty(N, dtype=np.intp)
+    herm = 0.0
+    V = len(module.vertices)
+    low = [np.inf] * V
+    covered = [0] * V
+    ranks = [0] * V
+    for (_, _, v, _), members in groups.items():
+        pos_of = {rho: pos for pos, rho in enumerate(members)}
+        G = np.zeros((len(members), len(members)))
+        for pos, (rho, i) in enumerate(members.items()):
+            c = exp_.coeff(basis[i][1])
+            for cut in range(len(rho) + 1):
+                other = pos_of[rho[:cut]]
+                G[pos, other] = G[other, pos] = c
+        herm = max(herm, float(np.max(np.abs(G - G.T))))
+        vals, vecs = np.linalg.eigh(G)
         keep = vals > cutoff
-        Q = (np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T)
-        maps.append(Q)
-        ranks.append(int(keep.sum()))
+        idx = np.fromiter(members.values(), dtype=np.intp, count=len(members))
+        block_of[idx] = len(blocks)
+        vi = vidx[v]
+        blocks.append(
+            GramBlock(
+                vertex=vi,
+                members=idx,
+                matrix=G,
+                quotient=np.sqrt(vals[keep])[:, None] * vecs[:, keep].T,
+            )
+        )
+        low[vi] = min(low[vi], float(vals[0]))
+        covered[vi] += len(members)
+        ranks[vi] += int(keep.sum())
+    # symbols of the other slices are zero rows here: exact zero eigenvalues
+    psd_min = tuple(min(lo, 0.0) if c < N else lo for lo, c in zip(low, covered))
     return GramData(
         depth=depth,
         basis=tuple(basis),
         vertex_names=tuple(module.vertices),
-        matrices=mats,
+        blocks=tuple(blocks),
+        block_of=block_of,
         hermitian_defect=herm,
-        psd_min=tuple(psd_min),
+        psd_min=psd_min,
         cutoff=cutoff,
-        quotient_maps=tuple(maps),
         gram_ranks=tuple(ranks),
     )
 
 
-def _projection_matrix(
-    module: GraphBimodule,
+def _projection_columns(
     basis: Sequence[tuple[Path, Path]],
+    index: Mapping[tuple[Path, Path], int],
     exp_: ConditionalExpectation,
-) -> np.ndarray:
-    idx = {pair: i for i, pair in enumerate(basis)}
-    N = len(basis)
-    P = np.zeros((N, N), dtype=complex)
+) -> ColumnMap:
+    P: ColumnMap = {}
     for j, (mu, nu) in enumerate(basis):
         n = len(nu)
         if len(mu) < n:
@@ -455,9 +571,26 @@ def _projection_matrix(
         if mu.tail(n) != nu:
             continue
         head = mu.head(len(mu) - n)
-        target = (head, Path((), head.s))
-        P[idx[target], j] = exp_.coeff(nu)
+        P[j] = (index[(head, Path((), head.s))], exp_.coeff(nu))
     return P
+
+
+def _adjoint_defect(P: ColumnMap, gdata: GramData) -> float:
+    """Largest entry of P* G_v - G_v P over the vertex slices.
+
+    P sends column j to row k only, so (P* G_v)[j, i] = c_j G_v[k, i] and
+    (G_v P)[i, j] = G_v[i, k] c_j; both are read from the block of k.
+    """
+    left: dict[tuple[int, int, int], float] = {}
+    right: dict[tuple[int, int, int], float] = {}
+    for j, (k, c) in P.items():
+        block, pos = gdata._row(k)
+        row = block.matrix[pos]
+        for q in np.flatnonzero(row):
+            i = int(block.members[q])
+            left[(block.vertex, j, i)] = c * row[q]
+            right[(block.vertex, i, j)] = row[q] * c
+    return _max_abs_difference(left, right)
 
 
 @dataclass(frozen=True)
@@ -466,9 +599,16 @@ class ProjectionData:
 
     depth: int
     basis: tuple[tuple[Path, Path], ...]
-    matrix: np.ndarray
+    columns: ColumnMap
     idempotency_defect: float
     adjoint_defect: float
+
+    def entries(self) -> EntryMap:
+        return _entries(self.columns)
+
+    def distance(self, entries: EntryMap) -> float:
+        """Largest entry of the difference between `entries` and P."""
+        return _max_abs_difference(entries, self.entries())
 
 
 def projection_p(
@@ -477,7 +617,7 @@ def projection_p(
     expectation: ConditionalExpectation | None = None,
     gram_data: GramData | None = None,
 ) -> ProjectionData:
-    """Matrix of the projection onto plain path symbols, with defects.
+    """Column map of the projection onto plain path symbols, with defects.
 
     A symbol (mu, nu) projects to the path symbol of the head of mu when
     the tail of mu matches nu, scaled by the residue coefficient of nu;
@@ -487,36 +627,33 @@ def projection_p(
     exp_ = expectation or _expectation_for(module, None)
     if gram_data is None:
         gram_data = gram(module, depth, exp_)
-    basis = list(gram_data.basis)
-    P = _projection_matrix(module, basis, exp_)
-    idem = float(np.max(np.abs(P @ P - P)))
-    adj = 0.0
-    for G in gram_data.matrices:
-        adj = max(adj, float(np.max(np.abs(P.conj().T @ G - G @ P))))
-    return ProjectionData(depth, tuple(basis), P, idem, adj)
+    basis = gram_data.basis
+    P = _projection_columns(basis, {pair: i for i, pair in enumerate(basis)}, exp_)
+    idem = _max_abs_difference(_compose(P, P), _entries(P))
+    return ProjectionData(depth, basis, P, idem, _adjoint_defect(P, gram_data))
 
 
 def theta_projection_matrix(
     module: GraphBimodule,
     depth: int,
     expectation: ConditionalExpectation | None = None,
-) -> np.ndarray:
-    """Rank-one-sum route to the projection matrix, for cross-checking.
+) -> EntryMap:
+    """Rank-one-sum route to the projection entries, for cross-checking.
 
-    Builds each column as the sum over plain path symbols of the
+    Builds each column as the sum over plain path symbols rho of the
     expectation of the adjoint path times the column symbol, evaluated at
-    the path source.  Must agree with the closed-form matrix exactly.
+    the path source.  Only prefixes rho of mu can give a product with equal
+    legs (a longer rho leaves a vertex against a nonempty path, an
+    unrelated one gives zero), so the sum runs over those.  Must agree with
+    the closed-form column map exactly.
     """
     exp_ = expectation or _expectation_for(module, None)
     basis = spanning_basis(module, depth)
     idx = {pair: i for i, pair in enumerate(basis)}
-    N = len(basis)
-    M = np.zeros((N, N), dtype=complex)
-    pool: list[Path] = []
-    for k in range(depth + 1):
-        pool.extend(paths(module, k))
+    M: EntryMap = {}
     for j, (mu, nu) in enumerate(basis):
-        for rho in pool:
+        for cut in range(len(mu) + 1):
+            rho = mu.head(cut)
             empty_s = Path((), rho.s)
             res = _compose_symbol(empty_s, rho, mu, nu)
             if res is None:
@@ -526,8 +663,8 @@ def theta_projection_matrix(
                 continue
             if a.r != rho.s:
                 continue
-            row = idx[(rho, Path((), rho.s))]
-            M[row, j] += exp_.coeff(a)
+            key = (idx[(rho, empty_s)], j)
+            M[key] = M.get(key, 0.0) + exp_.coeff(a)
     return M
 
 
@@ -556,33 +693,35 @@ def commutator_check(
 ) -> tuple[CommutatorReport, ...]:
     """Compare the direct commutator with its closed form, edge by edge.
 
-    The direct route multiplies matrices of the projection at depth+1 and
-    depth around the edge isometry; the closed form is supported on
-    symbols of degree -1 whose adjoint path is the edge followed by the
-    plain path.  Ranks are taken in the Gram quotient at depth+1, per
-    vertex, and compared against the structural prediction: one at the
-    edge's range vertex when any surviving coefficient exceeds rank_tol.
+    The direct route composes the projection at depth+1 and depth with
+    the edge isometry; the closed form is supported on symbols of degree
+    -1 whose adjoint path is the edge followed by the plain path.  Ranks
+    are taken in the Gram quotient at depth+1, per vertex, and compared
+    against the structural prediction: one at the edge's range vertex when
+    any surviving coefficient exceeds rank_tol.
     """
     exp_ = expectation or _expectation_for(module, None)
     cols = spanning_basis(module, depth)
     rows = spanning_basis(module, depth + 1)
     col_idx = {pair: i for i, pair in enumerate(cols)}
     row_idx = {pair: i for i, pair in enumerate(rows)}
-    P_low = _projection_matrix(module, cols, exp_)
-    P_high = _projection_matrix(module, rows, exp_)
+    P_low = _projection_columns(cols, col_idx, exp_)
+    P_high = _projection_columns(rows, row_idx, exp_)
     gram_high = gram(module, depth + 1, exp_, cutoff)
     edge_ids = list(edges) if edges is not None else [g.id for g in module.edges]
     reports = []
     for gid in edge_ids:
         g = module.edge(gid)
-        S = np.zeros((len(rows), len(cols)), dtype=complex)
+        S: ColumnMap = {}
         for (rho, sigma), j in col_idx.items():
             if rho.r != g.s:
                 continue
             lifted = Path((g,) + rho.edges, g.r)
-            S[row_idx[(lifted, sigma)], j] = 1.0
-        direct = P_high @ S - S @ P_low
-        formula = np.zeros_like(direct)
+            S[j] = (row_idx[(lifted, sigma)], 1.0)
+        direct = _compose(P_high, S)
+        for key, c in _compose(S, P_low).items():
+            direct[key] = direct.get(key, 0.0) - c
+        formula: EntryMap = {}
         vac = Path((), g.r)
         vac_row = row_idx[(vac, vac)]
         surviving = []
@@ -594,10 +733,10 @@ def commutator_check(
             if sigma.tail(len(sigma) - 1) != rho:
                 continue
             coef = exp_.coeff(sigma)
-            formula[vac_row, j] = coef
+            formula[(vac_row, j)] = coef
             if abs(coef) > rank_tol:
                 surviving.append((rho.label(), sigma.label()))
-        discrepancy = float(np.max(np.abs(direct - formula)))
+        discrepancy = _max_abs_difference(direct, formula)
         ranks, total = gram_high.operator_rank(direct, rank_tol)
         predicted = {v: 0 for v in module.vertices}
         predicted[g.r] = 1 if surviving else 0

@@ -90,10 +90,6 @@ class TraceState:
         return total
 
 
-def state_phi_d(trace: TraceState, x: SpanningElement) -> complex:
-    return trace.evaluate(x)
-
-
 def tr_phi(trace: TraceState, xi: ModuleVector, eta: ModuleVector) -> complex:
     """Pairing of two module vectors through the state on the vertex algebra."""
     return trace.evaluate_algebra(right_inner(eta, xi))

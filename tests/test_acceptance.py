@@ -31,7 +31,6 @@ from graphbimod import (
     right_action,
     right_inner,
     smeb_check,
-    state_phi_d,
     verify_rate_certificate,
 )
 
@@ -118,7 +117,7 @@ def test_acceptance_1_cuntz_algebras():
             tr = invariant_traces(m).canonical
             for n in range(depth + 1):
                 for mu in paths(m, n):
-                    val = state_phi_d(tr, SpanningElement.symbol(m, mu, mu))
+                    val = tr.evaluate(SpanningElement.symbol(m, mu, mu))
                     if abs(val - N**-n) > 1e-12:
                         problems.append(f"N={N}: state {val} != {N}^-{n}")
     except Exception as exc:

@@ -18,7 +18,7 @@ from graphbimod import (
     projection_p,
     spanning_basis,
 )
-from graphbimod.cuntz_pimsner import theta_projection_matrix
+from graphbimod.cuntz_pimsner import spanning_basis_size, theta_projection_matrix
 from graphbimod.fock import make_path, paths, vertex_path
 
 
@@ -245,6 +245,10 @@ def test_spanning_basis_sizes(full_shift2, golden, triangular):
     assert len(spanning_basis(full_shift2, 3)) == 225
     assert len(spanning_basis(golden, 3)) == 170
     assert len(spanning_basis(triangular, 3)) == 116
+    # the same sizes from integer path counts, with no path enumerated
+    assert spanning_basis_size(full_shift2, 3) == 225
+    assert spanning_basis_size(golden, 3) == 170
+    assert spanning_basis_size(triangular, 3) == 116
 
 
 def test_spanning_basis_sources_always_match(golden):
@@ -272,16 +276,16 @@ def test_projection_fixes_plain_paths_and_kills_offsets(golden):
     pd = projection_p(golden, 2)
     idx = {pair: i for i, pair in enumerate(basis)}
     j = idx[(make_path(golden, ["a"]), vertex_path(golden, "u"))]
-    col = pd.matrix[:, j]
-    assert col[j] == 1
-    assert np.count_nonzero(col) == 1
+    # the column map holds one (row, coefficient) per column: P e_j = e_j
+    assert pd.columns[j] == (j, 1.0)
 
 
 def test_theta_route_agrees_exactly(full_shift2, golden, triangular):
     for m in (full_shift2, golden, triangular):
         pd = projection_p(m, 3)
         theta = theta_projection_matrix(m, 3)
-        assert np.max(np.abs(theta - pd.matrix)) == 0
+        assert pd.distance(theta) == 0
+        assert theta == pd.entries()
 
 
 def test_commutator_ranks_full_shift(full_shift2):

@@ -14,7 +14,6 @@ from graphbimod import (
     invariant_traces,
     kms_check,
     right_inner,
-    state_phi_d,
     tr_phi,
 )
 from graphbimod.fock import make_path, paths, vertex_path
@@ -104,7 +103,7 @@ def test_trace_state_mass_and_evaluation(golden):
     x = SpanningElement.symbol(
         golden, make_path(golden, ["a"]), make_path(golden, ["a"])
     )
-    assert state_phi_d(tr, x) == pytest.approx(0.25)
+    assert tr.evaluate(x) == pytest.approx(0.25)
 
 
 def test_phi_d_golden_length_one_values(golden):
@@ -112,9 +111,7 @@ def test_phi_d_golden_length_one_values(golden):
     vals = {}
     for eid in ("a", "b", "c"):
         p = make_path(golden, [eid])
-        vals[eid] = state_phi_d(
-            tr, SpanningElement.symbol(golden, p, p)
-        ).real
+        vals[eid] = tr.evaluate(SpanningElement.symbol(golden, p, p)).real
     assert vals == {
         "a": pytest.approx(0.25),
         "b": pytest.approx(0.25),
@@ -127,13 +124,13 @@ def test_phi_d_full_shift_powers(full_shift2):
     for n in (1, 2, 3):
         for mu in paths(full_shift2, n):
             x = SpanningElement.symbol(full_shift2, mu, mu)
-            assert state_phi_d(tr, x) == pytest.approx(2.0**-n, abs=1e-12)
+            assert tr.evaluate(x) == pytest.approx(2.0**-n, abs=1e-12)
 
 
 def test_phi_d_is_a_state(golden):
     # unit total mass on the identity
     tr = invariant_traces(golden).canonical
-    assert state_phi_d(tr, SpanningElement.identity(golden)) == pytest.approx(1.0)
+    assert tr.evaluate(SpanningElement.identity(golden)) == pytest.approx(1.0)
 
 
 def test_kms_residual_zero_on_symbol_pairs(golden, triangular, cycle3):
@@ -168,8 +165,8 @@ def test_only_invariant_traces_kill_the_covariance_ideal(golden):
     gen = covariance_substitute(golden, pu)
     bad = TraceState(golden, {"u": Fraction(1), "v": Fraction(0)})
     good = invariant_traces(golden).canonical
-    assert abs(state_phi_d(bad, gen)) > 0.1
-    assert state_phi_d(good, gen) == 0
+    assert abs(bad.evaluate(gen)) > 0.1
+    assert good.evaluate(gen) == 0
 
 
 def test_tr_phi_agrees_with_frame_expansion(golden):
