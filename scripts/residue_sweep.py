@@ -13,6 +13,7 @@ import sys
 
 from graphbimod import eta_tilde, make_path
 from graphbimod.cli import load_graph
+from graphbimod.spectral import GrowthTable
 
 
 def run() -> int:
@@ -25,7 +26,7 @@ def run() -> int:
 
     module = load_graph(args.graph)
     p = make_path(module, [t for t in args.path.split(",") if t])
-    rep = eta_tilde(module, p, k_max=args.kmax, force_iterative=True)
+    rep = eta_tilde(GrowthTable(module, args.kmax), p, force_iterative=True)
 
     r, s, n = rep.target
     print(f"class: range {r}, source {s}, length {n}")

@@ -33,7 +33,6 @@ from .fock import (
     paths,
     phi_k,
     rank_one_phi,
-    rank_one_tensor_matrix,
     right_inner_fock,
 )
 from .spectral import (
@@ -57,7 +56,6 @@ from .cuntz_pimsner import (
     covariance_substitute,
     gauge_scaled,
     gram,
-    phi_infty,
     projection_p,
     spanning_basis,
 )
@@ -116,12 +114,10 @@ __all__ = [
     "make_path",
     "paths",
     "pf_data",
-    "phi_infty",
     "phi_k",
     "phi_s_partial",
     "projection_p",
     "rank_one_phi",
-    "rank_one_tensor_matrix",
     "right_action",
     "right_inner",
     "right_inner_fock",

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement
 from .bimodule import Edge, GraphBimodule, GraphStructureError, beta_is_central, index_element
 from .cuntz_pimsner import (
     ConditionalExpectation,
@@ -35,7 +34,7 @@ from .cuntz_pimsner import (
 )
 from .fock import Path, make_path, paths
 from .kms import invariant_traces, kms_check
-from .spectral import eta_tilde
+from .spectral import GrowthTable, eta_tilde
 
 SCHEMA_VERSION = 1
 
@@ -151,25 +150,57 @@ def _algebra_dict(a) -> dict:
     return out
 
 
+def _integer_adjacency(module) -> tuple[list[list[tuple[int, int]]], int]:
+    """B = A / D exactly, A as rows of (column, integer entry) pairs.
+
+    D is the common denominator of the binary values of the weights, so D
+    is 1 when every weight is an integer.
+    """
+    weights = [Fraction(g.weight) for g in module.edges]
+    D = math.lcm(*(w.denominator for w in weights))
+    vidx = {v: i for i, v in enumerate(module.vertices)}
+    rows: list[dict[int, int]] = [{} for _ in module.vertices]
+    for g, w in zip(module.edges, weights):
+        row = rows[vidx[g.r]]
+        row[vidx[g.s]] = row.get(vidx[g.s], 0) + int(w * D)
+    return [sorted(row.items()) for row in rows], D
+
+
+def _level_value(num: int, den: int) -> float | dict[str, str]:
+    """num / den as the nearest float while that is finite.
+
+    Past the double range a JSON number is not portable, so the entry is
+    an object holding the exact value as an integer or "p/q" string.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        return {"exact": str(Fraction(num, den))}
+
+
 def cmd_index(args) -> int:
     module = load_graph(args.graph)
     start = time.perf_counter()
     failures: list[str] = []
     beta = index_element(module)
     central = beta_is_central(module)
-    # one adjacency pass; calling beta_k per level would be quadratic in depth
-    B = module.adjacency()
-    vec = np.ones(len(module.vertices))
+    # B^k 1 = A^k 1 / D^k in integers, one adjacency pass per level
+    A, D = _integer_adjacency(module)
+    vec = [1] * len(module.vertices)
+    index = [sum(c for _, c in row) for row in A]
+    den = 1
     levels = {}
-    worst = 0.0
+    worst = Fraction(0)
     for k in range(args.depth + 1):
-        level = AlgebraElement(module.vertices, vec)
-        levels[str(k)] = _algebra_dict(level)
+        levels[str(k)] = {v: _level_value(x, den) for v, x in zip(module.vertices, vec)}
         if central:
-            # relative, since past 2^53 the float spacing of a level exceeds 1
-            power = beta.power(k)
-            worst = max(worst, (level - power).norm() / max(1.0, power.norm()))
-        vec = B @ vec
+            # |B^k 1 - beta^k| relative to max(1, |beta^k|), both over D^k
+            power = [x**k for x in index]
+            gap = max(abs(x - p) for x, p in zip(vec, power))
+            worst = max(worst, Fraction(gap, max(den, max(power))))
+        vec = [sum(c * vec[j] for j, c in row) for row in A]
+        den *= D
+    worst = float(worst)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "index",
@@ -193,14 +224,8 @@ def cmd_index(args) -> int:
     return 1 if failures else 0
 
 
-def _residue_entry(module, target, args) -> dict:
-    rep = eta_tilde(
-        module,
-        target,
-        k_max=args.kmax,
-        tol=args.tol,
-        force_iterative=args.force_iterative,
-    )
+def _residue_entry(table, target, args) -> dict:
+    rep = eta_tilde(table, target, tol=args.tol, force_iterative=args.force_iterative)
     stride = max(1, len(rep.samples) // 64)
     samples = [list(p) for p in rep.samples[::stride]]
     r, s, n = rep.target
@@ -233,9 +258,10 @@ def cmd_residue(args) -> int:
         except (KeyError, ValueError) as exc:
             raise CliError(f"bad target {args.target!r}: {exc}")
         n = len(pool[0])
+    table = GrowthTable(module, args.kmax)
     entries = {}
     for r, s in sorted({(p.r, p.s) for p in pool}):
-        entries[(r, s)] = _residue_entry(module, (r, s, n), args)
+        entries[(r, s)] = _residue_entry(table, (r, s, n), args)
     rows = []
     for p in sorted(pool, key=lambda q: q.sort_key()):
         cls = entries[(p.r, p.s)]
@@ -285,8 +311,8 @@ def cmd_kasparov(args) -> int:
     expectation = ConditionalExpectation(module, cfg)
     try:
         gdata = gram(module, args.depth, expectation)
-        pdata = projection_p(module, args.depth, expectation, gdata)
-        theta = theta_projection_matrix(module, args.depth, expectation)
+        pdata = projection_p(gdata, expectation)
+        theta = theta_projection_matrix(gdata, expectation)
     except ResidueUncertifiedError as exc:
         emit(
             {
@@ -421,6 +447,13 @@ def cmd_kms(args) -> int:
     return 1 if failures else 0
 
 
+def _count(text: str) -> int:
+    """Argument type of --depth, --kmax, --pairs and --length."""
+    if not re.fullmatch(r"\d+", text):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphbimod",
@@ -441,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_index = sub.add_parser("index", help="index element and its k-step levels")
     common(p_index)
-    p_index.add_argument("--depth", type=int, default=3)
+    p_index.add_argument("--depth", type=_count, default=3)
     p_index.set_defaults(func=cmd_index)
 
     p_res = sub.add_parser("residue", help="residue limits of growth ratios")
@@ -451,20 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="integer degree (all classes) or comma-separated edge ids (one path)",
     )
-    p_res.add_argument("--kmax", type=int, default=200)
+    p_res.add_argument("--kmax", type=_count, default=200)
     p_res.add_argument("--force-iterative", action="store_true")
     p_res.set_defaults(func=cmd_residue)
 
     p_kas = sub.add_parser("kasparov", help="gram, projection, and commutator checks")
     common(p_kas)
-    p_kas.add_argument("--depth", type=int, default=3)
-    p_kas.add_argument("--kmax", type=int, default=200)
+    p_kas.add_argument("--depth", type=_count, default=3)
+    p_kas.add_argument("--kmax", type=_count, default=200)
     p_kas.set_defaults(func=cmd_kasparov)
 
     p_kms = sub.add_parser("kms", help="invariant traces and the exchange defect")
     common(p_kms)
-    p_kms.add_argument("--pairs", type=int, default=200)
-    p_kms.add_argument("--length", type=int, default=3)
+    p_kms.add_argument("--pairs", type=_count, default=200)
+    p_kms.add_argument("--length", type=_count, default=3)
     p_kms.set_defaults(func=cmd_kms)
     return parser
 

@@ -12,7 +12,7 @@ diagonal by the path weight times the residue coefficient of its class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -226,8 +226,9 @@ class ConditionalExpectation:
 
     Symbols with mu != nu are sent to zero.  A diagonal symbol (mu, mu)
     contributes its path weight times the residue limit of the class
-    (range, source, length) of mu, placed at the range vertex.  Residue
-    reports are cached per class; an unconverged limit raises unless the
+    (range, source, length) of mu, placed at the range vertex.  One growth
+    table up to the configured k_max serves every class, and residue
+    reports are kept per class; an unconverged limit raises unless the
     configuration says otherwise.
     """
 
@@ -235,15 +236,14 @@ class ConditionalExpectation:
         self.module = module
         self.config = config or ResidueConfig()
         self._reports: dict[tuple[str, str, int], ResidueReport] = {}
-        self._table: GrowthTable | None = None
+        self._table = GrowthTable(module, self.config.k_max)
 
     def residue(self, r: str, s: str, n: int) -> ResidueReport:
         key = (r, s, n)
         if key not in self._reports:
             self._reports[key] = eta_tilde(
-                self.module,
+                self._table,
                 key,
-                k_max=self.config.k_max,
                 tol=self.config.tol,
                 force_iterative=self.config.force_iterative,
             )
@@ -269,10 +269,11 @@ class ConditionalExpectation:
         """Level-k compression average, the finite stage of the limit.
 
         Equals the diagonal sum of the level-k compression of x divided by
-        the k-step index, computed without forming the level matrix.
+        the k-step index, computed without forming the level matrix.  The
+        level must not exceed the configured k_max.
         """
-        if self._table is None or self._table.k_max < k:
-            self._table = GrowthTable(self.module, max(k, self.config.k_max))
+        if k > self._table.k_max:
+            raise ValueError(f"level {k} above k_max {self._table.k_max}")
         vals = np.zeros(len(self.module.vertices), dtype=complex)
         for (mu, nu), c in x.terms.items():
             if mu != nu:
@@ -294,28 +295,6 @@ class ConditionalExpectation:
         return worst
 
 
-def _expectation_for(
-    module: GraphBimodule, config: ResidueConfig | None
-) -> ConditionalExpectation:
-    cache = getattr(module, "_expectation_cache", None)
-    if cache is None:
-        cache = {}
-        module._expectation_cache = cache
-    key = config or ResidueConfig()
-    if key not in cache:
-        cache[key] = ConditionalExpectation(module, key)
-    return cache[key]
-
-
-def phi_infty(
-    module: GraphBimodule,
-    x: SpanningElement,
-    config: ResidueConfig | None = None,
-) -> AlgebraElement:
-    """Expectation of a symbol combination onto the vertex algebra."""
-    return _expectation_for(module, config).phi(x)
-
-
 # -- spanning basis, Gram blocks, and the Fock projection ------------------
 #
 # Phi(x_i* x_j) vanishes unless one symbol extends the other by a common
@@ -329,6 +308,10 @@ def phi_infty(
 ColumnMap = dict[int, tuple[int, float]]
 # (row, column) -> coefficient; absent entries are zero
 EntryMap = dict[tuple[int, int], float]
+
+# Gram eigenvalues above this span the quotient, and operator ranks in the
+# quotient count singular values above it
+_TOL = 1e-10
 
 
 def spanning_basis(module: GraphBimodule, depth: int) -> list[tuple[Path, Path]]:
@@ -399,7 +382,7 @@ class GramBlock:
 
     The block lives on the vertex slice r(nu_0).  `members` are basis
     indices in ascending order; `quotient` is sqrt(eigenvalue) times the
-    eigenvector, transposed, for each eigenvalue above the cutoff, so it
+    eigenvector, transposed, for each eigenvalue above _TOL, so it
     maps coefficient vectors onto the quotient by the block's null space.
     """
 
@@ -418,14 +401,13 @@ class GramData:
     quotient are computed per vertex, block by block, and summed.
     """
 
-    depth: int
     basis: tuple[tuple[Path, Path], ...]
+    index: dict[tuple[Path, Path], int]
     vertex_names: tuple[str, ...]
     blocks: tuple[GramBlock, ...]
     block_of: np.ndarray
     hermitian_defect: float
     psd_min: tuple[float, ...]
-    cutoff: float
     gram_ranks: tuple[int, ...]
 
     def _row(self, i: int) -> tuple[GramBlock, int]:
@@ -433,9 +415,7 @@ class GramData:
         block = self.blocks[self.block_of[i]]
         return block, int(np.searchsorted(block.members, i))
 
-    def operator_rank(
-        self, entries: EntryMap, rank_tol: float = 1e-10
-    ) -> tuple[dict[str, int], int]:
+    def operator_rank(self, entries: EntryMap) -> tuple[dict[str, int], int]:
         """Per-vertex rank of an operator, given by its entries, in the quotient.
 
         Only the nonzero columns and the blocks holding a nonzero row are
@@ -459,7 +439,7 @@ class GramData:
         ranks: dict[str, int] = {}
         for label, parts in zip(self.vertex_names, stacks):
             ranks[label] = (
-                int(np.linalg.matrix_rank(np.vstack(parts), tol=rank_tol)) if parts else 0
+                int(np.linalg.matrix_rank(np.vstack(parts), tol=_TOL)) if parts else 0
             )
         return ranks, sum(ranks.values())
 
@@ -485,10 +465,7 @@ class GramData:
 
 
 def gram(
-    module: GraphBimodule,
-    depth: int,
-    expectation: ConditionalExpectation | None = None,
-    cutoff: float = 1e-10,
+    module: GraphBimodule, depth: int, expectation: ConditionalExpectation
 ) -> GramData:
     """Block-diagonal Gram of the depth-limited spanning family.
 
@@ -498,7 +475,6 @@ def gram(
     one member extends the other, and zero otherwise.  Each block gets its
     own eigendecomposition.
     """
-    exp_ = expectation or _expectation_for(module, None)
     basis = spanning_basis(module, depth)
     N = len(basis)
     vidx = {v: i for i, v in enumerate(module.vertices)}
@@ -522,13 +498,13 @@ def gram(
         pos_of = {rho: pos for pos, rho in enumerate(members)}
         G = np.zeros((len(members), len(members)))
         for pos, (rho, i) in enumerate(members.items()):
-            c = exp_.coeff(basis[i][1])
+            c = expectation.coeff(basis[i][1])
             for cut in range(len(rho) + 1):
                 other = pos_of[rho[:cut]]
                 G[pos, other] = G[other, pos] = c
         herm = max(herm, float(np.max(np.abs(G - G.T))))
         vals, vecs = np.linalg.eigh(G)
-        keep = vals > cutoff
+        keep = vals > _TOL
         idx = np.fromiter(members.values(), dtype=np.intp, count=len(members))
         block_of[idx] = len(blocks)
         vi = vidx[v]
@@ -546,14 +522,13 @@ def gram(
     # symbols of the other slices are zero rows here: exact zero eigenvalues
     psd_min = tuple(min(lo, 0.0) if c < N else lo for lo, c in zip(low, covered))
     return GramData(
-        depth=depth,
         basis=tuple(basis),
+        index={pair: i for i, pair in enumerate(basis)},
         vertex_names=tuple(module.vertices),
         blocks=tuple(blocks),
         block_of=block_of,
         hermitian_defect=herm,
         psd_min=psd_min,
-        cutoff=cutoff,
         gram_ranks=tuple(ranks),
     )
 
@@ -597,8 +572,6 @@ def _adjoint_defect(P: ColumnMap, gdata: GramData) -> float:
 class ProjectionData:
     """Closed-form action of the vacuum-summing projection on the basis."""
 
-    depth: int
-    basis: tuple[tuple[Path, Path], ...]
     columns: ColumnMap
     idempotency_defect: float
     adjoint_defect: float
@@ -612,46 +585,35 @@ class ProjectionData:
 
 
 def projection_p(
-    module: GraphBimodule,
-    depth: int,
-    expectation: ConditionalExpectation | None = None,
-    gram_data: GramData | None = None,
+    gram_data: GramData, expectation: ConditionalExpectation
 ) -> ProjectionData:
     """Column map of the projection onto plain path symbols, with defects.
 
-    A symbol (mu, nu) projects to the path symbol of the head of mu when
-    the tail of mu matches nu, scaled by the residue coefficient of nu;
-    otherwise to zero.  The adjoint defect measures self-adjointness with
-    respect to the vertex Gram slices.
+    The basis is the Gram's.  A symbol (mu, nu) projects to the path symbol
+    of the head of mu when the tail of mu matches nu, scaled by the residue
+    coefficient of nu; otherwise to zero.  The adjoint defect measures
+    self-adjointness with respect to the vertex Gram slices.
     """
-    exp_ = expectation or _expectation_for(module, None)
-    if gram_data is None:
-        gram_data = gram(module, depth, exp_)
-    basis = gram_data.basis
-    P = _projection_columns(basis, {pair: i for i, pair in enumerate(basis)}, exp_)
+    P = _projection_columns(gram_data.basis, gram_data.index, expectation)
     idem = _max_abs_difference(_compose(P, P), _entries(P))
-    return ProjectionData(depth, basis, P, idem, _adjoint_defect(P, gram_data))
+    return ProjectionData(P, idem, _adjoint_defect(P, gram_data))
 
 
 def theta_projection_matrix(
-    module: GraphBimodule,
-    depth: int,
-    expectation: ConditionalExpectation | None = None,
+    gram_data: GramData, expectation: ConditionalExpectation
 ) -> EntryMap:
     """Rank-one-sum route to the projection entries, for cross-checking.
 
-    Builds each column as the sum over plain path symbols rho of the
-    expectation of the adjoint path times the column symbol, evaluated at
-    the path source.  Only prefixes rho of mu can give a product with equal
-    legs (a longer rho leaves a vertex against a nonempty path, an
-    unrelated one gives zero), so the sum runs over those.  Must agree with
-    the closed-form column map exactly.
+    Over the Gram's basis, builds each column as the sum over plain path
+    symbols rho of the expectation of the adjoint path times the column
+    symbol, evaluated at the path source.  Only prefixes rho of mu can give
+    a product with equal legs (a longer rho leaves a vertex against a
+    nonempty path, an unrelated one gives zero), so the sum runs over
+    those.  Must agree with the closed-form column map exactly.
     """
-    exp_ = expectation or _expectation_for(module, None)
-    basis = spanning_basis(module, depth)
-    idx = {pair: i for i, pair in enumerate(basis)}
+    idx = gram_data.index
     M: EntryMap = {}
-    for j, (mu, nu) in enumerate(basis):
+    for j, (mu, nu) in enumerate(gram_data.basis):
         for cut in range(len(mu) + 1):
             rho = mu.head(cut)
             empty_s = Path((), rho.s)
@@ -664,7 +626,7 @@ def theta_projection_matrix(
             if a.r != rho.s:
                 continue
             key = (idx[(rho, empty_s)], j)
-            M[key] = M.get(key, 0.0) + exp_.coeff(a)
+            M[key] = M.get(key, 0.0) + expectation.coeff(a)
     return M
 
 
@@ -673,7 +635,6 @@ class CommutatorReport:
     """Commutator of the projection with one edge isometry."""
 
     edge: str
-    depth: int
     discrepancy: float
     ranks: dict[str, int]
     total_rank: int
@@ -684,12 +645,7 @@ class CommutatorReport:
 
 
 def commutator_check(
-    module: GraphBimodule,
-    depth: int,
-    expectation: ConditionalExpectation | None = None,
-    edges: Iterable[str] | None = None,
-    rank_tol: float = 1e-10,
-    cutoff: float = 1e-10,
+    module: GraphBimodule, depth: int, expectation: ConditionalExpectation
 ) -> tuple[CommutatorReport, ...]:
     """Compare the direct commutator with its closed form, edge by edge.
 
@@ -698,20 +654,18 @@ def commutator_check(
     -1 whose adjoint path is the edge followed by the plain path.  Ranks
     are taken in the Gram quotient at depth+1, per vertex, and compared
     against the structural prediction: one at the edge's range vertex when
-    any surviving coefficient exceeds rank_tol.
+    any surviving coefficient exceeds the rank tolerance.  The depth basis
+    is the depth+1 basis cut to legs of length at most depth, which keeps
+    its canonical order.
     """
-    exp_ = expectation or _expectation_for(module, None)
-    cols = spanning_basis(module, depth)
-    rows = spanning_basis(module, depth + 1)
+    gram_high = gram(module, depth + 1, expectation)
+    rows, row_idx = gram_high.basis, gram_high.index
+    cols = [pair for pair in rows if len(pair[0]) <= depth and len(pair[1]) <= depth]
     col_idx = {pair: i for i, pair in enumerate(cols)}
-    row_idx = {pair: i for i, pair in enumerate(rows)}
-    P_low = _projection_columns(cols, col_idx, exp_)
-    P_high = _projection_columns(rows, row_idx, exp_)
-    gram_high = gram(module, depth + 1, exp_, cutoff)
-    edge_ids = list(edges) if edges is not None else [g.id for g in module.edges]
+    P_low = _projection_columns(cols, col_idx, expectation)
+    P_high = _projection_columns(rows, row_idx, expectation)
     reports = []
-    for gid in edge_ids:
-        g = module.edge(gid)
+    for g in module.edges:
         S: ColumnMap = {}
         for (rho, sigma), j in col_idx.items():
             if rho.r != g.s:
@@ -732,20 +686,19 @@ def commutator_check(
                 continue
             if sigma.tail(len(sigma) - 1) != rho:
                 continue
-            coef = exp_.coeff(sigma)
+            coef = expectation.coeff(sigma)
             formula[(vac_row, j)] = coef
-            if abs(coef) > rank_tol:
+            if abs(coef) > _TOL:
                 surviving.append((rho.label(), sigma.label()))
         discrepancy = _max_abs_difference(direct, formula)
-        ranks, total = gram_high.operator_rank(direct, rank_tol)
+        ranks, total = gram_high.operator_rank(direct)
         predicted = {v: 0 for v in module.vertices}
         predicted[g.r] = 1 if surviving else 0
         predicted_total = sum(predicted.values())
         matches = ranks == predicted and total == predicted_total
         reports.append(
             CommutatorReport(
-                edge=gid,
-                depth=depth,
+                edge=g.id,
                 discrepancy=discrepancy,
                 ranks=ranks,
                 total_rank=total,

@@ -266,28 +266,3 @@ def rank_one_phi(
         raise ValueError("k must be at least the degree")
     growth = beta_k(module, k - n)
     return left_inner_fock(xi, eta.right_action(growth))
-
-
-def rank_one_tensor_matrix(
-    module: GraphBimodule, k: int, xi: FockVector, eta: FockVector
-) -> np.ndarray:
-    """Dense matrix of (rank-one on degree n) tensor (identity on k-n factors).
-
-    Direct construction over the length-k path basis; the closed form above
-    is tested against phi_k of this matrix.
-    """
-    n = xi.degree()
-    if eta.degree() != n:
-        raise ValueError("xi and eta must have equal degree")
-    plist = paths(module, k)
-    idx = {p: i for i, p in enumerate(plist)}
-    M = np.zeros((len(plist), len(plist)), dtype=complex)
-    for col, q in enumerate(plist):
-        amp = eta.terms.get(q.head(n))
-        if amp is None:
-            continue
-        rest = q.tail(k - n)
-        for lam, c in xi.terms.items():
-            if lam.s == rest.r:
-                M[idx[lam.concat(rest)], col] += c * np.conj(amp)
-    return M

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
-from .fock import Path, beta_k, paths, phi_k
+from .fock import Path
 
 _CERTIFIED_WIDTH = 1e-12
 
@@ -185,9 +186,16 @@ def verify_rate_certificate(
 
 
 class GrowthTable:
-    """Normalized powers B^k 1 with cumulative log norms, overflow safe."""
+    """The growth data of one graph up to k_max, built once and passed in.
+
+    Holds the normalized powers B^k 1 with cumulative log norms (overflow
+    safe), the Perron data, and the condensation growth profile, which is
+    computed on first use.
+    """
 
     def __init__(self, module: GraphBimodule, k_max: int):
+        if k_max < 0:
+            raise ValueError("k_max must be nonnegative")
         B = module.adjacency()
         n = B.shape[0]
         self.module = module
@@ -207,6 +215,11 @@ class GrowthTable:
             logs[k] = acc
         self.vectors = vecs
         self.log_norms = logs
+        self.pf = pf_data(module)
+
+    @cached_property
+    def profile(self) -> GrowthProfile:
+        return growth_profile(self.module)
 
     def ratio(self, s_vertex: str, r_vertex: str, n: int, k: int) -> float:
         """(B^{k-n} 1)_s / (B^k 1)_r without forming the raw powers."""
@@ -216,11 +229,6 @@ class GrowthTable:
         ri = self.module.vertices.index(r_vertex)
         scale = math.exp(self.log_norms[k - n] - self.log_norms[k])
         return scale * self.vectors[k - n][si] / self.vectors[k][ri]
-
-    def value(self, vertex: str, k: int) -> float:
-        """Raw (B^k 1)_v; overflows for large k, use ratio() instead."""
-        i = self.module.vertices.index(vertex)
-        return math.exp(self.log_norms[k]) * float(self.vectors[k][i])
 
 
 # -- condensation growth profile ------------------------------------------
@@ -444,30 +452,31 @@ def _extrapolate_to_zero(xs: list[float], ys: list[float]) -> tuple[float, float
 
 
 def eta_tilde(
-    module: GraphBimodule,
+    table: GrowthTable,
     target,
-    k_max: int = 200,
     tol: float = 1e-10,
     force_iterative: bool = False,
 ) -> ResidueReport:
     """Residue coefficient for a path class, with convergence diagnostics.
 
     `target` is a Path or an (r, s, n) triple; the ratio depends on the
-    path only through its endpoints and length.  Primitive graphs whose
-    Perron root pf_data certifies get the closed form r^{-n} w_s / w_r from
-    the right Perron eigenvector of the adjacency matrix.  Otherwise a stationary sequence is read off
-    directly, a strict growth gap forces the limit 0 exactly, and the
-    remaining cases are extrapolated polynomially in 1/k; a sequence with
-    no limit (oscillating growth coefficients) is reported unconverged.
+    path only through its endpoints and length.  The growth table supplies
+    k_max, the samples, the Perron data and the growth profile.  Primitive
+    graphs whose Perron root pf_data certifies get the closed form
+    r^{-n} w_s / w_r from the right Perron eigenvector of the adjacency
+    matrix.  Otherwise a stationary sequence is read off directly, a strict
+    growth gap forces the limit 0 exactly, and the remaining cases are
+    extrapolated polynomially in 1/k; a sequence with no limit (oscillating
+    growth coefficients) is reported unconverged.
     """
+    module, k_max = table.module, table.k_max
     r, s, n = _resolve_target(module, target)
     if not _target_realized(module, r, s, n):
         raise ValueError(f"no path of length {n} from source {s!r} to range {r!r}")
     if k_max < n + 8:
         raise ValueError("k_max too small for the requested length")
-    table = GrowthTable(module, k_max)
     samples = tuple((k, table.ratio(s, r, n, k)) for k in range(n, k_max + 1))
-    data = pf_data(module)
+    data = table.pf
     rate_alpha = data.rate_alpha
 
     if data.primitive and data.converged and not force_iterative:
@@ -482,7 +491,7 @@ def eta_tilde(
         if all(abs(c - vc) <= tol * scale for _, c in samples[len(samples) // 4 :]):
             value, converged, method = vc, True, "stationary"
         else:
-            profile = growth_profile(module)
+            profile = table.profile
             gap = profile.radius[s] < profile.radius[r] * (1.0 - 1e-9) or (
                 math.isclose(profile.radius[s], profile.radius[r], rel_tol=1e-9)
                 and profile.degree[s] < profile.degree[r]
@@ -523,13 +532,10 @@ def phi_s_partial(module: GraphBimodule, T, s: complex, K: int) -> PartialSumRep
     the inverse index and the weight (1 + k^2)^{-s/2}.
 
     T is a symbol combination (anything with a `terms` mapping of path
-    pairs to coefficients) or a callable k -> ndarray over the level-k path
-    basis.  Symbol input never builds a path basis, so K is unrestricted;
-    callable input is summed by brute force.  The discarded tail is bounded
-    in sup norm by norm_estimate times K^{1 - Re s} / (Re s - 1), which
-    requires Re s > 1.  For symbol input norm_estimate is the triangle
-    bound over terms, for callable input the largest compressed 2-norm
-    seen, so only the former is a certified bound.
+    pairs to coefficients).  The level sum has a closed form, so no path
+    basis is ever built and K is unrestricted.  The discarded tail is
+    bounded in sup norm by norm_estimate, the triangle bound over terms,
+    times K^{1 - Re s} / (Re s - 1), which requires Re s > 1.
     """
     sigma = complex(s).real
     if sigma <= 1.0:
@@ -538,38 +544,21 @@ def phi_s_partial(module: GraphBimodule, T, s: complex, K: int) -> PartialSumRep
         raise ValueError("K must be nonnegative")
     total = AlgebraElement.zero(module.vertices)
     per_level = []
-    norm_est = 0.0
     vidx = {v: i for i, v in enumerate(module.vertices)}
-    terms = getattr(T, "terms", None)
-    if terms is not None:
-        # symbol combination: the level sum has a closed form, so no path
-        # basis is ever built and K can exceed any feasible matrix size
-        table = GrowthTable(module, K)
-        norm_est = float(sum(abs(c) for c in terms.values()))
-        for k in range(K + 1):
-            vals = np.zeros(len(module.vertices), dtype=complex)
-            for (mu, nu), c in terms.items():
-                if mu != nu or len(mu) > k:
-                    continue
-                ratio = table.ratio(mu.s, mu.r, len(mu), k)
-                vals[vidx[mu.r]] += c * mu.weight * ratio
-            weight = (1.0 + k * k) ** (-complex(s) / 2.0)
-            term = AlgebraElement(module.vertices, vals) * weight
-            per_level.append(term)
-            total = total + term
-    else:
-        if not callable(T):
-            raise TypeError("T must be a symbol combination or callable k -> matrix")
-        for k in range(K + 1):
-            M = np.asarray(T(k), dtype=complex)
-            count = len(paths(module, k))
-            if M.shape != (count, count):
-                raise ValueError(f"level {k} matrix must be {count}x{count}")
-            norm_est = max(norm_est, float(np.linalg.norm(M, 2)))
-            weight = (1.0 + k * k) ** (-complex(s) / 2.0)
-            term = phi_k(module, k, M) / beta_k(module, k) * weight
-            per_level.append(term)
-            total = total + term
+    terms = T.terms
+    table = GrowthTable(module, K)
+    norm_est = float(sum(abs(c) for c in terms.values()))
+    for k in range(K + 1):
+        vals = np.zeros(len(module.vertices), dtype=complex)
+        for (mu, nu), c in terms.items():
+            if mu != nu or len(mu) > k:
+                continue
+            ratio = table.ratio(mu.s, mu.r, len(mu), k)
+            vals[vidx[mu.r]] += c * mu.weight * ratio
+        weight = (1.0 + k * k) ** (-complex(s) / 2.0)
+        term = AlgebraElement(module.vertices, vals) * weight
+        per_level.append(term)
+        total = total + term
     tail_coeff = (max(K, 1)) ** (1.0 - sigma) / (sigma - 1.0)
     return PartialSumReport(
         total, tuple(per_level), complex(s), K, norm_est, tail_coeff,

@@ -171,7 +171,6 @@ def dense_commutator_check(
         reports.append(
             CommutatorReport(
                 edge=g.id,
-                depth=depth,
                 discrepancy=float(np.max(np.abs(direct - formula))),
                 ranks=ranks,
                 total_rank=total,

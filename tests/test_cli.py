@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from graphbimod import cli, cuntz_pimsner, spectral
 from graphbimod.cli import main
+
+GRAPHS = Path(__file__).resolve().parents[1] / "scripts" / "graphs"
 
 GOLDEN = {
     "vertices": ["u", "v"],
@@ -228,3 +232,92 @@ def test_long_and_short_edge_keys_agree(capsys, tmp_path):
     _, out1, _ = run(capsys, "index", str(short))
     _, out2, _ = run(capsys, "index", str(long_))
     assert json.loads(out1)["index"] == json.loads(out2)["index"]
+
+
+def test_index_levels_are_exact_past_the_float_range(capsys, tmp_path):
+    # each vertex is the source of three weight-3 edges, two with range u
+    # and one with range v: B = [[6, 6], [3, 3]], so B^k 1 = 9^(k-1) (12, 6),
+    # past the largest double from k = 323 on
+    doc = {"vertices": ["u", "v"], "edges": [
+        {"id": f"{r}{s}{i}", "r": r, "s": s, "weight": 3}
+        for s in "uv" for i, r in enumerate("uvu")
+    ]}
+    p = tmp_path / "w3.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "index", str(p), "--depth", "700")
+    assert code == 0 and err == ""
+    assert "inf" not in out and "nan" not in out
+    levels = json.loads(out)["levels"]
+    assert levels["2"] == {"u": 108.0, "v": 54.0}
+    # correctly rounded floats while they are finite, exact values after
+    assert levels["300"] == {"u": float(12 * 9**299), "v": float(6 * 9**299)}
+    assert levels["322"]["u"] == float(12 * 9**321)
+    assert levels["323"]["u"] == {"exact": str(12 * 9**322)}
+    assert levels["700"] == {"u": {"exact": str(12 * 9**699)}, "v": {"exact": str(6 * 9**699)}}
+
+
+def test_index_collapse_error_is_exact(capsys, tmp_path):
+    o3 = {"vertices": ["z"], "edges": [{"id": e, "r": "z", "s": "z"} for e in "abc"]}
+    p = tmp_path / "o3.json"
+    p.write_text(json.dumps(o3))
+    code, out, err = run(capsys, "index", str(p), "--depth", "700")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["central_collapse_max_error"] == 0.0
+    assert doc["levels"]["40"]["z"] == float(3**40)
+    assert doc["levels"]["700"]["z"] == {"exact": str(3**700)}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["index", "--depth", "-1"], "--depth"),
+        (["kasparov", "--depth", "-1"], "--depth"),
+        (["residue", "--target", "1", "--kmax", "-1"], "--kmax"),
+        (["kasparov", "--kmax", "-1"], "--kmax"),
+        (["kms", "--pairs", "-1"], "--pairs"),
+        (["kms", "--length", "-1"], "--length"),
+        (["kms", "--length", "two"], "--length"),
+    ],
+)
+def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], golden_file, *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a nonnegative integer" in err
+
+
+def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
+    calls = {"spanning_basis": 0, "pf_data": 0, "GrowthTable": 0}
+    modules = []
+
+    def count(owner, attr, name):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    load = cli.load_graph
+
+    def loaded(path):
+        modules.append(load(path))
+        return modules[-1]
+
+    monkeypatch.setattr(cli, "load_graph", loaded)
+    count(cuntz_pimsner, "spanning_basis", "spanning_basis")
+    count(spectral, "pf_data", "pf_data")
+    count(spectral.GrowthTable, "__init__", "GrowthTable")
+
+    assert main(["kasparov", str(GRAPHS / "golden_mean.json"), "--depth", "2"]) == 0
+    assert (calls["spanning_basis"], calls["pf_data"]) == (2, 1)
+    calls["GrowthTable"] = 0
+    argv = ["residue", str(GRAPHS / "triangular.json"), "--target", "2", "--kmax", "2000"]
+    assert main(argv) == 0
+    assert calls["GrowthTable"] == 1
+    capsys.readouterr()
+    assert len(modules) == 2
+    assert not any(hasattr(m, "_expectation_cache") for m in modules)

@@ -14,7 +14,6 @@ from graphbimod import (
     covariance_substitute,
     gauge_scaled,
     gram,
-    phi_infty,
     projection_p,
     spanning_basis,
 )
@@ -111,16 +110,17 @@ def test_unbalanced_symbols_compress_to_zero(full_shift2):
 
 
 def test_phi_infty_full_shift_diagonal(full_shift2):
+    exp_ = ConditionalExpectation(full_shift2)
     for n in (1, 2, 3):
         for mu in paths(full_shift2, n):
             x = SpanningElement.symbol(full_shift2, mu, mu)
-            val = phi_infty(full_shift2, x)
+            val = exp_.phi(x)
             assert val["z"] == pytest.approx(2.0**-n, abs=1e-12)
 
 
 def test_phi_infty_kills_off_diagonal(full_shift2):
     x = sym(full_shift2, ["a", "a"], ["b", "a"])
-    assert phi_infty(full_shift2, x).norm() == 0
+    assert ConditionalExpectation(full_shift2).phi(x).norm() == 0
 
 
 def test_phi_infty_is_bilinear_over_the_base(golden):
@@ -133,11 +133,13 @@ def test_phi_infty_is_bilinear_over_the_base(golden):
         * x
         * SpanningElement.from_algebra(golden, b)
     )
-    expect = a * phi_infty(golden, x) * b
-    assert phi_infty(golden, sandwich).isclose(expect, tol=1e-10)
+    exp_ = ConditionalExpectation(golden)
+    expect = a * exp_.phi(x) * b
+    assert exp_.phi(sandwich).isclose(expect, tol=1e-10)
 
 
 def test_phi_infty_positive_on_squares(golden):
+    exp_ = ConditionalExpectation(golden)
     rng = np.random.default_rng(21)
     pool = []
     for n in (0, 1, 2):
@@ -154,7 +156,7 @@ def test_phi_infty_positive_on_squares(golden):
             c = complex(rng.standard_normal(), rng.standard_normal())
             term = c * SpanningElement.symbol(golden, mu, nu)
             x = term if x is None else x + term
-        val = phi_infty(golden, x.adjoint() * x)
+        val = exp_.phi(x.adjoint() * x)
         worst = min(worst, min(v.real for v in val.as_dict().values()))
     assert worst >= -1e-10
 
@@ -171,8 +173,9 @@ def test_gauge_scaling_phase_and_group_law(golden):
 
 def test_phi_infty_gauge_invariance_is_exact(golden):
     x = sym(golden, ["a"], ["a"]) + sym(golden, ["a", "b"], ["b"]) * (0.5 + 1j)
-    before = phi_infty(golden, x)
-    after = phi_infty(golden, gauge_scaled(x, 1.234))
+    exp_ = ConditionalExpectation(golden)
+    before = exp_.phi(x)
+    after = exp_.phi(gauge_scaled(x, 1.234))
     assert np.array_equal(before.values, after.values)
 
 
@@ -187,10 +190,11 @@ def test_covariance_generator_shape(golden):
 def test_phi_infty_vanishes_on_covariance_ideal(golden, triangular, full_shift3):
     rng = np.random.default_rng(13)
     for m in (golden, triangular, full_shift3):
+        exp_ = ConditionalExpectation(m)
         for _ in range(20):
             a = m.random_algebra_element(rng)
             gen = covariance_substitute(m, a)
-            assert phi_infty(m, gen).norm() < 1e-10
+            assert exp_.phi(gen).norm() < 1e-10
 
 
 def test_partition_defect_small(golden, triangular, lopsided):
@@ -226,18 +230,26 @@ def test_finite_level_converges_to_phi_infty(triangular):
     assert (limit - near).norm() > (limit - far).norm()
 
 
+def test_finite_level_stops_at_k_max(triangular):
+    exp_ = ConditionalExpectation(triangular, ResidueConfig(k_max=50))
+    x = sym(triangular, ["g"], ["g"])
+    assert exp_.finite_level(x, 50).norm() > 0
+    with pytest.raises(ValueError, match="above k_max 50"):
+        exp_.finite_level(x, 51)
+
+
 def test_unconverged_residue_raises(oscillating):
     pl = make_path(oscillating, ["l"])
     x = SpanningElement.symbol(oscillating, pl, pl)
     with pytest.raises(ResidueUncertifiedError):
-        phi_infty(oscillating, x)
+        ConditionalExpectation(oscillating).phi(x)
 
 
 def test_unconverged_residue_tolerated_when_asked(oscillating):
     pl = make_path(oscillating, ["l"])
     x = SpanningElement.symbol(oscillating, pl, pl)
     cfg = ResidueConfig(require_converged=False)
-    val = phi_infty(oscillating, x, cfg)
+    val = ConditionalExpectation(oscillating, cfg).phi(x)
     assert np.isfinite(val["z"].real)
 
 
@@ -258,7 +270,7 @@ def test_spanning_basis_sources_always_match(golden):
 
 def test_gram_psd_and_isometry(full_shift2, golden, triangular):
     for m in (full_shift2, golden, triangular):
-        gd = gram(m, 3)
+        gd = gram(m, 3, ConditionalExpectation(m))
         assert gd.hermitian_defect == 0
         assert min(gd.psd_min) >= -1e-10
         assert gd.isometry_defect() < 1e-12
@@ -266,30 +278,33 @@ def test_gram_psd_and_isometry(full_shift2, golden, triangular):
 
 def test_projection_is_idempotent_and_symmetric(full_shift2, golden, triangular):
     for m in (full_shift2, golden, triangular):
-        pd = projection_p(m, 3)
+        exp_ = ConditionalExpectation(m)
+        pd = projection_p(gram(m, 3, exp_), exp_)
         assert pd.idempotency_defect < 1e-10
         assert pd.adjoint_defect < 1e-10
 
 
 def test_projection_fixes_plain_paths_and_kills_offsets(golden):
-    basis = spanning_basis(golden, 2)
-    pd = projection_p(golden, 2)
-    idx = {pair: i for i, pair in enumerate(basis)}
-    j = idx[(make_path(golden, ["a"]), vertex_path(golden, "u"))]
+    exp_ = ConditionalExpectation(golden)
+    gd = gram(golden, 2, exp_)
+    pd = projection_p(gd, exp_)
+    j = gd.index[(make_path(golden, ["a"]), vertex_path(golden, "u"))]
     # the column map holds one (row, coefficient) per column: P e_j = e_j
     assert pd.columns[j] == (j, 1.0)
 
 
 def test_theta_route_agrees_exactly(full_shift2, golden, triangular):
     for m in (full_shift2, golden, triangular):
-        pd = projection_p(m, 3)
-        theta = theta_projection_matrix(m, 3)
+        exp_ = ConditionalExpectation(m)
+        gd = gram(m, 3, exp_)
+        pd = projection_p(gd, exp_)
+        theta = theta_projection_matrix(gd, exp_)
         assert pd.distance(theta) == 0
         assert theta == pd.entries()
 
 
 def test_commutator_ranks_full_shift(full_shift2):
-    reports = commutator_check(full_shift2, 3)
+    reports = commutator_check(full_shift2, 3, ConditionalExpectation(full_shift2))
     for rep in reports:
         assert rep.discrepancy < 1e-10
         assert rep.total_rank == 1
@@ -297,7 +312,7 @@ def test_commutator_ranks_full_shift(full_shift2):
 
 
 def test_commutator_ranks_golden(golden):
-    for rep in commutator_check(golden, 3):
+    for rep in commutator_check(golden, 3, ConditionalExpectation(golden)):
         assert rep.discrepancy < 1e-10
         assert rep.matches
         assert rep.total_rank == 1
@@ -306,7 +321,7 @@ def test_commutator_ranks_golden(golden):
 def test_commutator_ranks_triangular(triangular):
     # the cross edge f sees only the vanishing mixed-class coefficients,
     # so its commutator column space dies in the quotient
-    by_edge = {rep.edge: rep for rep in commutator_check(triangular, 3)}
+    by_edge = {rep.edge: rep for rep in commutator_check(triangular, 3, ConditionalExpectation(triangular))}
     assert by_edge["e"].total_rank == 1
     assert by_edge["f"].total_rank == 0
     assert by_edge["g"].total_rank == 1
@@ -316,6 +331,6 @@ def test_commutator_ranks_triangular(triangular):
 
 
 def test_commutator_surviving_columns_listed(triangular):
-    by_edge = {rep.edge: rep for rep in commutator_check(triangular, 3)}
+    by_edge = {rep.edge: rep for rep in commutator_check(triangular, 3, ConditionalExpectation(triangular))}
     assert by_edge["f"].surviving == ()
     assert len(by_edge["e"].surviving) > 0

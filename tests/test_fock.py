@@ -12,10 +12,31 @@ from graphbimod import (
     paths,
     phi_k,
     rank_one_phi,
-    rank_one_tensor_matrix,
     right_inner_fock,
 )
 from graphbimod.fock import Path, left_inner_fock, make_path, path_index, vertex_path
+
+
+def rank_one_tensor_matrix(module, k, xi, eta):
+    """Dense matrix of (rank-one on degree n) tensor (identity on k-n factors).
+
+    Direct construction over the length-k path basis, the oracle that
+    rank_one_phi's closed form is tested against through phi_k.
+    """
+    n = xi.degree()
+    assert eta.degree() == n
+    plist = paths(module, k)
+    idx = {p: i for i, p in enumerate(plist)}
+    M = np.zeros((len(plist), len(plist)), dtype=complex)
+    for col, q in enumerate(plist):
+        amp = eta.terms.get(q.head(n))
+        if amp is None:
+            continue
+        rest = q.tail(k - n)
+        for lam, c in xi.terms.items():
+            if lam.s == rest.r:
+                M[idx[lam.concat(rest)], col] += c * np.conj(amp)
+    return M
 
 
 def brute_force_paths(module, k):

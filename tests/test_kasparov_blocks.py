@@ -34,8 +34,8 @@ DENSE_MAX_BASIS = 500
 
 def _block_route(module, depth, exp_):
     gd = gram(module, depth, exp_)
-    pd = projection_p(module, depth, exp_, gd)
-    theta = theta_projection_matrix(module, depth, exp_)
+    pd = projection_p(gd, exp_)
+    theta = theta_projection_matrix(gd, exp_)
     return gd, pd, theta, commutator_check(module, depth, exp_)
 
 

@@ -7,6 +7,7 @@ from conftest import graphs
 from hypothesis import given, settings, strategies as st
 
 from graphbimod import (
+    AlgebraElement,
     Edge,
     GraphBimodule,
     eta_tilde,
@@ -15,7 +16,7 @@ from graphbimod import (
     verify_rate_certificate,
 )
 from graphbimod.cuntz_pimsner import SpanningElement
-from graphbimod.fock import make_path, paths
+from graphbimod.fock import beta_k, make_path, paths, phi_k
 from graphbimod.spectral import GrowthTable, growth_profile
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -71,9 +72,10 @@ def test_closed_form_matches_power_iteration_oracle(name, request):
     m = request.getfixturevalue(name)
     lam, w = _power_iteration(m.adjacency())
     wi = dict(zip(m.vertices, w))
+    table = GrowthTable(m, 200)
     for n in (0, 1, 2):
         for r, s in sorted({(p.r, p.s) for p in paths(m, n)}):
-            rep = eta_tilde(m, (r, s, n))
+            rep = eta_tilde(table, (r, s, n))
             assert rep.method == "closed_form"
             assert rep.value == pytest.approx(lam**-n * wi[s] / wi[r], abs=1e-13)
 
@@ -163,12 +165,17 @@ def test_rate_certificate_needs_primitivity(triangular):
 
 def test_growth_table_matches_matrix_powers(triangular):
     table = GrowthTable(triangular, 40)
-    B = triangular.adjacency()
-    ones = np.ones(2)
+    # exact integer powers B^k 1 of B = [[1, 0], [1, 1]]
+    B = triangular.adjacency().astype(np.int64)
+    level = [np.linalg.matrix_power(B, k) @ np.ones(2, dtype=np.int64) for k in range(41)]
+    vi = {v: i for i, v in enumerate(triangular.vertices)}
     for k in (0, 1, 5, 17, 40):
-        expect = np.linalg.matrix_power(B, k) @ ones
-        assert table.value("v", k) == pytest.approx(expect[0], rel=1e-12)
-        assert table.value("w", k) == pytest.approx(expect[1], rel=1e-12)
+        for n in sorted({0, min(1, k), k // 2, k}):
+            for s, r in (("v", "v"), ("v", "w"), ("w", "w")):
+                want = Fraction(int(level[k - n][vi[s]]), int(level[k][vi[r]]))
+                assert table.ratio(s, r, n, k) == pytest.approx(float(want), rel=1e-12)
+    with pytest.raises(ValueError):
+        GrowthTable(triangular, -1)
 
 
 def test_growth_profile_radii_and_degrees(triangular, oscillating):
@@ -183,27 +190,29 @@ def test_growth_profile_radii_and_degrees(triangular, oscillating):
 
 
 def test_eta_full_shift_exact(full_shift2):
+    table = GrowthTable(full_shift2, 200)
     for n in (0, 1, 2, 3):
-        rep = eta_tilde(full_shift2, ("z", "z", n))
+        rep = eta_tilde(table, ("z", "z", n))
         assert rep.converged
         assert rep.value == pytest.approx(2.0**-n, abs=0)
 
 
 def test_eta_golden_closed_form_values(golden):
     # coefficients r^-n w_s / w_r with w = (phi, 1)
-    rep = eta_tilde(golden, ("u", "u", 1))
+    table = GrowthTable(golden, 200)
+    rep = eta_tilde(table, ("u", "u", 1))
     assert rep.method == "closed_form"
     assert rep.value == pytest.approx(1 / PHI, abs=1e-12)
-    rep2 = eta_tilde(golden, ("v", "u", 1))
+    rep2 = eta_tilde(table, ("v", "u", 1))
     assert rep2.value == pytest.approx(1.0, abs=1e-12)
-    rep3 = eta_tilde(golden, ("u", "v", 1))
+    rep3 = eta_tilde(table, ("u", "v", 1))
     assert rep3.value == pytest.approx(1 / PHI**2, abs=1e-12)
 
 
 def test_eta_closed_form_agrees_with_forced_iteration(golden, lopsided):
     for m, target in ((golden, ("u", "u", 1)), (lopsided, ("u", "v", 1))):
-        closed = eta_tilde(m, target)
-        iterated = eta_tilde(m, target, k_max=300, force_iterative=True)
+        closed = eta_tilde(GrowthTable(m, 200), target)
+        iterated = eta_tilde(GrowthTable(m, 300), target, force_iterative=True)
         assert closed.method == "closed_form"
         assert iterated.method != "closed_form"
         assert iterated.converged
@@ -214,23 +223,24 @@ def test_eta_lopsided_uses_growth_eigenvector(lopsided):
     # adjacency [[1,2],[1,0]]: growth eigenvector (2,1), radius 2, so the
     # v -> u class limit is (1/2) * (1/2); the transpose eigenvector would
     # give 1/2 instead
-    rep = eta_tilde(lopsided, ("u", "v", 1))
+    rep = eta_tilde(GrowthTable(lopsided, 200), ("u", "v", 1))
     assert rep.value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_eta_triangular_case_table(triangular):
-    stationary = eta_tilde(triangular, ("v", "v", 2))
+    table = GrowthTable(triangular, 2000)
+    stationary = eta_tilde(GrowthTable(triangular, 200), ("v", "v", 2))
     assert stationary.converged
     assert stationary.value == 1.0
     assert math.isinf(stationary.delta)
 
-    slow = eta_tilde(triangular, ("w", "w", 2), k_max=2000)
+    slow = eta_tilde(table, ("w", "w", 2))
     assert slow.converged
     assert slow.value == pytest.approx(1.0, abs=1e-10)
     assert 0.9 <= slow.delta <= 1.1
     assert slow.r_squared > 0.9
 
-    zero = eta_tilde(triangular, ("w", "v", 1), k_max=2000)
+    zero = eta_tilde(table, ("w", "v", 1))
     assert zero.converged
     assert zero.value == 0.0
     assert zero.method == "structural_zero"
@@ -239,25 +249,26 @@ def test_eta_triangular_case_table(triangular):
 def test_eta_unrealized_class_raises(triangular):
     # no path of positive length ends at v coming from w
     with pytest.raises(ValueError):
-        eta_tilde(triangular, ("v", "w", 1))
+        eta_tilde(GrowthTable(triangular, 200), ("v", "w", 1))
 
 
 def test_eta_oscillating_is_honestly_unconverged(oscillating):
-    rep = eta_tilde(oscillating, ("z", "z", 1), k_max=120)
+    rep = eta_tilde(GrowthTable(oscillating, 120), ("z", "z", 1))
     assert not rep.converged
 
 
 def test_eta_accepts_path_target(golden):
     p = make_path(golden, ["c"])
-    by_path = eta_tilde(golden, p)
-    by_class = eta_tilde(golden, ("v", "u", 1))
+    table = GrowthTable(golden, 200)
+    by_path = eta_tilde(table, p)
+    by_class = eta_tilde(table, ("v", "u", 1))
     assert by_path.value == by_class.value
 
 
 def test_eta_linearity_through_class_values(triangular):
     # limits are linear, so a two-term combination evaluates termwise
-    a = eta_tilde(triangular, ("v", "v", 1)).value
-    b = eta_tilde(triangular, ("w", "w", 1), k_max=2000).value
+    a = eta_tilde(GrowthTable(triangular, 200), ("v", "v", 1)).value
+    b = eta_tilde(GrowthTable(triangular, 2000), ("w", "w", 1)).value
     assert 2 * a + 3 * b == pytest.approx(5.0, abs=1e-9)
 
 
@@ -278,12 +289,25 @@ def test_phi_s_partial_cuntz_value(full_shift2):
     assert rep.norm_estimate == 1.0
 
 
+def _phi_s_partial_by_matrices(module, level_matrix, s, K):
+    """Brute-force route to phi_s_partial: the level-k matrix of T for each
+    k <= K, its weighted diagonal sum divided by the k-step index."""
+    total = AlgebraElement.zero(module.vertices)
+    for k in range(K + 1):
+        M = np.asarray(level_matrix(k), dtype=complex)
+        count = len(paths(module, k))
+        assert M.shape == (count, count)
+        weight = (1.0 + k * k) ** (-complex(s) / 2.0)
+        total = total + phi_k(module, k, M) / beta_k(module, k) * weight
+    return total
+
+
 def test_phi_s_partial_matrix_route_matches_symbol_route(golden):
     pa = make_path(golden, ["a"])
     T = SpanningElement.symbol(golden, pa, pa)
     by_symbol = phi_s_partial(golden, T, 2.5, 6)
-    by_matrix = phi_s_partial(golden, T.as_fock_matrix, 2.5, 6)
-    assert by_symbol.value.isclose(by_matrix.value, tol=1e-12)
+    by_matrix = _phi_s_partial_by_matrices(golden, T.as_fock_matrix, 2.5, 6)
+    assert by_symbol.value.isclose(by_matrix, tol=1e-12)
 
 
 def test_phi_s_partial_zero_element(golden):
