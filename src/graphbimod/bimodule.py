@@ -15,7 +15,9 @@ incoming and one outgoing edge); this is validated at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,13 +39,19 @@ class Edge:
     def __post_init__(self):
         if self.weight <= 0:
             raise GraphStructureError(f"edge {self.id!r} has nonpositive weight")
+        if not math.isfinite(self.weight):
+            raise GraphStructureError(f"edge {self.id!r} has non-finite weight")
 
 
 class GraphBimodule:
     """Finite directed graph together with its weighted edge bimodule.
 
     Vertices and edges are stored in lexicographic label order; every array
-    in the package uses these orders.
+    in the package uses these orders.  The exact data is built here once:
+    B = A / D with A integral (`integer_adjacency`, per range vertex the
+    sorted (source column, entry) pairs) and D (`denominator`) the common
+    denominator of the binary weights; B itself, read-only, as
+    `adjacency()`; the index (`index_exact`) and its floats (`index_float`).
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
@@ -73,8 +81,24 @@ class GraphBimodule:
                 f"graph has sources or sinks: no outgoing edge at {missing_out}, "
                 f"no incoming edge at {missing_in}"
             )
-        self._dweight_cache: dict = {}
-        self._index_element: AlgebraElement | None = None
+        weights = [Fraction(e.weight) for e in ordered]
+        D = math.lcm(*(w.denominator for w in weights))
+        rows: list[dict[int, int]] = [{} for _ in self.vertices]
+        for e, w in zip(ordered, weights):
+            row = rows[self.vertices.index(e.r)]
+            j = self.vertices.index(e.s)
+            row[j] = row.get(j, 0) + int(w * D)
+        self.integer_adjacency = tuple(tuple(sorted(row.items())) for row in rows)
+        self.denominator = D
+        self._adjacency = np.zeros((len(rows), len(rows)))
+        for i, row in enumerate(rows):
+            for j, a in row.items():
+                self._adjacency[i, j] = a / D
+        self._adjacency.flags.writeable = False
+        self.index_exact = {
+            v: Fraction(sum(row.values()), D) for v, row in zip(self.vertices, rows)
+        }
+        self.index_float = {v: float(x) for v, x in self.index_exact.items()}
 
     # -- structure ------------------------------------------------------
 
@@ -93,15 +117,9 @@ class GraphBimodule:
     def edges_with_source(self, v: str) -> tuple[Edge, ...]:
         return self._by_source[v]
 
-    def adjacency(self, weighted: bool = True) -> np.ndarray:
-        """Vertex matrix B with B[r(g), s(g)] summing the weights c_g."""
-        n = len(self.vertices)
-        B = np.zeros((n, n))
-        for e in self.edges:
-            B[self.vertices.index(e.r), self.vertices.index(e.s)] += (
-                e.weight if weighted else 1.0
-            )
-        return B
+    def adjacency(self) -> np.ndarray:
+        """Read-only B, B[r(g), s(g)] the correctly rounded sum of the weights c_g."""
+        return self._adjacency
 
     def __repr__(self) -> str:
         return (
@@ -228,19 +246,17 @@ def watatani_phi(module: GraphBimodule, T: np.ndarray) -> AlgebraElement:
 
 def index_element(module: GraphBimodule) -> AlgebraElement:
     """One-step index e^beta = Phi(Id): weighted out-degree per vertex."""
-    if module._index_element is None:
-        module._index_element = watatani_phi(module, np.eye(len(module.edges)))
-    return module._index_element
+    return AlgebraElement.from_dict(module.vertices, module.index_float)
 
 
-def beta_is_central(module: GraphBimodule, tol: float = 1e-10) -> bool:
+def beta_is_central(module: GraphBimodule) -> bool:
     """Whether log of the index vector commutes with the module actions.
 
-    True exactly when the index vector takes equal values at the two ends of
+    True exactly when the exact index takes equal values at the two ends of
     every edge, which makes the k-step index collapse to pointwise powers.
     """
-    ib = index_element(module)
-    return all(abs(ib[e.r] - ib[e.s]) <= tol for e in module.edges)
+    index = module.index_exact
+    return all(index[e.r] == index[e.s] for e in module.edges)
 
 
 # -- structural checks ----------------------------------------------------

@@ -32,7 +32,7 @@ from .cuntz_pimsner import (
     spanning_basis_size,
     theta_projection_matrix,
 )
-from .fock import Path, make_path, paths
+from .fock import Path, index_levels, make_path, paths
 from .kms import invariant_traces, kms_check
 from .spectral import GrowthTable, eta_tilde
 
@@ -150,22 +150,6 @@ def _algebra_dict(a) -> dict:
     return out
 
 
-def _integer_adjacency(module) -> tuple[list[list[tuple[int, int]]], int]:
-    """B = A / D exactly, A as rows of (column, integer entry) pairs.
-
-    D is the common denominator of the binary values of the weights, so D
-    is 1 when every weight is an integer.
-    """
-    weights = [Fraction(g.weight) for g in module.edges]
-    D = math.lcm(*(w.denominator for w in weights))
-    vidx = {v: i for i, v in enumerate(module.vertices)}
-    rows: list[dict[int, int]] = [{} for _ in module.vertices]
-    for g, w in zip(module.edges, weights):
-        row = rows[vidx[g.r]]
-        row[vidx[g.s]] = row.get(vidx[g.s], 0) + int(w * D)
-    return [sorted(row.items()) for row in rows], D
-
-
 def _level_value(num: int, den: int) -> float | dict[str, str]:
     """num / den as the nearest float while that is finite.
 
@@ -184,21 +168,19 @@ def cmd_index(args) -> int:
     failures: list[str] = []
     beta = index_element(module)
     central = beta_is_central(module)
-    # B^k 1 = A^k 1 / D^k in integers, one adjacency pass per level
-    A, D = _integer_adjacency(module)
-    vec = [1] * len(module.vertices)
-    index = [sum(c for _, c in row) for row in A]
+    # B^k 1 = A^k 1 / D^k and beta^k = (D beta)^k / D^k
+    D = module.denominator
+    index = [int(module.index_exact[v] * D) for v in module.vertices]
     den = 1
     levels = {}
     worst = Fraction(0)
-    for k in range(args.depth + 1):
+    for k, vec in zip(range(args.depth + 1), index_levels(module)):
         levels[str(k)] = {v: _level_value(x, den) for v, x in zip(module.vertices, vec)}
         if central:
             # |B^k 1 - beta^k| relative to max(1, |beta^k|), both over D^k
             power = [x**k for x in index]
             gap = max(abs(x - p) for x, p in zip(vec, power))
             worst = max(worst, Fraction(gap, max(den, max(power))))
-        vec = [sum(c * vec[j] for j, c in row) for row in A]
         den *= D
     worst = float(worst)
     report = {
@@ -313,6 +295,8 @@ def cmd_kasparov(args) -> int:
         gdata = gram(module, args.depth, expectation)
         pdata = projection_p(gdata, expectation)
         theta = theta_projection_matrix(gdata, expectation)
+        # the depth+1 Gram needs classes one longer, which may not certify
+        commutator_reports = commutator_check(module, args.depth, expectation)
     except ResidueUncertifiedError as exc:
         emit(
             {
@@ -340,7 +324,7 @@ def cmd_kasparov(args) -> int:
     if theta_defect > args.tol:
         failures.append(f"projection routes disagree: {theta_defect}")
     commutators = []
-    for rep in commutator_check(module, args.depth, expectation):
+    for rep in commutator_reports:
         commutators.append(
             {
                 "edge": rep.edge,
@@ -465,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="path to a graph JSON file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument(
             "--timings",
             action="store_true",
@@ -497,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kms = sub.add_parser("kms", help="invariant traces and the exchange defect")
     common(p_kms)
     p_kms.add_argument("--pairs", type=_count, default=200)
+    p_kms.add_argument("--seed", type=int, default=42)
     p_kms.add_argument("--length", type=_count, default=3)
     p_kms.set_defaults(func=cmd_kms)
     return parser

@@ -30,7 +30,6 @@ class ResidueUncertifiedError(RuntimeError):
 class ResidueConfig:
     k_max: int = 200
     tol: float = 1e-10
-    force_iterative: bool = False
     require_converged: bool = True
 
 
@@ -241,12 +240,7 @@ class ConditionalExpectation:
     def residue(self, r: str, s: str, n: int) -> ResidueReport:
         key = (r, s, n)
         if key not in self._reports:
-            self._reports[key] = eta_tilde(
-                self._table,
-                key,
-                tol=self.config.tol,
-                force_iterative=self.config.force_iterative,
-            )
+            self._reports[key] = eta_tilde(self._table, key, tol=self.config.tol)
         return self._reports[key]
 
     def coeff(self, mu: Path) -> float:

@@ -10,7 +10,8 @@ the edge id sequence, vertex paths in vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -224,18 +225,31 @@ def left_inner_fock(x: FockVector, y: FockVector) -> AlgebraElement:
 # -- k-step index and compressions ----------------------------------------
 
 
+def index_levels(module: GraphBimodule) -> Iterator[list[int]]:
+    """A^k 1 for k = 0, 1, 2, ... in integers, one adjacency pass per level.
+
+    A and D are the module's integer adjacency and denominator, so the
+    k-step index B^k 1 is exactly this level over D^k at every depth.
+    """
+    rows = module.integer_adjacency
+    vec = [1] * len(rows)
+    while True:
+        yield vec
+        vec = [sum(a * vec[j] for j, a in row) for row in rows]
+
+
 def beta_k(module: GraphBimodule, k: int) -> AlgebraElement:
     """k-step index vector e^{beta_k} = (B^k 1), B the weighted adjacency.
 
     Equals the sum of the left inner squares of the length-k path basis.
+    Each entry is the correctly rounded float of the exact level; past the
+    double range the division raises OverflowError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    B = module.adjacency()
-    vec = np.ones(len(module.vertices))
-    for _ in range(k):
-        vec = B @ vec
-    return AlgebraElement(module.vertices, vec)
+    level = next(islice(index_levels(module), k, None))
+    den = module.denominator**k
+    return AlgebraElement(module.vertices, [x / den for x in level])
 
 
 def phi_k(module: GraphBimodule, k: int, T: np.ndarray) -> AlgebraElement:

@@ -19,22 +19,17 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import AlgebraElement
-from .bimodule import GraphBimodule, ModuleVector, index_element, right_inner
+from .bimodule import GraphBimodule, ModuleVector, right_inner
 from .cuntz_pimsner import SpanningElement
 from .fock import Path
 
 
 def d_weight(module: GraphBimodule, path: Path) -> float:
     """Flow scale of a path: product of index values at the range vertices."""
-    key = path.ids
-    cached = module._dweight_cache.get(key)
-    if cached is not None:
-        return cached
-    beta = index_element(module)
+    index = module.index_float
     out = 1.0
     for e in path.edges:
-        out *= float(beta[e.r].real)
-    module._dweight_cache[key] = out
+        out *= index[e.r]
     return out
 
 
@@ -190,10 +185,6 @@ def invariant_traces(module: GraphBimodule) -> TraceFamily:
     for i in range(n):
         comps.setdefault(find(i), []).append(i)
 
-    index_exact = [Fraction(0)] * n
-    for g in module.edges:
-        index_exact[vidx[g.r]] += Fraction(g.weight)
-
     generators: list[list[Fraction]] = []
     for members in comps.values():
         local = {v: i for i, v in enumerate(members)}
@@ -201,7 +192,7 @@ def invariant_traces(module: GraphBimodule) -> TraceFamily:
         rows = []
         for v in members:
             row = [Fraction(0)] * m
-            row[local[v]] += index_exact[v]
+            row[local[v]] += module.index_exact[verts[v]]
             for g in module.edges_with_range(verts[v]):
                 row[local[vidx[g.s]]] -= 1
             rows.append(row)

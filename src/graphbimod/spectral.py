@@ -368,10 +368,8 @@ class ResidueReport:
     delta: float | None
     r_squared: float | None
     samples: tuple[tuple[int, float], ...]
-    residuals: tuple[tuple[int, float], ...]
     rate_alpha: float | None
     k_max: int
-    tol: float
 
 
 def _resolve_target(module: GraphBimodule, target) -> tuple[str, str, int]:
@@ -400,15 +398,13 @@ def _fit_decay(samples, value, k_max):
     """Least-squares slope of log residual against log k over the top half."""
     xs, ys = [], []
     lo = max(1, k_max // 2)
-    residuals = []
     for k, c in samples:
         res = abs(c - value)
-        residuals.append((k, res))
         if k >= lo and res > 1e-14:
             xs.append(math.log(k))
             ys.append(math.log(res))
     if len(xs) < 3:
-        return math.inf, None, tuple(residuals)
+        return math.inf, None
     xs = np.array(xs)
     ys = np.array(ys)
     A = np.stack([xs, np.ones_like(xs)], axis=1)
@@ -417,7 +413,7 @@ def _fit_decay(samples, value, k_max):
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(-coef[0]), r2, tuple(residuals)
+    return float(-coef[0]), r2
 
 
 def _extrapolation_nodes(n: int, k_max: int, count: int = 12) -> list[int]:
@@ -507,10 +503,9 @@ def eta_tilde(
                 converged = bool(est <= max(tol * max(1.0, abs(value)), 1e-13))
                 method = "extrapolation"
 
-    delta, r2, residuals = _fit_decay(samples, value, k_max)
+    delta, r2 = _fit_decay(samples, value, k_max)
     return ResidueReport(
-        (r, s, n), value, converged, method, delta, r2,
-        samples, residuals, rate_alpha, k_max, tol,
+        (r, s, n), value, converged, method, delta, r2, samples, rate_alpha, k_max
     )
 
 

@@ -13,14 +13,16 @@ def is_primitive(module: GraphBimodule) -> bool:
 
 
 @st.composite
-def graphs(draw, primitive=False, per_source=None):
-    """Random unweighted graphs on one to five vertices with no sources or sinks.
+def graphs(draw, primitive=False, per_source=None, weights=None):
+    """Random graphs on one to five vertices with no sources or sinks.
 
     Each vertex is the source of one edge of a random permutation, so it is
     also a range, and of further edges with random ranges: per_source - 1
     of them when per_source is given, else 0 to 2.  With primitive the
     permutation is one cycle through every vertex, so the graph is strongly
-    connected, and draws that are still periodic are rejected.
+    connected, and draws that are still periodic are rejected.  Edges
+    have weight 1 unless `weights` is given; then each weight is drawn
+    from it.
     """
     n = draw(st.integers(1, 5))
     names = [f"v{i}" for i in range(n)]
@@ -34,7 +36,9 @@ def graphs(draw, primitive=False, per_source=None):
         extra = per_source - 1 if per_source else draw(st.integers(0, 2))
         ranges = [target[s]]
         ranges += draw(st.lists(st.sampled_from(names), min_size=extra, max_size=extra))
-        edges += [Edge(f"e{len(edges) + j}", r, s) for j, r in enumerate(ranges)]
+        for r in ranges:
+            w = draw(st.sampled_from(weights)) if weights else 1.0
+            edges.append(Edge(f"e{len(edges)}", r, s, w))
     module = GraphBimodule(names, edges)
     if primitive:
         assume(is_primitive(module))

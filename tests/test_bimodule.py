@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import graphs
 from graphbimod import (
     AlgebraElement,
     Edge,
@@ -41,9 +45,35 @@ def test_rejects_nonpositive_weight():
         GraphBimodule(["u"], [Edge("a", "u", "u", weight=-1.0)])
 
 
+def test_rejects_non_finite_weight():
+    with pytest.raises(GraphStructureError, match="non-finite weight"):
+        GraphBimodule(["u"], [Edge("a", "u", "u", weight=float("inf"))])
+    with pytest.raises(GraphStructureError, match="non-finite weight"):
+        GraphBimodule(["u"], [Edge("a", "u", "u", weight=float("nan"))])
+
+
 def test_adjacency_counts_parallel_edges(lopsided):
     B = lopsided.adjacency()
     assert np.array_equal(B, np.array([[1.0, 2.0], [1.0, 0.0]]))
+
+
+def test_integer_adjacency_is_exact_and_read_only():
+    # 0.1 and 0.3 are not dyadic: their binary values set the denominator
+    m = GraphBimodule(
+        ["u", "v"],
+        [Edge("a", "u", "u", 0.1), Edge("b", "u", "v", 0.3), Edge("c", "v", "u", 2.0),
+         Edge("d", "u", "u", 0.5)],
+    )
+    D = m.denominator
+    assert D == Fraction(0.1).denominator
+    A = {(i, j): a for i, row in enumerate(m.integer_adjacency) for j, a in row}
+    assert A == {(0, 0): (Fraction(0.1) + Fraction(0.5)) * D, (0, 1): Fraction(0.3) * D,
+                 (1, 0): 2 * D}
+    assert m.index_exact == {"u": Fraction(0.1) + Fraction(0.3) + Fraction(0.5), "v": Fraction(2)}
+    B = m.adjacency()
+    assert B[0, 0] == float(Fraction(0.1) + Fraction(0.5)) and B[1, 1] == 0.0
+    with pytest.raises(ValueError):
+        B[0, 0] = 1.0
 
 
 def test_index_element_is_weighted_out_degree(golden, triangular):
@@ -108,6 +138,15 @@ def test_watatani_phi_reproduces_index(golden):
     n = len(golden.edges)
     beta = watatani_phi(golden, np.eye(n))
     assert beta.isclose(index_element(golden), tol=0)
+
+
+@given(graphs(weights=(0.25, 0.5, 1.0, 1.5, 3.0)))
+@settings(max_examples=40, deadline=None)
+def test_exact_index_is_watatani_phi_of_the_identity(module):
+    # dyadic weights keep every float sum exact, so the routes agree bit for bit
+    phi = watatani_phi(module, np.eye(len(module.edges)))
+    assert {v: Fraction(phi[v].real) for v in module.vertices} == module.index_exact
+    assert phi.isclose(index_element(module), tol=0)
 
 
 def test_axiom_report_all_graphs(golden, triangular, lopsided, oscillating):

@@ -6,7 +6,10 @@ import pytest
 from graphbimod import cli, cuntz_pimsner, spectral
 from graphbimod.cli import main
 
-GRAPHS = Path(__file__).resolve().parents[1] / "scripts" / "graphs"
+ROOT = Path(__file__).resolve().parents[1]
+GRAPHS = ROOT / "scripts" / "graphs"
+DATA = Path(__file__).resolve().parent / "data"
+BUNDLED = ["full_shift_2", "full_shift_3", "golden_mean", "triangular"]
 
 GOLDEN = {
     "vertices": ["u", "v"],
@@ -32,6 +35,21 @@ OSCILLATING = {
         {"id": "q", "r": "y", "s": "x", "weight": 4.0},
         {"id": "l", "r": "z", "s": "z", "weight": 2.0},
         {"id": "m", "r": "z", "s": "x"},
+    ],
+}
+
+
+# the class (v2, v1, 1) certifies at kmax 200 for the depth-0 Gram but
+# not for the depth-1 Gram of the commutators: its growth ratio has a
+# period-2 ripple
+RIPPLE = {
+    "vertices": ["v0", "v1", "v2", "v3"],
+    "edges": [
+        {"id": f"e{i}", "r": r, "s": s}
+        for i, (r, s) in enumerate(
+            [("v0", "v0"), ("v3", "v0"), ("v2", "v0"), ("v2", "v1"),
+             ("v1", "v2"), ("v3", "v2"), ("v3", "v3")]
+        )
     ],
 }
 
@@ -135,6 +153,16 @@ def test_kasparov_propagates_uncertified_residues(capsys, tmp_path):
     doc = json.loads(out)
     assert len(doc["failures"]) == 1
     assert "did not converge" in doc["failures"][0]
+
+
+def test_kasparov_reports_uncertified_commutator_residues(capsys, tmp_path):
+    p = tmp_path / "ripple.json"
+    p.write_text(json.dumps(RIPPLE))
+    code, out, err = run(capsys, "kasparov", str(p), "--depth", "0")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert len(doc["failures"]) == 1
+    assert "class ('v2', 'v1', 1) did not converge" in doc["failures"][0]
 
 
 def test_kasparov_strict_tolerance_trips_psd(capsys, golden_file):
@@ -278,6 +306,9 @@ def test_index_collapse_error_is_exact(capsys, tmp_path):
         (["kms", "--pairs", "-1"], "--pairs"),
         (["kms", "--length", "-1"], "--length"),
         (["kms", "--length", "two"], "--length"),
+        (["index", "--seed", "3"], "--seed"),
+        (["residue", "--target", "1", "--seed", "3"], "--seed"),
+        (["kasparov", "--seed", "3"], "--seed"),
     ],
 )
 def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag):
@@ -285,12 +316,33 @@ def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag)
         main([argv[0], golden_file, *argv[1:]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: expected a nonnegative integer" in err
+    if flag == "--seed":
+        # only kms draws random pairs, so only kms takes a seed
+        assert "unrecognized arguments: --seed 3" in err
+    else:
+        assert f"argument {flag}: expected a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize(
+    "argv, stored",
+    [
+        (["index", "--depth", "30"], "index_{}_depth30.json"),
+        (["index", "--depth", "30", "--format", "csv"], "index_{}_depth30.csv"),
+        (["residue", "--target", "2"], "residue_{}_target2.json"),
+        (["kms"], "kms_{}.json"),
+    ],
+)
+def test_reports_match_stored(capsys, monkeypatch, name, argv, stored):
+    monkeypatch.chdir(ROOT)
+    code = main([argv[0], f"scripts/graphs/{name}.json", *argv[1:]])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / stored.format(name)).read_text()
 
 
 def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     calls = {"spanning_basis": 0, "pf_data": 0, "GrowthTable": 0}
-    modules = []
+    loaded_states = []
 
     def count(owner, attr, name):
         fn = getattr(owner, attr)
@@ -301,11 +353,17 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
 
         monkeypatch.setattr(owner, attr, counted)
 
+    def state(module):
+        # identity and contents of every attribute, so that neither a
+        # reassignment nor a cache growing in place goes unseen
+        return {k: (id(v), repr(v)) for k, v in vars(module).items()}
+
     load = cli.load_graph
 
     def loaded(path):
-        modules.append(load(path))
-        return modules[-1]
+        module = load(path)
+        loaded_states.append((module, state(module)))
+        return module
 
     monkeypatch.setattr(cli, "load_graph", loaded)
     count(cuntz_pimsner, "spanning_basis", "spanning_basis")
@@ -318,6 +376,9 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     argv = ["residue", str(GRAPHS / "triangular.json"), "--target", "2", "--kmax", "2000"]
     assert main(argv) == 0
     assert calls["GrowthTable"] == 1
+    assert main(["index", str(GRAPHS / "golden_mean.json"), "--depth", "40"]) == 0
+    assert main(["kms", str(GRAPHS / "golden_mean.json")]) == 0
     capsys.readouterr()
-    assert len(modules) == 2
-    assert not any(hasattr(m, "_expectation_cache") for m in modules)
+    assert len(loaded_states) == 4
+    for module, before in loaded_states:
+        assert state(module) == before

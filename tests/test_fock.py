@@ -1,12 +1,17 @@
 import itertools
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import graphs
 from graphbimod import (
     AlgebraElement,
+    Edge,
     FockVector,
+    GraphBimodule,
     beta_k,
     index_element,
     paths,
@@ -98,16 +103,34 @@ def test_empty_prefix_extension_checks_range(golden):
     assert not p.extends(vertex_path(golden, "u"))
 
 
-def test_beta_k_matches_matrix_powers(golden, triangular, lopsided):
-    for m in (golden, triangular, lopsided):
-        B = m.adjacency()
-        ones = np.ones(len(m.vertices))
-        for k in range(8):
-            expect = np.linalg.matrix_power(B, k) @ ones
+@given(graphs(weights=(0.5, 1.0, 3.0)))
+@settings(max_examples=30, deadline=None)
+def test_beta_k_matches_matrix_powers(golden, triangular, lopsided, module):
+    # exact rational powers of B built from the edge list, rounded once
+    for m in (golden, triangular, lopsided, module):
+        idx = {v: i for i, v in enumerate(m.vertices)}
+        B = np.full((len(idx), len(idx)), Fraction(0), dtype=object)
+        for e in m.edges:
+            B[idx[e.r], idx[e.s]] += Fraction(e.weight)
+        ones = np.full(len(idx), Fraction(1), dtype=object)
+        for k in range(40):
+            expect = [float(x) for x in np.linalg.matrix_power(B, k) @ ones]
             got = beta_k(m, k)
-            assert np.allclose(
-                [got[v] for v in m.vertices], expect, rtol=0, atol=1e-9
-            ), k
+            assert [got[v].real for v in m.vertices] == expect, k
+
+
+def test_beta_k_past_the_double_range_raises_without_numpy_warnings():
+    # B = [[6, 6], [3, 3]], so B^k 1 = 9^(k-1) (12, 6), past the largest
+    # double from k = 323 on
+    m = GraphBimodule(
+        ["u", "v"],
+        [Edge(f"{r}{s}{i}", r, s, 3.0) for s in "uv" for i, r in enumerate("uvu")],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert beta_k(m, 322)["u"] == float(12 * 9**321)
+        with pytest.raises(OverflowError):
+            beta_k(m, 700)
 
 
 def test_beta_one_is_the_index(golden):
