@@ -373,6 +373,8 @@ def cmd_kms(args) -> int:
     start = time.perf_counter()
     failures: list[str] = []
     family = invariant_traces(module)
+    stages = {"trace_solve": time.perf_counter() - start}
+    counters = {}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "kms",
@@ -404,12 +406,15 @@ def cmd_kms(args) -> int:
                 )
         report["phi_d"] = phi_d_rows
         rng = np.random.default_rng(args.seed)
+        mark = time.perf_counter()
         pool: list[Path] = []
         for k in range(args.length + 1):
             pool.extend(paths(module, k))
         by_source: dict[str, list[Path]] = {}
         for p in pool:
             by_source.setdefault(p.s, []).append(p)
+        stages["pool"] = time.perf_counter() - mark
+        mark = time.perf_counter()
         worst = 0.0
         for _ in range(args.pairs):
             mu = pool[int(rng.integers(len(pool)))]
@@ -421,12 +426,18 @@ def cmd_kms(args) -> int:
             x = SpanningElement.symbol(module, mu, nu)
             y = SpanningElement.symbol(module, sig, rho)
             worst = max(worst, kms_check(module, trace, x, y))
+        stages["pairs"] = time.perf_counter() - mark
+        counters = {"pool": len(pool), "pairs": args.pairs}
         report["residual_max"] = worst
         if worst > args.tol:
             failures.append(f"exchange defect {worst} exceeds {args.tol}")
     report["failures"] = failures
     if args.timings:
-        report["timings"] = {"seconds": time.perf_counter() - start}
+        report["timings"] = {
+            "seconds": time.perf_counter() - start,
+            "stages": stages,
+            "counters": counters,
+        }
     emit(report, args.format)
     return 1 if failures else 0
 

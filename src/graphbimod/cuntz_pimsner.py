@@ -76,7 +76,11 @@ class SpanningElement:
 
     @classmethod
     def symbol(cls, module: GraphBimodule, mu: Path, nu: Path) -> "SpanningElement":
-        return cls(module, {(mu, nu): 1.0})
+        _check_pair(mu, nu)
+        out = cls.__new__(cls)
+        out.module = module
+        out.terms = {(mu, nu): 1 + 0j}
+        return out
 
     @classmethod
     def generator(cls, module: GraphBimodule, edge_id: str) -> "SpanningElement":

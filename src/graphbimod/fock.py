@@ -21,6 +21,13 @@ from .bimodule import Edge, GraphBimodule
 
 @dataclass(frozen=True)
 class Path:
+    """A path as its edge tuple and range vertex.
+
+    The hash is the dataclass one, hash((edges, base)), computed on first
+    use and kept on the instance: symbol dicts hash the same path many
+    times, and each time would otherwise hash every edge again.
+    """
+
     edges: tuple[Edge, ...]
     base: str  # equals r(edges[0]) when nonempty; the vertex itself when empty
 
@@ -33,6 +40,19 @@ class Path:
                     raise ValueError(
                         f"edges {a.id!r} and {b.id!r} do not compose (s != r)"
                     )
+
+    _hash = None  # not a field: no annotation
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.edges, self.base))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a copy rehashes
+        return (Path, (self.edges, self.base))
 
     @property
     def r(self) -> str:
@@ -121,9 +141,9 @@ def paths(module: GraphBimodule, k: int) -> list[Path]:
         level = [
             tup + (e,) for tup in level for e in module.edges_with_range(tup[-1].s)
         ]
-    out = [Path(tup, tup[0].r) for tup in level]
-    out.sort(key=Path.sort_key)
-    return out
+    # module.edges and each edges_with_range(v) are id-sorted, so the
+    # levels come out in lexicographic order of the id sequence
+    return [Path(tup, tup[0].r) for tup in level]
 
 
 def path_index(module: GraphBimodule, k: int) -> dict[Path, int]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .bimodule import GraphBimodule, ModuleVector, right_inner
-from .cuntz_pimsner import SpanningElement
+from .cuntz_pimsner import SpanningElement, _check_pair, _compose_symbol
 from .fock import Path
 
 
@@ -77,11 +77,15 @@ class TraceState:
     def evaluate_algebra(self, a: AlgebraElement) -> complex:
         return sum(a[v] * float(self.weights[v]) for v in self.module.vertices)
 
+    def diagonal(self, mu: Path, c: complex) -> complex:
+        """Value of c times the diagonal symbol (mu, mu)."""
+        return c * float(self.weights[mu.s]) / d_weight(self.module, mu)
+
     def evaluate(self, x: SpanningElement) -> complex:
         total = 0.0 + 0.0j
         for (mu, nu), c in x.terms.items():
             if mu == nu:
-                total += c * float(self.weights[mu.s]) / d_weight(self.module, mu)
+                total += self.diagonal(mu, c)
         return total
 
 
@@ -96,9 +100,28 @@ def kms_check(
     x: SpanningElement,
     y: SpanningElement,
 ) -> float:
-    """Exchange defect |phi(xy) - phi(gamma_{-i}(y) x)| for one pair."""
-    lhs = trace.evaluate(x * y)
-    rhs = trace.evaluate(gamma_minus_i(module, y) * x)
+    """Exchange defect |phi(xy) - phi(gamma_{-i}(y) x)| for one pair.
+
+    The state vanishes off the diagonal, so each side is summed over the
+    term pairs whose product reduces to a diagonal symbol, without
+    building xy or gamma_{-i}(y) x.  Each term keeps the arithmetic of
+    the built products: the coefficient product, gamma's scale ratio
+    d(sigma) / d(rho) on y's coefficient, then the weight over d(mu).
+    """
+    lhs = rhs = 0.0 + 0.0j
+    for (mu, nu), c in x.terms.items():
+        for (sigma, rho), b in y.terms.items():
+            xy = _compose_symbol(mu, nu, sigma, rho)
+            if xy is not None:
+                _check_pair(*xy)
+                if xy[0] == xy[1]:
+                    lhs += trace.diagonal(xy[0], c * b)
+            yx = _compose_symbol(sigma, rho, mu, nu)
+            if yx is not None:
+                _check_pair(*yx)
+                if yx[0] == yx[1]:
+                    scaled = b * d_weight(module, sigma) / d_weight(module, rho)
+                    rhs += trace.diagonal(yx[0], scaled * c)
     return abs(lhs - rhs)
 
 

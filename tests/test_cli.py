@@ -199,6 +199,24 @@ def test_kms_infeasible_graph_reports_and_passes(capsys, tmp_path):
     assert "canonical" not in doc
 
 
+def test_kms_timings_report_stages_and_counters(capsys, golden_file, tmp_path):
+    code, out, _ = run(capsys, "kms", golden_file, "--pairs", "40", "--timings")
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"seconds", "stages", "counters"}
+    assert set(timings["stages"]) == {"trace_solve", "pool", "pairs"}
+    assert all(t >= 0 for t in timings["stages"].values())
+    # paths of length 0 to 3 on the golden mean: 2 + 3 + 5 + 8
+    assert timings["counters"] == {"pool": 18, "pairs": 40}
+    # with no invariant trace only the solve runs
+    p = tmp_path / "osc.json"
+    p.write_text(json.dumps(OSCILLATING))
+    _, out, _ = run(capsys, "kms", str(p), "--timings")
+    timings = json.loads(out)["timings"]
+    assert set(timings["stages"]) == {"trace_solve"}
+    assert timings["counters"] == {}
+
+
 def test_reports_are_byte_identical(capsys, golden_file):
     _, out1, _ = run(capsys, "kms", golden_file)
     _, out2, _ = run(capsys, "kms", golden_file)
@@ -323,21 +341,40 @@ def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag)
         assert f"argument {flag}: expected a nonnegative integer" in err
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+STORED_RUNS = [
+    (["index", "--depth", "30"], "index_{}_depth30.json"),
+    (["index", "--depth", "30", "--format", "csv"], "index_{}_depth30.csv"),
+    (["residue", "--target", "2"], "residue_{}_target2.json"),
+    (["kms"], "kms_{}.json"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, stored",
+    "graph, argv, stored",
     [
-        (["index", "--depth", "30"], "index_{}_depth30.json"),
-        (["index", "--depth", "30", "--format", "csv"], "index_{}_depth30.csv"),
-        (["residue", "--target", "2"], "residue_{}_target2.json"),
-        (["kms"], "kms_{}.json"),
+        pytest.param(
+            f"scripts/graphs/{name}.json", argv, stored.format(name),
+            id=f"argv{i}-{stored}-{name}",
+        )
+        for i, (argv, stored) in enumerate(STORED_RUNS)
+        for name in BUNDLED
+    ]
+    + [
+        # every bundled kms report has residual_max 0.0; this weighted
+        # graph's does not, so its bytes pin the order of the arithmetic
+        pytest.param(
+            "tests/data/weighted_two_vertex.json",
+            ["kms", "--pairs", "2000", "--length", "6"],
+            "kms_weighted_two_vertex.json",
+            id="kms-weighted_two_vertex",
+        )
     ],
 )
-def test_reports_match_stored(capsys, monkeypatch, name, argv, stored):
+def test_reports_match_stored(capsys, monkeypatch, graph, argv, stored):
     monkeypatch.chdir(ROOT)
-    code = main([argv[0], f"scripts/graphs/{name}.json", *argv[1:]])
+    code = main([argv[0], graph, *argv[1:]])
     assert code == 0
-    assert capsys.readouterr().out == (DATA / stored.format(name)).read_text()
+    assert capsys.readouterr().out == (DATA / stored).read_text()
 
 
 def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):

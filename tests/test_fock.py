@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -71,6 +72,42 @@ def test_paths_sorted_and_indexed(golden):
     assert ps == sorted(ps, key=lambda p: p.sort_key())
     idx = path_index(golden, 3)
     assert all(idx[p] == i for i, p in enumerate(ps))
+
+
+@given(graphs(), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_paths_come_out_in_canonical_order(module, k):
+    got = paths(module, k)
+    assert got == sorted(got, key=Path.sort_key)
+
+
+def test_path_hash_is_the_dataclass_hash_computed_once(golden, monkeypatch):
+    ids = ["a", "b", "c", "a"]
+    built = [
+        make_path(golden, ids),
+        next(p for p in paths(golden, 4) if list(p.ids) == ids),
+        make_path(golden, ids[:1]).concat(make_path(golden, ids[1:])),
+        make_path(golden, ["a", *ids]).tail(4),
+        make_path(golden, [*ids, "a"]).head(4),
+        pickle.loads(pickle.dumps(make_path(golden, ids))),
+    ]
+    assert all(p == built[0] for p in built)
+    edge_hashes = []
+
+    def counted(edge):
+        edge_hashes.append(edge)
+        return hash((edge.id, edge.r, edge.s, edge.weight))
+
+    monkeypatch.setattr(Edge, "__hash__", counted)
+    for p in built:
+        expect = hash((p.edges, p.base))
+        assert hash(p) == expect
+        edge_hashes.clear()
+        assert hash(p) == expect
+        assert hash(p) == hash((p.edges, p.base))
+        # the second call read the stored value: only the check rehashed
+        assert len(edge_hashes) == len(p)
+    assert len(set(built)) == 1
 
 
 def test_path_endpoints_and_weight(golden):

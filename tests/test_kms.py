@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import graphs
 from graphbimod import (
     Edge,
     GraphBimodule,
@@ -18,6 +19,55 @@ from graphbimod import (
 )
 from graphbimod.fock import make_path, paths, vertex_path
 from graphbimod.kms import TraceState
+
+
+def materialised_defect(module, trace, x, y):
+    """The exchange defect through the built products, kms_check's oracle."""
+    lhs = trace.evaluate(x * y)
+    rhs = trace.evaluate(gamma_minus_i(module, y) * x)
+    return abs(lhs - rhs)
+
+
+@st.composite
+def symbol_pairs(draw, terms):
+    """A graph, vertex weights, and x, y with the given number of terms.
+
+    Paths have length at most 3 and coefficients are random complex
+    numbers, so that the order of the arithmetic shows.  A random pair
+    rarely multiplies to a diagonal symbol, where the state is nonzero, so
+    half of y's terms are (nu alpha, mu alpha) for a term (mu, nu) of x:
+    both products then reduce to diagonal symbols.  The weights need not
+    be invariant: kms_check must agree with its oracle for any state.
+    """
+    m = draw(st.one_of(graphs(), graphs(weights=(0.5, 0.75, 2.0, 3.0))))
+    pool = [p for k in range(4) for p in paths(m, k)]
+    by_src, by_range = {}, {}
+    for p in pool:
+        by_src.setdefault(p.s, []).append(p)
+        by_range.setdefault(p.r, []).append(p)
+    weights = {
+        v: Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        for v in m.vertices
+    }
+
+    def symbol():
+        mu = draw(st.sampled_from(pool))
+        return mu, draw(st.sampled_from(by_src[mu.s]))
+
+    def element(keys):
+        coefficient = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+        return SpanningElement(m, {key: draw(coefficient) for key in keys})
+
+    xs = [symbol() for _ in range(draw(st.integers(*terms)))]
+    ys = []
+    for _ in range(draw(st.integers(*terms))):
+        if draw(st.booleans()):
+            mu, nu = draw(st.sampled_from(xs))
+            alpha = draw(st.sampled_from(by_range[mu.s]))
+            ys.append((nu.concat(alpha), mu.concat(alpha)))
+        else:
+            ys.append(symbol())
+    return m, TraceState(m, weights), element(xs), element(ys)
 
 
 def test_d_weight_multiplies_index_along_ranges(golden):
@@ -153,6 +203,33 @@ def test_kms_residual_zero_on_symbol_pairs(golden, triangular, cycle3):
             y = SpanningElement.symbol(m, sg, rho)
             worst = max(worst, kms_check(m, tr, x, y))
         assert worst < 1e-9, m
+
+
+@given(symbol_pairs(terms=(1, 1)))
+@settings(max_examples=150, deadline=None)
+def test_kms_check_equals_the_materialised_route_on_symbols(case):
+    m, tr, x, y = case
+    assert kms_check(m, tr, x, y) == materialised_defect(m, tr, x, y)
+
+
+@given(symbol_pairs(terms=(2, 3)))
+@settings(max_examples=150, deadline=None)
+def test_kms_check_agrees_with_the_materialised_route_on_sums(case):
+    # the oracle sums coefficients per product symbol before evaluating,
+    # kms_check evaluates per term pair, so they agree up to round-off
+    # relative to the size of the term pairs' values
+    m, tr, x, y = case
+
+    def parts(e):
+        return [SpanningElement(m, {key: c}) for key, c in e.terms.items()]
+
+    scale = sum(
+        abs(tr.evaluate(a * b)) + abs(tr.evaluate(gamma_minus_i(m, b) * a))
+        for a in parts(x)
+        for b in parts(y)
+    )
+    got = kms_check(m, tr, x, y)
+    assert abs(got - materialised_defect(m, tr, x, y)) <= 1e-12 * scale
 
 
 def test_only_invariant_traces_kill_the_covariance_ideal(golden):
