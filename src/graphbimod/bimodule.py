@@ -43,6 +43,64 @@ class Edge:
             raise GraphStructureError(f"edge {self.id!r} has non-finite weight")
 
 
+def _strong_components(
+    succ: list[list[int]],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Kosaraju with explicit stacks: a component label per node, and a
+    period per component.
+
+    The second pass emits the labels in topological order (an edge v -> w
+    across components has label[v] < label[w]), one DFS per component over
+    the reversed edges.  With level(v) the depth of v in that DFS, the
+    period is the gcd of level(w) + 1 - level(v) over the component's edges
+    v -> w, and 0 when it has none.
+    """
+    n = len(succ)
+    order: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        stack = [(root, 0)]
+        seen[root] = True
+        while stack:
+            node, ptr = stack.pop()
+            if ptr < len(succ[node]):
+                stack.append((node, ptr + 1))
+                nxt = succ[node][ptr]
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append((nxt, 0))
+            else:
+                order.append(node)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in succ[v]:
+            pred[w].append(v)
+    comp = [-1] * n
+    level = [0] * n
+    label = 0
+    for root in reversed(order):
+        if comp[root] >= 0:
+            continue
+        stack = [root]
+        comp[root] = label
+        while stack:
+            node = stack.pop()
+            for w in pred[node]:
+                if comp[w] < 0:
+                    comp[w] = label
+                    level[w] = level[node] + 1
+                    stack.append(w)
+        label += 1
+    period = [0] * label
+    for v in range(n):
+        for w in succ[v]:
+            if comp[v] == comp[w]:
+                period[comp[v]] = math.gcd(period[comp[v]], level[w] + 1 - level[v])
+    return tuple(comp), tuple(period)
+
+
 class GraphBimodule:
     """Finite directed graph together with its weighted edge bimodule.
 
@@ -52,6 +110,11 @@ class GraphBimodule:
     sorted (source column, entry) pairs) and D (`denominator`) the common
     denominator of the binary weights; B itself, read-only, as
     `adjacency()`; the index (`index_exact`) and its floats (`index_float`).
+    The condensation of the range-to-source graph is built here too:
+    `component` labels each vertex with its strongly connected component,
+    in topological order (an edge r <- s across components has
+    component[r] < component[s]), and `period` gives each component's
+    period, 0 for a vertex on no cycle.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
@@ -99,6 +162,8 @@ class GraphBimodule:
             v: Fraction(sum(row.values()), D) for v, row in zip(self.vertices, rows)
         }
         self.index_float = {v: float(x) for v, x in self.index_exact.items()}
+        succ = [[j for j, _ in row] for row in self.integer_adjacency]
+        self.component, self.period = _strong_components(succ)
 
     # -- structure ------------------------------------------------------
 

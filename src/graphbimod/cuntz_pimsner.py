@@ -30,7 +30,6 @@ class ResidueUncertifiedError(RuntimeError):
 class ResidueConfig:
     k_max: int = 200
     tol: float = 1e-10
-    require_converged: bool = True
 
 
 def _check_pair(mu: Path, nu: Path) -> None:
@@ -231,8 +230,8 @@ class ConditionalExpectation:
     contributes its path weight times the residue limit of the class
     (range, source, length) of mu, placed at the range vertex.  One growth
     table up to the configured k_max serves every class, and residue
-    reports are kept per class; an unconverged limit raises unless the
-    configuration says otherwise.
+    reports are kept per class; an unconverged limit raises
+    `ResidueUncertifiedError`.
     """
 
     def __init__(self, module: GraphBimodule, config: ResidueConfig | None = None):
@@ -249,7 +248,7 @@ class ConditionalExpectation:
 
     def coeff(self, mu: Path) -> float:
         rep = self.residue(mu.r, mu.s, len(mu))
-        if not rep.converged and self.config.require_converged:
+        if not rep.converged:
             raise ResidueUncertifiedError(
                 f"residue limit for class {rep.target} did not converge "
                 f"(method {rep.method}, k_max {rep.k_max})"

@@ -25,22 +25,8 @@ from .bimodule import GraphBimodule
 from .fock import Path
 
 _CERTIFIED_WIDTH = 1e-12
-
-
-def _wielandt_primitive(B: np.ndarray) -> bool:
-    """Primitivity via the Wielandt exponent n^2 - 2n + 2 on the 0/1 pattern."""
-    n = B.shape[0]
-    M = (B > 0).astype(np.int8)
-    exponent = n * n - 2 * n + 2
-    P = np.eye(n, dtype=np.int8)
-    base = M
-    e = exponent
-    while e > 0:
-        if e & 1:
-            P = np.clip(P @ base, 0, 1).astype(np.int8)
-        base = np.clip(base @ base, 0, 1).astype(np.int8)
-        e >>= 1
-    return bool(np.all(P > 0))
+# relative tolerance under which two spectral radii count as equal
+_RADIUS_RTOL = 1e-9
 
 
 def _perron_pair(M: np.ndarray) -> tuple[float, np.ndarray]:
@@ -56,15 +42,16 @@ def _perron_pair(M: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _collatz_wielandt(
-    B: np.ndarray, w: np.ndarray
+    module: GraphBimodule, w: np.ndarray
 ) -> tuple[Fraction, Fraction] | None:
     """Exact min_i and max_i of (Bw)_i / w_i, or None when w has a zero entry."""
     if not np.all(w > 0):
         return None
+    B = module.adjacency()
     wf = [Fraction(x) for x in w]
     quotients = [
-        sum(Fraction(B[i, j]) * wf[j] for j in np.flatnonzero(B[i])) / wf[i]
-        for i in range(len(wf))
+        sum(Fraction(B[i, j]) * wf[j] for j, _ in row) / wf[i]
+        for i, row in enumerate(module.integer_adjacency)
     ]
     return min(quotients), max(quotients)
 
@@ -105,10 +92,10 @@ class PFData:
 def pf_data(module: GraphBimodule) -> PFData:
     B = module.adjacency()
     n = B.shape[0]
-    primitive = _wielandt_primitive(B)
+    primitive = module.period == (1,)
     lam, x = _perron_pair(B.T)
     _, w = _perron_pair(B)
-    bounds = _collatz_wielandt(B, w)
+    bounds = _collatz_wielandt(module, w)
     converged = bounds is not None and (
         bounds[1] - bounds[0] <= _CERTIFIED_WIDTH * bounds[1]
     )
@@ -234,46 +221,6 @@ class GrowthTable:
 # -- condensation growth profile ------------------------------------------
 
 
-def _strong_components(succ: list[list[int]], n: int) -> list[int]:
-    """Kosaraju with explicit stacks; returns a component index per node."""
-    order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack = [(root, 0)]
-        seen[root] = True
-        while stack:
-            node, ptr = stack.pop()
-            if ptr < len(succ[node]):
-                stack.append((node, ptr + 1))
-                nxt = succ[node][ptr]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in succ[v]:
-            pred[w].append(v)
-    comp = [-1] * n
-    label = 0
-    for root in reversed(order):
-        if comp[root] >= 0:
-            continue
-        stack = [root]
-        comp[root] = label
-        while stack:
-            node = stack.pop()
-            for w in pred[node]:
-                if comp[w] < 0:
-                    comp[w] = label
-                    stack.append(w)
-        label += 1
-    return comp
-
-
 @dataclass(frozen=True)
 class GrowthProfile:
     """Per-vertex growth exponents of (B^k 1)_v ~ k^degree * radius^k.
@@ -288,70 +235,43 @@ class GrowthProfile:
     degree: dict[str, int]
 
 
-def growth_profile(module: GraphBimodule, rel_tol: float = 1e-9) -> GrowthProfile:
+def growth_profile(module: GraphBimodule) -> GrowthProfile:
+    """Read the module's condensation, closing it from the last label down.
+
+    Every successor of a component has a larger label, so it is closed
+    before the component itself.
+    """
     B = module.adjacency()
-    n = B.shape[0]
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in range(n):
-            if B[v, w] > 0:
-                succ[v].append(w)
-    comp = _strong_components(succ, n)
-    n_comp = max(comp) + 1
-    members: list[list[int]] = [[] for _ in range(n_comp)]
-    for v, c in enumerate(comp):
-        members[c].append(v)
-    comp_radius = []
-    for c in range(n_comp):
-        idx = members[c]
-        sub = B[np.ix_(idx, idx)]
-        if len(idx) == 1 and sub[0, 0] == 0:
-            comp_radius.append(0.0)
-        else:
-            comp_radius.append(float(np.max(np.abs(np.linalg.eigvals(sub)))))
+    comp = module.component
+    n_comp = len(module.period)
     comp_succ: list[set[int]] = [set() for _ in range(n_comp)]
-    for v in range(n):
-        for w in succ[v]:
+    for v, row in enumerate(module.integer_adjacency):
+        for w, _ in row:
             if comp[v] != comp[w]:
                 comp_succ[comp[v]].add(comp[w])
-    # reachable radius and radius-attaining chain count, memoized over the DAG
-    best_radius = [-1.0] * n_comp
-    chain = [-1] * n_comp
+    # reachable radius and radius-attaining chain count per component
+    best_radius = [0.0] * n_comp
+    chain = [0] * n_comp
+    for c in reversed(range(n_comp)):
+        own = 0.0
+        if module.period[c]:
+            idx = [v for v, cv in enumerate(comp) if cv == c]
+            own = float(np.max(np.abs(np.linalg.eigvals(B[np.ix_(idx, idx)]))))
+        r = max([own] + [best_radius[d] for d in comp_succ[c]])
+        m = max(
+            [chain[d] for d in comp_succ[c] if _same_radius(best_radius[d], r)],
+            default=0,
+        )
+        best_radius[c] = r
+        chain[c] = m + 1 if _same_radius(own, r) else m
+    return GrowthProfile(
+        {v: best_radius[comp[i]] for i, v in enumerate(module.vertices)},
+        {v: max(chain[comp[i]] - 1, 0) for i, v in enumerate(module.vertices)},
+    )
 
-    def close(c: int) -> None:
-        stack = [(c, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if best_radius[node] >= 0:
-                continue
-            if not expanded:
-                stack.append((node, True))
-                for d in comp_succ[node]:
-                    if best_radius[d] < 0:
-                        stack.append((d, False))
-            else:
-                r = comp_radius[node]
-                m = 0
-                for d in comp_succ[node]:
-                    if best_radius[d] > r:
-                        r = best_radius[d]
-                for d in comp_succ[node]:
-                    if math.isclose(best_radius[d], r, rel_tol=rel_tol, abs_tol=1e-12):
-                        m = max(m, chain[d])
-                if math.isclose(comp_radius[node], r, rel_tol=rel_tol, abs_tol=1e-12):
-                    m += 1
-                best_radius[node] = r
-                chain[node] = m
 
-    for c in range(n_comp):
-        close(c)
-    radius = {}
-    degree = {}
-    for i, v in enumerate(module.vertices):
-        c = comp[i]
-        radius[v] = best_radius[c]
-        degree[v] = max(chain[c] - 1, 0)
-    return GrowthProfile(radius, degree)
+def _same_radius(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=_RADIUS_RTOL, abs_tol=1e-12)
 
 
 # -- residue limits --------------------------------------------------------
@@ -385,13 +305,11 @@ def _resolve_target(module: GraphBimodule, target) -> tuple[str, str, int]:
 
 
 def _target_realized(module: GraphBimodule, r: str, s: str, n: int) -> bool:
-    if n == 0:
-        return r == s
-    M = (module.adjacency() > 0).astype(np.int8)
-    P = np.eye(M.shape[0], dtype=np.int8)
+    """Whether some path of length exactly n runs from source s to range r."""
+    frontier = {r}
     for _ in range(n):
-        P = np.clip(P @ M, 0, 1).astype(np.int8)
-    return bool(P[module.vertices.index(r), module.vertices.index(s)])
+        frontier = {e.s for v in frontier for e in module.edges_with_range(v)}
+    return s in frontier
 
 
 def _fit_decay(samples, value, k_max):
@@ -487,10 +405,9 @@ def eta_tilde(
         if all(abs(c - vc) <= tol * scale for _, c in samples[len(samples) // 4 :]):
             value, converged, method = vc, True, "stationary"
         else:
-            profile = table.profile
-            gap = profile.radius[s] < profile.radius[r] * (1.0 - 1e-9) or (
-                math.isclose(profile.radius[s], profile.radius[r], rel_tol=1e-9)
-                and profile.degree[s] < profile.degree[r]
+            rad, deg = table.profile.radius, table.profile.degree
+            gap = rad[s] < rad[r] * (1.0 - _RADIUS_RTOL) or (
+                math.isclose(rad[s], rad[r], rel_tol=_RADIUS_RTOL) and deg[s] < deg[r]
             )
             if gap:
                 value, converged, method = 0.0, True, "structural_zero"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from graphbimod import cli, cuntz_pimsner, spectral
+from graphbimod import bimodule, cli, cuntz_pimsner, spectral
 from graphbimod.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +28,9 @@ FULL_SHIFT = {
     ],
 }
 
+# the `oscillating` graph of conftest.py: the class (z, z, 1) tends to 1/2
+# with a period-2 ripple of order 1/k, which the residue layer does not
+# certify
 OSCILLATING = {
     "vertices": ["x", "y", "z"],
     "edges": [
@@ -378,7 +381,13 @@ def test_reports_match_stored(capsys, monkeypatch, graph, argv, stored):
 
 
 def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
-    calls = {"spanning_basis": 0, "pf_data": 0, "GrowthTable": 0}
+    calls = {
+        "spanning_basis": 0,
+        "pf_data": 0,
+        "GrowthTable": 0,
+        "strong_components": 0,
+        "growth_profile": 0,
+    }
     loaded_states = []
 
     def count(owner, attr, name):
@@ -406,16 +415,21 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     count(cuntz_pimsner, "spanning_basis", "spanning_basis")
     count(spectral, "pf_data", "pf_data")
     count(spectral.GrowthTable, "__init__", "GrowthTable")
+    count(bimodule, "_strong_components", "strong_components")
+    count(spectral, "growth_profile", "growth_profile")
 
     assert main(["kasparov", str(GRAPHS / "golden_mean.json"), "--depth", "2"]) == 0
-    assert (calls["spanning_basis"], calls["pf_data"]) == (2, 1)
-    calls["GrowthTable"] = 0
+    assert (calls["spanning_basis"], calls["pf_data"], calls["GrowthTable"]) == (2, 1, 1)
     argv = ["residue", str(GRAPHS / "triangular.json"), "--target", "2", "--kmax", "2000"]
     assert main(argv) == 0
-    assert calls["GrowthTable"] == 1
+    assert calls["GrowthTable"] == 2
     assert main(["index", str(GRAPHS / "golden_mean.json"), "--depth", "40"]) == 0
     assert main(["kms", str(GRAPHS / "golden_mean.json")]) == 0
     capsys.readouterr()
     assert len(loaded_states) == 4
+    # one condensation per loaded graph; the golden mean's residues take
+    # the closed form, and only the triangular table reads its profile
+    assert calls["strong_components"] == 4
+    assert calls["growth_profile"] == 1
     for module, before in loaded_states:
         assert state(module) == before

@@ -245,14 +245,6 @@ def test_unconverged_residue_raises(oscillating):
         ConditionalExpectation(oscillating).phi(x)
 
 
-def test_unconverged_residue_tolerated_when_asked(oscillating):
-    pl = make_path(oscillating, ["l"])
-    x = SpanningElement.symbol(oscillating, pl, pl)
-    cfg = ResidueConfig(require_converged=False)
-    val = ConditionalExpectation(oscillating, cfg).phi(x)
-    assert np.isfinite(val["z"].real)
-
-
 def test_spanning_basis_sizes(full_shift2, golden, triangular):
     assert len(spanning_basis(full_shift2, 3)) == 225
     assert len(spanning_basis(golden, 3)) == 170

@@ -257,6 +257,16 @@ def test_eta_oscillating_is_honestly_unconverged(oscillating):
     assert not rep.converged
 
 
+def test_eta_class_with_no_limit_is_unconverged(no_limit):
+    table = GrowthTable(no_limit, 2000)
+    assert table.ratio("z", "z", 1, 1999) == pytest.approx(0.4, abs=1e-12)
+    assert table.ratio("z", "z", 1, 2000) == pytest.approx(0.625, abs=1e-12)
+    for k_max in (120, 2000):
+        rep = eta_tilde(GrowthTable(no_limit, k_max), ("z", "z", 1))
+        assert rep.method == "extrapolation"
+        assert not rep.converged
+
+
 def test_eta_accepts_path_target(golden):
     p = make_path(golden, ["c"])
     table = GrowthTable(golden, 200)
