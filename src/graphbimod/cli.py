@@ -38,10 +38,11 @@ from .spectral import GrowthTable, eta_tilde
 
 SCHEMA_VERSION = 1
 
-# kasparov's peak memory grows by about 1.23 KiB per spanning symbol at
-# depth+1 over a 33 MiB interpreter (O5 at depth 3: 609,961 symbols, peak
-# RSS 782 MiB; O2 to depth 7 and O3 to depth 4 agree), so this many keep a
-# run near 870 MiB, under 1 GiB
+# kasparov's peak memory grows by about 0.64 KiB per spanning symbol at
+# depth+1 over a 32 MiB interpreter (O3 at depth 4: 132,496 symbols, peak
+# RSS 113 MiB; O2 at depth 7: 261,121 symbols, 179 MiB; O5 at depth 3:
+# 609,961 symbols, 415 MiB), so this many keep a run near 470 MiB, under
+# 0.5 GiB
 KASPAROV_MAX_BASIS = 700_000
 
 
@@ -286,17 +287,31 @@ def cmd_kasparov(args) -> int:
     if size > KASPAROV_MAX_BASIS:
         raise CliError(
             f"depth {args.depth} needs {size} spanning symbols at depth "
-            f"{args.depth + 1}, above the limit of {KASPAROV_MAX_BASIS} (about 1 GiB)"
+            f"{args.depth + 1}, above the limit of {KASPAROV_MAX_BASIS} (about 0.5 GiB)"
         )
     failures: list[str] = []
     cfg = ResidueConfig(k_max=args.kmax, tol=args.tol)
     expectation = ConditionalExpectation(module, cfg)
+    stages = {}
+    mark = start
+
+    def stage(name: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        stages[name] = now - mark
+        mark = now
+
     try:
         gdata = gram(module, args.depth, expectation)
+        stage("gram")
         pdata = projection_p(gdata, expectation)
+        stage("projection")
         theta = theta_projection_matrix(gdata, expectation)
+        stage("theta")
         # the depth+1 Gram needs classes one longer, which may not certify
-        commutator_reports = commutator_check(module, args.depth, expectation)
+        gram_high = gram(module, args.depth + 1, expectation)
+        commutator_reports = commutator_check(module, args.depth, expectation, gram_high)
+        stage("commutators")
     except ResidueUncertifiedError as exc:
         emit(
             {
@@ -363,7 +378,18 @@ def cmd_kasparov(args) -> int:
         "failures": failures,
     }
     if args.timings:
-        report["timings"] = {"seconds": time.perf_counter() - start}
+        grams = (gdata, gram_high)
+        report["timings"] = {
+            "seconds": time.perf_counter() - start,
+            "stages": stages,
+            "counters": {
+                "basis": len(gdata.basis),
+                "basis_high": len(gram_high.basis),
+                "blocks": sum(len(g.blocks) for g in grams),
+                "eigensolves": sum(g.eigensolves for g in grams),
+                "eigh_max_n": max(len(b.members) for g in grams for b in g.blocks),
+            },
+        }
     emit(report, args.format)
     return 1 if failures else 0
 

@@ -312,21 +312,27 @@ _TOL = 1e-10
 
 
 def spanning_basis(module: GraphBimodule, depth: int) -> list[tuple[Path, Path]]:
-    """All symbols with both path lengths at most `depth`, canonically ordered."""
+    """All symbols with both path lengths at most `depth`, canonically ordered.
+
+    The order is by |mu|, then |nu|, then mu, then nu, each path by its
+    sort key.  The loops emit it directly: `paths` lists every length in
+    sort-key order (length 0 in vertex order, which is name order), and
+    the second legs come from per-length lists by source, which keep it.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    pool: list[Path] = []
-    for k in range(depth + 1):
-        pool.extend(paths(module, k))
-    basis = [(mu, nu) for mu in pool for nu in pool if mu.s == nu.s]
-    basis.sort(
-        key=lambda pair: (
-            len(pair[0]),
-            len(pair[1]),
-            pair[0].sort_key(),
-            pair[1].sort_key(),
-        )
-    )
+    levels = [paths(module, k) for k in range(depth + 1)]
+    by_source: list[dict[str, list[Path]]] = []
+    for level in levels:
+        groups: dict[str, list[Path]] = {v: [] for v in module.vertices}
+        for p in level:
+            groups[p.s].append(p)
+        by_source.append(groups)
+    basis: list[tuple[Path, Path]] = []
+    for mus in levels:
+        for nus in by_source:
+            for mu in mus:
+                basis.extend((mu, nu) for nu in nus[mu.s])
     return basis
 
 
@@ -378,9 +384,11 @@ class GramBlock:
     """Gram entries among the symbols (mu_0 rho, nu_0 rho) of one reduced key.
 
     The block lives on the vertex slice r(nu_0).  `members` are basis
-    indices in ascending order; `quotient` is sqrt(eigenvalue) times the
-    eigenvector, transposed, for each eigenvalue above _TOL, so it
-    maps coefficient vectors onto the quotient by the block's null space.
+    indices in ascending order, which is (|rho|, rho) order; `quotient` is
+    sqrt(eigenvalue) times the eigenvector, transposed, for each eigenvalue
+    above _TOL, so it maps coefficient vectors onto the quotient by the
+    block's null space.  `matrix` and `quotient` are read-only, and blocks
+    with the same signature share them.
     """
 
     vertex: int
@@ -395,7 +403,9 @@ class GramData:
 
     Slice v of the Gram is the direct sum of the blocks on vertex v, padded
     with zero rows for the other symbols.  Ranks of operators in the
-    quotient are computed per vertex, block by block, and summed.
+    quotient are computed per vertex, block by block, and summed.  Blocks
+    of one signature share their arrays; `eigensolves` counts the
+    signatures, one eigendecomposition each.
     """
 
     basis: tuple[tuple[Path, Path], ...]
@@ -406,6 +416,7 @@ class GramData:
     hermitian_defect: float
     psd_min: tuple[float, ...]
     gram_ranks: tuple[int, ...]
+    eigensolves: int
 
     def _row(self, i: int) -> tuple[GramBlock, int]:
         """The block holding basis index i and the position of i in it."""
@@ -447,17 +458,13 @@ class GramData:
         their common source when equal and to zero otherwise, so the
         module map from the path space is isometric.  Exact up to the
         residue coefficients at length zero, which every branch fixes
-        at one.
+        at one.  A plain symbol is the rho = () member of a block with
+        nu_0 = (), so it is alone in its block, at position 0.
         """
         worst = 0.0
         for block in self.blocks:
-            plain = [
-                pos for pos, i in enumerate(block.members) if not self.basis[i][1].edges
-            ]
-            for p in plain:
-                for q in plain:
-                    want = 1.0 if p == q else 0.0
-                    worst = max(worst, float(abs(block.matrix[p, q] - want)))
+            if not self.basis[block.members[0]][1].edges:
+                worst = max(worst, float(abs(block.matrix[0, 0] - 1.0)))
         return worst
 
 
@@ -466,24 +473,32 @@ def gram(
 ) -> GramData:
     """Block-diagonal Gram of the depth-limited spanning family.
 
-    Symbols are grouped by their suffix-reduced key, the pair left after
-    stripping the trailing edges mu and nu share.  Inside a block the
-    entry of two members is the coefficient of the longer second leg when
-    one member extends the other, and zero otherwise.  Each block gets its
-    own eigendecomposition.
+    Symbols are grouped by their suffix-reduced key (mu_0, nu_0), the pair
+    left after stripping the trailing edges mu and nu share.  The members
+    of a block are (mu_0 rho, nu_0 rho) for the paths rho with range
+    u = s(nu_0) and |rho| <= L = depth - max(|mu_0|, |nu_0|), in (|rho|, rho)
+    order.  Two members pair to the coefficient of the longer second leg
+    when one extends the other, and to zero otherwise; that coefficient is
+    weight(nu_0) times the edge weights of rho, multiplied left to right as
+    in `Path.weight`, times the residue of (r(nu_0), s(rho), |nu_0| + |rho|).
+    The matrix is therefore a function of the signature (r(nu_0), |nu_0|,
+    weight(nu_0), u, L), and each signature gets one eigendecomposition,
+    shared read-only by its blocks.
     """
     basis = spanning_basis(module, depth)
     N = len(basis)
     vidx = {v: i for i, v in enumerate(module.vertices)}
-    groups: dict[tuple, dict[tuple[str, ...], int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, (mu, nu) in enumerate(basis):
-        m, n = mu.ids, nu.ids
-        t = 0
-        while t < len(m) and t < len(n) and m[-1 - t] == n[-1 - t]:
-            t += 1
-        key = (mu.r, m[: len(m) - t], nu.r, n[: len(n) - t])
-        groups.setdefault(key, {})[m[len(m) - t :]] = i
+        m, n = mu.edges, nu.edges
+        a, b = len(m), len(n)
+        while a and b and m[a - 1] is n[b - 1]:
+            a -= 1
+            b -= 1
+        groups.setdefault((mu.base, m[:a], nu.base, n[:b]), []).append(i)
 
+    # signature -> (matrix, quotient, lowest eigenvalue, rank)
+    solved: dict[tuple, tuple[np.ndarray, np.ndarray, float, int]] = {}
     blocks = []
     block_of = np.empty(N, dtype=np.intp)
     herm = 0.0
@@ -491,31 +506,37 @@ def gram(
     low = [np.inf] * V
     covered = [0] * V
     ranks = [0] * V
-    for (_, _, v, _), members in groups.items():
-        pos_of = {rho: pos for pos, rho in enumerate(members)}
-        G = np.zeros((len(members), len(members)))
-        for pos, (rho, i) in enumerate(members.items()):
-            c = expectation.coeff(basis[i][1])
-            for cut in range(len(rho) + 1):
-                other = pos_of[rho[:cut]]
-                G[pos, other] = G[other, pos] = c
-        herm = max(herm, float(np.max(np.abs(G - G.T))))
-        vals, vecs = np.linalg.eigh(G)
-        keep = vals > _TOL
-        idx = np.fromiter(members.values(), dtype=np.intp, count=len(members))
+    for (_, m0, v, n0), members in groups.items():
+        weight = 1.0
+        for e in n0:
+            weight *= e.weight
+        u = n0[-1].s if n0 else v
+        signature = (v, len(n0), weight, u, depth - max(len(m0), len(n0)))
+        hit = solved.get(signature)
+        if hit is None:
+            cut0 = len(m0)
+            pos_of = {basis[i][0].edges[cut0:]: pos for pos, i in enumerate(members)}
+            G = np.zeros((len(members), len(members)))
+            for rho, pos in pos_of.items():
+                c = expectation.coeff(basis[members[pos]][1])
+                for cut in range(len(rho) + 1):
+                    other = pos_of[rho[:cut]]
+                    G[pos, other] = G[other, pos] = c
+            herm = max(herm, float(np.max(np.abs(G - G.T))))
+            vals, vecs = np.linalg.eigh(G)
+            keep = vals > _TOL
+            Q = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
+            G.flags.writeable = False
+            Q.flags.writeable = False
+            hit = solved[signature] = (G, Q, float(vals[0]), int(keep.sum()))
+        G, Q, lowest, rank = hit
+        idx = np.array(members, dtype=np.intp)
         block_of[idx] = len(blocks)
         vi = vidx[v]
-        blocks.append(
-            GramBlock(
-                vertex=vi,
-                members=idx,
-                matrix=G,
-                quotient=np.sqrt(vals[keep])[:, None] * vecs[:, keep].T,
-            )
-        )
-        low[vi] = min(low[vi], float(vals[0]))
+        blocks.append(GramBlock(vertex=vi, members=idx, matrix=G, quotient=Q))
+        low[vi] = min(low[vi], lowest)
         covered[vi] += len(members)
-        ranks[vi] += int(keep.sum())
+        ranks[vi] += rank
     # symbols of the other slices are zero rows here: exact zero eigenvalues
     psd_min = tuple(min(lo, 0.0) if c < N else lo for lo, c in zip(low, covered))
     return GramData(
@@ -527,6 +548,7 @@ def gram(
         hermitian_defect=herm,
         psd_min=psd_min,
         gram_ranks=tuple(ranks),
+        eigensolves=len(solved),
     )
 
 
@@ -538,11 +560,10 @@ def _projection_columns(
     P: ColumnMap = {}
     for j, (mu, nu) in enumerate(basis):
         n = len(nu)
-        if len(mu) < n:
+        cut = len(mu) - n
+        if cut < 0 or mu.edges[cut:] != nu.edges:
             continue
-        if mu.tail(n) != nu:
-            continue
-        head = mu.head(len(mu) - n)
+        head = mu.head(cut)
         P[j] = (index[(head, Path((), head.s))], exp_.coeff(nu))
     return P
 
@@ -642,20 +663,23 @@ class CommutatorReport:
 
 
 def commutator_check(
-    module: GraphBimodule, depth: int, expectation: ConditionalExpectation
+    module: GraphBimodule,
+    depth: int,
+    expectation: ConditionalExpectation,
+    gram_high: GramData,
 ) -> tuple[CommutatorReport, ...]:
     """Compare the direct commutator with its closed form, edge by edge.
 
     The direct route composes the projection at depth+1 and depth with
     the edge isometry; the closed form is supported on symbols of degree
     -1 whose adjoint path is the edge followed by the plain path.  Ranks
-    are taken in the Gram quotient at depth+1, per vertex, and compared
+    are taken in the Gram quotient at depth+1, `gram_high`, which is
+    gram(module, depth + 1, expectation), per vertex, and compared
     against the structural prediction: one at the edge's range vertex when
     any surviving coefficient exceeds the rank tolerance.  The depth basis
     is the depth+1 basis cut to legs of length at most depth, which keeps
     its canonical order.
     """
-    gram_high = gram(module, depth + 1, expectation)
     rows, row_idx = gram_high.basis, gram_high.index
     cols = [pair for pair in rows if len(pair[0]) <= depth and len(pair[1]) <= depth]
     col_idx = {pair: i for i, pair in enumerate(cols)}

@@ -3,9 +3,10 @@
 Every quantity here is built as a full N x N complex matrix over the
 spanning basis: the Gram slices by one symbol product per pair, the
 projection and the edge shifts column by column, and the commutator by
-matrix products.  The package computes the same numbers from the block
-structure; tests compare the two.  Memory grows with N^2 per vertex, so
-keep the bases small.
+matrix products.  The basis itself is built here too, by pairing every
+two paths with a common source and sorting.  The package computes the
+same numbers from the block structure; tests compare the two.  Memory
+grows with N^2 per vertex, so keep the bases small.
 """
 
 from __future__ import annotations
@@ -18,9 +19,25 @@ from graphbimod.cuntz_pimsner import (
     CommutatorReport,
     ConditionalExpectation,
     _compose_symbol,
-    spanning_basis,
 )
 from graphbimod.fock import Path, paths
+
+
+def dense_basis(module, depth):
+    """Symbols with both legs of length at most depth, sorted canonically."""
+    pool = []
+    for k in range(depth + 1):
+        pool.extend(paths(module, k))
+    basis = [(mu, nu) for mu in pool for nu in pool if mu.s == nu.s]
+    basis.sort(
+        key=lambda pair: (
+            len(pair[0]),
+            len(pair[1]),
+            pair[0].sort_key(),
+            pair[1].sort_key(),
+        )
+    )
+    return basis
 
 
 @dataclass(frozen=True)
@@ -58,7 +75,7 @@ class DenseGram:
 
 
 def dense_gram(module, depth, exp_: ConditionalExpectation, cutoff=1e-10) -> DenseGram:
-    basis = spanning_basis(module, depth)
+    basis = dense_basis(module, depth)
     N = len(basis)
     V = len(module.vertices)
     vidx = {v: i for i, v in enumerate(module.vertices)}
@@ -112,7 +129,7 @@ def dense_projection_defects(P: np.ndarray, gram_data: DenseGram) -> tuple[float
 
 def dense_theta_matrix(module, depth, exp_: ConditionalExpectation) -> np.ndarray:
     """Rank-one sum over every plain path symbol, with no pruning."""
-    basis = spanning_basis(module, depth)
+    basis = dense_basis(module, depth)
     idx = {pair: i for i, pair in enumerate(basis)}
     M = np.zeros((len(basis), len(basis)), dtype=complex)
     pool = []
@@ -134,8 +151,8 @@ def dense_theta_matrix(module, depth, exp_: ConditionalExpectation) -> np.ndarra
 def dense_commutator_check(
     module, depth, exp_: ConditionalExpectation, rank_tol=1e-10, cutoff=1e-10
 ) -> tuple[CommutatorReport, ...]:
-    cols = spanning_basis(module, depth)
-    rows = spanning_basis(module, depth + 1)
+    cols = dense_basis(module, depth)
+    rows = dense_basis(module, depth + 1)
     col_idx = {pair: i for i, pair in enumerate(cols)}
     row_idx = {pair: i for i, pair in enumerate(rows)}
     P_low = dense_projection_matrix(cols, exp_)

@@ -236,7 +236,7 @@ def test_acceptance_5_kasparov_suite():
             pdata = projection_p(gdata, exp_)
             if pdata.idempotency_defect > 1e-10:
                 problems.append(f"{name}: P^2 - P = {pdata.idempotency_defect}")
-            for rep in commutator_check(m, 3, exp_):
+            for rep in commutator_check(m, 3, exp_, gram(m, 4, exp_)):
                 if rep.discrepancy > 1e-10:
                     problems.append(
                         f"{name}: commutator routes for {rep.edge} differ by {rep.discrepancy}"

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphbimod import bimodule, cli, cuntz_pimsner, spectral
@@ -220,6 +221,28 @@ def test_kms_timings_report_stages_and_counters(capsys, golden_file, tmp_path):
     assert timings["counters"] == {}
 
 
+def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):
+    _, plain, _ = run(capsys, "kasparov", golden_file, "--depth", "2")
+    code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2", "--timings")
+    assert code == 0
+    doc = json.loads(out)
+    timings = doc.pop("timings")
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
+    assert set(timings) == {"seconds", "stages", "counters"}
+    assert set(timings["stages"]) == {"gram", "projection", "theta", "commutators"}
+    assert all(t >= 0 for t in timings["stages"].values())
+    # paths of length at most 2 (3) by source: 6 (11) at u and 4 (7) at v;
+    # the 112 blocks of both Grams share 15 + 25 matrices, and the largest
+    # is the vacuum block at u, one member per path of range u to length 3
+    assert timings["counters"] == {
+        "basis": 52,
+        "basis_high": 170,
+        "blocks": 112,
+        "eigensolves": 40,
+        "eigh_max_n": 11,
+    }
+
+
 def test_reports_are_byte_identical(capsys, golden_file):
     _, out1, _ = run(capsys, "kms", golden_file)
     _, out2, _ = run(capsys, "kms", golden_file)
@@ -387,6 +410,7 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
         "GrowthTable": 0,
         "strong_components": 0,
         "growth_profile": 0,
+        "eigh": 0,
     }
     loaded_states = []
 
@@ -412,6 +436,15 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
         return module
 
     monkeypatch.setattr(cli, "load_graph", loaded)
+    grams = []
+    build_gram = cli.gram
+
+    def kept_gram(*args):
+        grams.append(build_gram(*args))
+        return grams[-1]
+
+    monkeypatch.setattr(cli, "gram", kept_gram)
+    count(np.linalg, "eigh", "eigh")
     count(cuntz_pimsner, "spanning_basis", "spanning_basis")
     count(spectral, "pf_data", "pf_data")
     count(spectral.GrowthTable, "__init__", "GrowthTable")
@@ -420,6 +453,12 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
 
     assert main(["kasparov", str(GRAPHS / "golden_mean.json"), "--depth", "2"]) == 0
     assert (calls["spanning_basis"], calls["pf_data"], calls["GrowthTable"]) == (2, 1, 1)
+    # one eigensolve per block signature: 15 at depth 2 and 25 at depth 3,
+    # for 30 + 82 blocks; blocks of one signature share read-only arrays
+    assert calls["eigh"] == 40
+    assert len(grams) == 2
+    for block in (b for g in grams for b in g.blocks):
+        assert not block.matrix.flags.writeable and not block.quotient.flags.writeable
     argv = ["residue", str(GRAPHS / "triangular.json"), "--target", "2", "--kmax", "2000"]
     assert main(argv) == 0
     assert calls["GrowthTable"] == 2

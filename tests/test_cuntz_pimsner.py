@@ -295,8 +295,13 @@ def test_theta_route_agrees_exactly(full_shift2, golden, triangular):
         assert theta == pd.entries()
 
 
+def _commutators(m, depth):
+    exp_ = ConditionalExpectation(m)
+    return commutator_check(m, depth, exp_, gram(m, depth + 1, exp_))
+
+
 def test_commutator_ranks_full_shift(full_shift2):
-    reports = commutator_check(full_shift2, 3, ConditionalExpectation(full_shift2))
+    reports = _commutators(full_shift2, 3)
     for rep in reports:
         assert rep.discrepancy < 1e-10
         assert rep.total_rank == 1
@@ -304,7 +309,7 @@ def test_commutator_ranks_full_shift(full_shift2):
 
 
 def test_commutator_ranks_golden(golden):
-    for rep in commutator_check(golden, 3, ConditionalExpectation(golden)):
+    for rep in _commutators(golden, 3):
         assert rep.discrepancy < 1e-10
         assert rep.matches
         assert rep.total_rank == 1
@@ -313,7 +318,7 @@ def test_commutator_ranks_golden(golden):
 def test_commutator_ranks_triangular(triangular):
     # the cross edge f sees only the vanishing mixed-class coefficients,
     # so its commutator column space dies in the quotient
-    by_edge = {rep.edge: rep for rep in commutator_check(triangular, 3, ConditionalExpectation(triangular))}
+    by_edge = {rep.edge: rep for rep in _commutators(triangular, 3)}
     assert by_edge["e"].total_rank == 1
     assert by_edge["f"].total_rank == 0
     assert by_edge["g"].total_rank == 1
@@ -323,6 +328,6 @@ def test_commutator_ranks_triangular(triangular):
 
 
 def test_commutator_surviving_columns_listed(triangular):
-    by_edge = {rep.edge: rep for rep in commutator_check(triangular, 3, ConditionalExpectation(triangular))}
+    by_edge = {rep.edge: rep for rep in _commutators(triangular, 3)}
     assert by_edge["f"].surviving == ()
     assert len(by_edge["e"].surviving) > 0

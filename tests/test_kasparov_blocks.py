@@ -8,20 +8,24 @@ import numpy as np
 import pytest
 from conftest import graphs
 from dense_kasparov import (
+    dense_basis,
     dense_commutator_check,
     dense_gram,
     dense_projection_defects,
     dense_projection_matrix,
     dense_theta_matrix,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphbimod import (
     ConditionalExpectation,
+    Edge,
+    GraphBimodule,
     ResidueUncertifiedError,
     commutator_check,
     gram,
     projection_p,
+    spanning_basis,
 )
 from graphbimod.cli import KASPAROV_MAX_BASIS, main
 from graphbimod.cuntz_pimsner import spanning_basis_size, theta_projection_matrix
@@ -36,7 +40,8 @@ def _block_route(module, depth, exp_):
     gd = gram(module, depth, exp_)
     pd = projection_p(gd, exp_)
     theta = theta_projection_matrix(gd, exp_)
-    return gd, pd, theta, commutator_check(module, depth, exp_)
+    reports = commutator_check(module, depth, exp_, gram(module, depth + 1, exp_))
+    return gd, pd, theta, reports
 
 
 def _dense(entries, n):
@@ -46,9 +51,7 @@ def _dense(entries, n):
     return M
 
 
-@given(graphs(), st.integers(0, 2))
-@settings(max_examples=30, deadline=None)
-def test_block_route_matches_dense_oracle(module, depth):
+def _check_block_route(module, depth):
     while depth > 0 and spanning_basis_size(module, depth + 1) > DENSE_MAX_BASIS:
         depth -= 1
     exp_ = ConditionalExpectation(module)
@@ -80,6 +83,31 @@ def test_block_route_matches_dense_oracle(module, depth):
     assert (pd.idempotency_defect, pd.adjoint_defect) == dense_projection_defects(P, dense)
     assert np.array_equal(_dense(theta, N), dense_theta_matrix(module, depth, exp_))
     assert reports == dense_commutator_check(module, depth, exp_)
+
+
+@given(graphs(), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_block_route_matches_dense_oracle(module, depth):
+    _check_block_route(module, depth)
+
+
+@given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_block_route_matches_dense_oracle_on_weighted_graphs(module, depth):
+    # 0.1 is not dyadic, so a block that reused the matrix of another
+    # weight(nu_0) would differ from the dense entries in some bit
+    _check_block_route(module, depth)
+
+
+@given(graphs(), st.integers(0, 3))
+@example(
+    # a vertex list not in name order
+    GraphBimodule(["w", "a"], [Edge("x", "w", "a"), Edge("y", "a", "w"), Edge("z", "w", "w")]),
+    3,
+)
+@settings(max_examples=40, deadline=None)
+def test_spanning_basis_matches_sorted_oracle(module, depth):
+    assert spanning_basis(module, depth) == dense_basis(module, depth)
 
 
 @pytest.mark.parametrize("name", ["full_shift_2", "golden_mean", "triangular"])
