@@ -31,6 +31,13 @@ class GraphStructureError(ValueError):
 
 @dataclass(frozen=True)
 class Edge:
+    """An edge with its id, range, source and weight.
+
+    The hash is the dataclass one, hash((id, r, s, weight)), computed at
+    construction and kept on the instance: paths and grouping keys hash
+    the same edges many times.
+    """
+
     id: str
     r: str
     s: str
@@ -41,6 +48,14 @@ class Edge:
             raise GraphStructureError(f"edge {self.id!r} has nonpositive weight")
         if not math.isfinite(self.weight):
             raise GraphStructureError(f"edge {self.id!r} has non-finite weight")
+        object.__setattr__(self, "_hash", hash((self.id, self.r, self.s, self.weight)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a copy rehashes
+        return (Edge, (self.id, self.r, self.s, self.weight))
 
 
 def _strong_components(

@@ -16,6 +16,7 @@ import math
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from .cuntz_pimsner import (
     theta_projection_matrix,
 )
 from .fock import Path, index_levels, make_path, paths
-from .kms import invariant_traces, kms_check
+from .kms import exchange_sweep, invariant_traces
 from .spectral import GrowthTable, eta_tilde
 
 SCHEMA_VERSION = 1
@@ -171,18 +172,27 @@ def cmd_index(args) -> int:
     central = beta_is_central(module)
     # B^k 1 = A^k 1 / D^k and beta^k = (D beta)^k / D^k
     D = module.denominator
-    index = [int(module.index_exact[v] * D) for v in module.vertices]
-    den = 1
     levels = {}
-    worst = Fraction(0)
+    kept = []  # the integer levels, for the collapse check
+    den = 1
     for k, vec in zip(range(args.depth + 1), index_levels(module)):
         levels[str(k)] = {v: _level_value(x, den) for v, x in zip(module.vertices, vec)}
         if central:
+            kept.append(vec)
+        den *= D
+    stages = {"levels": time.perf_counter() - start}
+    worst = Fraction(0)
+    if central:
+        mark = time.perf_counter()
+        index = [int(module.index_exact[v] * D) for v in module.vertices]
+        den = 1
+        for k, vec in enumerate(kept):
             # |B^k 1 - beta^k| relative to max(1, |beta^k|), both over D^k
             power = [x**k for x in index]
             gap = max(abs(x - p) for x, p in zip(vec, power))
             worst = max(worst, Fraction(gap, max(den, max(power))))
-        den *= D
+            den *= D
+        stages["central_collapse"] = time.perf_counter() - mark
     worst = float(worst)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -202,7 +212,11 @@ def cmd_index(args) -> int:
     report["levels"] = levels
     report["failures"] = failures
     if args.timings:
-        report["timings"] = {"seconds": time.perf_counter() - start}
+        report["timings"] = {
+            "seconds": time.perf_counter() - start,
+            "stages": stages,
+            "counters": {"depth": args.depth},
+        }
     emit(report, args.format)
     return 1 if failures else 0
 
@@ -242,9 +256,12 @@ def cmd_residue(args) -> int:
             raise CliError(f"bad target {args.target!r}: {exc}")
         n = len(pool[0])
     table = GrowthTable(module, args.kmax)
+    stages = {"growth_table": time.perf_counter() - start}
+    mark = time.perf_counter()
     entries = {}
     for r, s in sorted({(p.r, p.s) for p in pool}):
         entries[(r, s)] = _residue_entry(table, (r, s, n), args)
+    stages["classes"] = time.perf_counter() - mark
     rows = []
     for p in sorted(pool, key=lambda q: q.sort_key()):
         cls = entries[(p.r, p.s)]
@@ -275,7 +292,12 @@ def cmd_residue(args) -> int:
         "classes": list(entries.values()),
     }
     if args.timings:
-        report["timings"] = {"seconds": time.perf_counter() - start}
+        methods = Counter(cls["method"] for cls in entries.values())
+        report["timings"] = {
+            "seconds": time.perf_counter() - start,
+            "stages": stages,
+            "counters": {"classes": len(entries), "method": dict(methods)},
+        }
     emit(report, args.format)
     return 0
 
@@ -436,24 +458,17 @@ def cmd_kms(args) -> int:
         pool: list[Path] = []
         for k in range(args.length + 1):
             pool.extend(paths(module, k))
-        by_source: dict[str, list[Path]] = {}
-        for p in pool:
-            by_source.setdefault(p.s, []).append(p)
         stages["pool"] = time.perf_counter() - mark
         mark = time.perf_counter()
-        worst = 0.0
-        for _ in range(args.pairs):
-            mu = pool[int(rng.integers(len(pool)))]
-            nu_pool = by_source[mu.s]
-            nu = nu_pool[int(rng.integers(len(nu_pool)))]
-            sig = pool[int(rng.integers(len(pool)))]
-            rho_pool = by_source[sig.s]
-            rho = rho_pool[int(rng.integers(len(rho_pool)))]
-            x = SpanningElement.symbol(module, mu, nu)
-            y = SpanningElement.symbol(module, sig, rho)
-            worst = max(worst, kms_check(module, trace, x, y))
+        sweep = exchange_sweep(module, trace, pool, args.pairs, rng)
+        worst = sweep.worst
         stages["pairs"] = time.perf_counter() - mark
-        counters = {"pool": len(pool), "pairs": args.pairs}
+        counters = {
+            "pool": len(pool),
+            "pairs": args.pairs,
+            "degree_zero": sweep.degree_zero,
+            "diagonal": sweep.diagonal,
+        }
         report["residual_max"] = worst
         if worst > args.tol:
             failures.append(f"exchange defect {worst} exceeds {args.tol}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -94,6 +94,33 @@ def tr_phi(trace: TraceState, xi: ModuleVector, eta: ModuleVector) -> complex:
     return trace.evaluate_algebra(right_inner(eta, xi))
 
 
+def _exchange(module: GraphBimodule, trace: TraceState, x_terms, y_terms) -> tuple[float, bool]:
+    """Exchange defect over the term pairs of x and y, and whether any
+    product reduced to a diagonal symbol.
+
+    x_terms and y_terms are ((mu, nu), coefficient) items; y_terms is
+    iterated once per term of x.
+    """
+    lhs = rhs = 0.0 + 0.0j
+    diagonal = False
+    for (mu, nu), c in x_terms:
+        for (sigma, rho), b in y_terms:
+            xy = _compose_symbol(mu, nu, sigma, rho)
+            if xy is not None:
+                _check_pair(*xy)
+                if xy[0] == xy[1]:
+                    diagonal = True
+                    lhs += trace.diagonal(xy[0], c * b)
+            yx = _compose_symbol(sigma, rho, mu, nu)
+            if yx is not None:
+                _check_pair(*yx)
+                if yx[0] == yx[1]:
+                    diagonal = True
+                    scaled = b * d_weight(module, sigma) / d_weight(module, rho)
+                    rhs += trace.diagonal(yx[0], scaled * c)
+    return abs(lhs - rhs), diagonal
+
+
 def kms_check(
     module: GraphBimodule,
     trace: TraceState,
@@ -108,21 +135,156 @@ def kms_check(
     the built products: the coefficient product, gamma's scale ratio
     d(sigma) / d(rho) on y's coefficient, then the weight over d(mu).
     """
-    lhs = rhs = 0.0 + 0.0j
-    for (mu, nu), c in x.terms.items():
-        for (sigma, rho), b in y.terms.items():
-            xy = _compose_symbol(mu, nu, sigma, rho)
-            if xy is not None:
-                _check_pair(*xy)
-                if xy[0] == xy[1]:
-                    lhs += trace.diagonal(xy[0], c * b)
-            yx = _compose_symbol(sigma, rho, mu, nu)
-            if yx is not None:
-                _check_pair(*yx)
-                if yx[0] == yx[1]:
-                    scaled = b * d_weight(module, sigma) / d_weight(module, rho)
-                    rhs += trace.diagonal(yx[0], scaled * c)
-    return abs(lhs - rhs)
+    return _exchange(module, trace, x.terms.items(), y.terms.items())[0]
+
+
+# -- random symbol pairs in bulk -------------------------------------------
+
+# Words per bulk draw.  Each pair takes about four, so a chunk holds about
+# a thousand pairs and the buffers stay under 1 MiB whatever the pair
+# count (golden_mean with --pairs 1000000 peaks 0.3 MiB above --pairs
+# 1000; larger chunks cost more memory and were no faster).
+WORD_CHUNK = 4096
+
+_LOW_WORD = np.uint64(0xFFFFFFFF)
+
+
+def _bounded(
+    words: np.ndarray, start: np.ndarray, high: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draws below high[i] that begin at word start[i], by numpy's rule.
+
+    Generator.integers(h) for 1 < h <= 2**32 takes one 32-bit word x per
+    attempt and returns (x * h) >> 32, rejecting while (x * h) mod 2**32 <
+    (2**32 - h) mod h (Lemire's multiply-shift); a high of 1 takes no word.
+    Returns the values and the position after the last word taken, or -1
+    where the words run out first; a start of -1 gives an end of -1.
+    """
+    value = np.zeros(len(start), dtype=np.int64)
+    end = start.copy()
+    todo = np.flatnonzero((high > 1) & (start >= 0))
+    at = start[todo]
+    while todo.size:
+        inside = at < len(words)
+        end[todo[~inside]] = -1
+        todo, at = todo[inside], at[inside]
+        h = high[todo]
+        m = words[at] * h
+        ok = (m & _LOW_WORD) >= (np.uint64(1 << 32) - h) % h
+        value[todo[ok]] = m[ok] >> np.uint64(32)
+        end[todo[ok]] = at[ok] + 1
+        todo, at = todo[~ok], at[~ok] + 1
+    return value, end
+
+
+def draw_pairs(
+    rng: np.random.Generator,
+    count: int,
+    high: int,
+    child_high: Callable[[np.ndarray], np.ndarray],
+    chunk: int = WORD_CHUNK,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks of the draws (mu, nu, sigma, rho) of `count` random pairs.
+
+    Pair by pair, the draws are those of the scalar calls
+    mu = rng.integers(high), nu = rng.integers(child_high(mu)), then sigma
+    and rho the same way, for 1 <= high, child_high <= 2**32.  The words
+    are drawn `chunk` at a time and mapped by `_bounded`; every word
+    position is tried as the start of a (mu, nu) draw at once, and a walk
+    along the resulting ends picks the positions the scalar calls take.
+    Words past the last whole pair carry over to the next chunk.  The
+    sequence rests on numpy's bounded-integer rule, which
+    tests/test_kms.py pins against the scalar calls.
+    """
+    if high == 1 and child_high(np.zeros(1, dtype=np.int64))[0] == 1:
+        # no draw takes a word: every pair is (0, 0, 0, 0)
+        for done in range(0, count, chunk):
+            zeros = np.zeros(min(chunk, count - done), dtype=np.int64)
+            yield zeros, zeros, zeros, zeros
+        return
+    words = np.zeros(0, dtype=np.uint64)
+    while count:
+        fresh = rng.integers(0, 1 << 32, size=chunk, dtype=np.uint64)
+        words = np.concatenate((words, fresh))
+        starts = np.arange(len(words) + 1)
+        first, mid = _bounded(words, starts, np.full(len(starts), high, dtype=np.uint64))
+        second, end = _bounded(
+            words, mid, np.asarray(child_high(first), dtype=np.uint64)
+        )
+        ends = end.tolist()
+        taken: list[int] = []
+        at = 0
+        while len(taken) < 2 * count:
+            e1 = ends[at]
+            if e1 < 0:
+                break
+            e2 = ends[e1]
+            if e2 < 0:
+                break
+            taken += (at, e1)
+            at = e2
+        units = np.array(taken, dtype=np.int64)
+        a, b = first[units], second[units]
+        count -= len(taken) // 2
+        words = words[at:]
+        if len(units):
+            yield a[0::2], b[0::2], a[1::2], b[1::2]
+
+
+@dataclass(frozen=True)
+class ExchangeSweep:
+    """Largest exchange defect over random symbol pairs, with counts.
+
+    degree_zero counts the pairs of total degree 0, the only ones that
+    were checked; diagonal counts those whose product xy or
+    gamma_{-i}(y) x reduced to a diagonal symbol.
+    """
+
+    worst: float
+    degree_zero: int
+    diagonal: int
+
+
+def exchange_sweep(
+    module: GraphBimodule,
+    trace: TraceState,
+    pool: Sequence[Path],
+    pairs: int,
+    rng: np.random.Generator,
+) -> ExchangeSweep:
+    """Exchange defect of `pairs` random symbol pairs drawn from `pool`.
+
+    Each pair draws mu from the pool, nu from the pool paths with the
+    source of mu, then sigma and rho the same way, all by `draw_pairs`.
+    A nonzero symbol product has degree deg(x) + deg(y) and a diagonal
+    symbol has degree 0, so a pair of nonzero total degree has both sides
+    exactly zero and defect 0.0; only the others go through the term-pair
+    check of kms_check.
+    """
+    source_ids: dict[str, int] = {}
+    source = np.array([source_ids.setdefault(p.s, len(source_ids)) for p in pool])
+    # pool indices grouped by source, each group in pool order
+    members = np.argsort(source, kind="stable")
+    sizes = np.bincount(source)
+    offset = np.cumsum(sizes) - sizes
+    length = np.array([len(p) for p in pool])
+    one = 1 + 0j
+    worst = 0.0
+    degree_zero = diagonal = 0
+    blocks = draw_pairs(rng, pairs, len(pool), lambda mu: sizes[source[mu]])
+    for mu, nu, sigma, rho in blocks:
+        nu = members[offset[source[mu]] + nu]
+        rho = members[offset[source[sigma]] + rho]
+        keep = length[mu] - length[nu] + length[sigma] - length[rho] == 0
+        picked = [q[keep].tolist() for q in (mu, nu, sigma, rho)]
+        degree_zero += len(picked[0])
+        for i, j, k, l in zip(*picked):
+            x = (((pool[i], pool[j]), one),)
+            y = (((pool[k], pool[l]), one),)
+            defect, diag = _exchange(module, trace, x, y)
+            worst = max(worst, defect)
+            diagonal += diag
+    return ExchangeSweep(worst, degree_zero, diagonal)
 
 
 # -- exact solve of the descent condition ----------------------------------

@@ -1,4 +1,11 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +29,8 @@ from graphbimod import (
     smeb_check,
     watatani_phi,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_rejects_duplicate_edge_ids():
@@ -176,3 +185,42 @@ def test_smeb_fails_on_weighted_graph(weighted_loop):
     # a single loop is a permutation graph, but the weight spoils the
     # two-sided inner product match
     assert not smeb_check(weighted_loop).holds
+
+
+def test_edge_hash_is_the_dataclass_hash_kept_on_the_instance():
+    edge = Edge("a", "u", "v", 2.0)
+    copies = [
+        Edge("a", "u", "v", 2.0),
+        pickle.loads(pickle.dumps(edge)),
+        copy.copy(edge),
+        copy.deepcopy(edge),
+        dataclasses.replace(edge),
+    ]
+    for other in copies:
+        assert other == edge
+        assert hash(other) == hash(edge) == hash(("a", "u", "v", 2.0))
+    assert Edge("a", "u", "v", 1.0) != edge
+    # hash() reads the stored value instead of building the tuple again
+    object.__setattr__(copies[0], "_hash", 12345)
+    assert hash(copies[0]) == 12345
+
+
+def test_pickled_edge_rehashes_in_another_process():
+    # string hashes differ between processes, so a stored hash must not
+    # travel with the pickle
+    edge = Edge("a", "u", "v", 2.0)
+    code = (
+        "import pickle, sys; e = pickle.loads(sys.stdin.buffer.read()); "
+        "print(hash(e) == hash((e.id, e.r, e.s, e.weight)))"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": seed}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps(edge),
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == b"True"

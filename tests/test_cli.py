@@ -204,14 +204,23 @@ def test_kms_infeasible_graph_reports_and_passes(capsys, tmp_path):
 
 
 def test_kms_timings_report_stages_and_counters(capsys, golden_file, tmp_path):
+    _, plain, _ = run(capsys, "kms", golden_file, "--pairs", "40")
     code, out, _ = run(capsys, "kms", golden_file, "--pairs", "40", "--timings")
     assert code == 0
-    timings = json.loads(out)["timings"]
+    doc = json.loads(out)
+    timings = doc.pop("timings")
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
     assert set(timings) == {"seconds", "stages", "counters"}
     assert set(timings["stages"]) == {"trace_solve", "pool", "pairs"}
     assert all(t >= 0 for t in timings["stages"].values())
-    # paths of length 0 to 3 on the golden mean: 2 + 3 + 5 + 8
-    assert timings["counters"] == {"pool": 18, "pairs": 40}
+    # paths of length 0 to 3 on the golden mean: 2 + 3 + 5 + 8; of the 40
+    # pairs 7 have total degree 0, and in one of them a product is diagonal
+    assert timings["counters"] == {
+        "pool": 18,
+        "pairs": 40,
+        "degree_zero": 7,
+        "diagonal": 1,
+    }
     # with no invariant trace only the solve runs
     p = tmp_path / "osc.json"
     p.write_text(json.dumps(OSCILLATING))
@@ -219,6 +228,44 @@ def test_kms_timings_report_stages_and_counters(capsys, golden_file, tmp_path):
     timings = json.loads(out)["timings"]
     assert set(timings["stages"]) == {"trace_solve"}
     assert timings["counters"] == {}
+
+
+def test_index_timings_report_stages_and_counters(capsys, golden_file, shift_file):
+    for graph, central in ((golden_file, False), (shift_file, True)):
+        _, plain, _ = run(capsys, "index", graph, "--depth", "5")
+        code, out, _ = run(capsys, "index", graph, "--depth", "5", "--timings")
+        assert code == 0
+        doc = json.loads(out)
+        timings = doc.pop("timings")
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
+        assert set(timings) == {"seconds", "stages", "counters"}
+        # the collapse check runs only on a central index
+        stages = {"levels", "central_collapse"} if central else {"levels"}
+        assert set(timings["stages"]) == stages
+        assert all(t >= 0 for t in timings["stages"].values())
+        assert timings["counters"] == {"depth": 5}
+
+
+def test_residue_timings_report_stages_and_counters(capsys, tmp_path):
+    p = tmp_path / "osc.json"
+    p.write_text(json.dumps(OSCILLATING))
+    _, plain, _ = run(capsys, "residue", str(p), "--target", "1")
+    code, out, _ = run(capsys, "residue", str(p), "--target", "1", "--timings")
+    assert code == 0
+    doc = json.loads(out)
+    timings = doc.pop("timings")
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
+    assert set(timings) == {"seconds", "stages", "counters"}
+    assert set(timings["stages"]) == {"growth_table", "classes"}
+    assert all(t >= 0 for t in timings["stages"].values())
+    # one class per edge; (z, z, 1) is the one left unconverged
+    assert [c["method"] for c in doc["classes"]] == [
+        "stationary", "stationary", "structural_zero", "extrapolation"
+    ]
+    assert timings["counters"] == {
+        "classes": 4,
+        "method": {"stationary": 2, "structural_zero": 1, "extrapolation": 1},
+    }
 
 
 def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import graphs
 from graphbimod import (
@@ -18,7 +19,7 @@ from graphbimod import (
     tr_phi,
 )
 from graphbimod.fock import make_path, paths, vertex_path
-from graphbimod.kms import TraceState
+from graphbimod.kms import TraceState, draw_pairs, exchange_sweep
 
 
 def materialised_defect(module, trace, x, y):
@@ -230,6 +231,110 @@ def test_kms_check_agrees_with_the_materialised_route_on_sums(case):
     )
     got = kms_check(m, tr, x, y)
     assert abs(got - materialised_defect(m, tr, x, y)) <= 1e-12 * scale
+
+
+def scalar_pairs(seed, count, high, child_high):
+    """The draws of draw_pairs made one Generator.integers call at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        quad = []
+        for _ in range(2):
+            a = int(rng.integers(high))
+            quad += [a, int(rng.integers(int(child_high(np.array([a]))[0])))]
+        out.append(tuple(quad))
+    return out
+
+
+# highs of 1 take no word; past 2**31 about half the words are rejected
+HIGHS = st.one_of(
+    st.just(1), st.integers(2, 9), st.integers(2**31 + 1, 2**32)
+)
+
+
+@given(
+    seed=st.integers(0, 2**63),
+    high=HIGHS,
+    child_highs=st.lists(HIGHS, min_size=1, max_size=5),
+    count=st.integers(0, 60),
+    chunk=st.integers(1, 48),
+)
+@settings(max_examples=200, deadline=None)
+def test_bulk_draws_equal_the_scalar_calls(seed, high, child_highs, count, chunk):
+    # small chunks put pairs, and runs of rejected words, across chunk
+    # boundaries
+    sizes = np.array(child_highs, dtype=np.uint64)
+
+    def child_high(a):
+        return sizes[a % len(sizes)]
+
+    blocks = draw_pairs(np.random.default_rng(seed), count, high, child_high, chunk)
+    got = [quad for block in blocks for quad in zip(*(q.tolist() for q in block))]
+    assert got == scalar_pairs(seed, count, high, child_high)
+
+
+def scalar_sweep(m, trace, pool, pairs, seed):
+    """Scalar draws and one kms_check per pair: exchange_sweep's oracle."""
+    by_src = {}
+    for p in pool:
+        by_src.setdefault(p.s, []).append(p)
+    rng = np.random.default_rng(seed)
+    worst, degree_zero = 0.0, 0
+    for _ in range(pairs):
+        mu = pool[int(rng.integers(len(pool)))]
+        nu = by_src[mu.s][int(rng.integers(len(by_src[mu.s])))]
+        sg = pool[int(rng.integers(len(pool)))]
+        rho = by_src[sg.s][int(rng.integers(len(by_src[sg.s])))]
+        x = SpanningElement.symbol(m, mu, nu)
+        y = SpanningElement.symbol(m, sg, rho)
+        worst = max(worst, kms_check(m, trace, x, y))
+        degree_zero += len(mu) - len(nu) + len(sg) - len(rho) == 0
+    return worst, degree_zero
+
+
+@given(
+    m=graphs(weights=(0.5, 0.75, 2.0, 3.0)),
+    length=st.integers(0, 3),
+    pairs=st.integers(0, 300),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_exchange_sweep_equals_one_check_per_pair(m, length, pairs, seed, data):
+    # weights that need not be invariant make defects nonzero, so the
+    # maximum pins the arithmetic as well as the pairs drawn
+    weights = {
+        v: Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+        for v in m.vertices
+    }
+    trace = TraceState(m, weights)
+    pool = [p for k in range(length + 1) for p in paths(m, k)]
+    sweep = exchange_sweep(m, trace, pool, pairs, np.random.default_rng(seed))
+    assert (sweep.worst, sweep.degree_zero) == scalar_sweep(m, trace, pool, pairs, seed)
+    assert 0 <= sweep.diagonal <= sweep.degree_zero <= pairs
+
+
+@given(m=graphs(weights=(0.5, 0.75, 2.0, 3.0)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pairs_of_nonzero_degree_have_no_diagonal_product(m, data):
+    pool = [p for k in range(4) for p in paths(m, k)]
+    by_src = {}
+    for p in pool:
+        by_src.setdefault(p.s, []).append(p)
+    weights = {v: Fraction(data.draw(st.integers(1, 9))) for v in m.vertices}
+
+    def symbol():
+        mu = data.draw(st.sampled_from(pool))
+        return mu, data.draw(st.sampled_from(by_src[mu.s]))
+
+    (mu, nu), (sigma, rho) = symbol(), symbol()
+    assume(len(mu) - len(nu) + len(sigma) - len(rho) != 0)
+    x = SpanningElement.symbol(m, mu, nu)
+    y = SpanningElement.symbol(m, sigma, rho)
+    defect = kms_check(m, TraceState(m, weights), x, y)
+    assert defect == 0.0 and math.copysign(1.0, defect) == 1.0
+    for product in (x * y, gamma_minus_i(m, y) * x):
+        assert all(a != b for a, b in product.terms)
 
 
 def test_only_invariant_traces_kill_the_covariance_ideal(golden):
