@@ -274,12 +274,13 @@ def test_bulk_draws_equal_the_scalar_calls(seed, high, child_highs, count, chunk
 
 
 def scalar_sweep(m, trace, pool, pairs, seed):
-    """Scalar draws and one kms_check per pair: exchange_sweep's oracle."""
+    """Scalar draws, one kms_check per pair and the built products:
+    exchange_sweep's oracle."""
     by_src = {}
     for p in pool:
         by_src.setdefault(p.s, []).append(p)
     rng = np.random.default_rng(seed)
-    worst, degree_zero = 0.0, 0
+    worst, degree_zero, diagonal = 0.0, 0, 0
     for _ in range(pairs):
         mu = pool[int(rng.integers(len(pool)))]
         nu = by_src[mu.s][int(rng.integers(len(by_src[mu.s])))]
@@ -289,7 +290,9 @@ def scalar_sweep(m, trace, pool, pairs, seed):
         y = SpanningElement.symbol(m, sg, rho)
         worst = max(worst, kms_check(m, trace, x, y))
         degree_zero += len(mu) - len(nu) + len(sg) - len(rho) == 0
-    return worst, degree_zero
+        products = (x * y, gamma_minus_i(m, y) * x)
+        diagonal += any(a == b for prod in products for a, b in prod.terms)
+    return worst, degree_zero, diagonal
 
 
 @given(
@@ -310,8 +313,8 @@ def test_exchange_sweep_equals_one_check_per_pair(m, length, pairs, seed, data):
     trace = TraceState(m, weights)
     pool = [p for k in range(length + 1) for p in paths(m, k)]
     sweep = exchange_sweep(m, trace, pool, pairs, np.random.default_rng(seed))
-    assert (sweep.worst, sweep.degree_zero) == scalar_sweep(m, trace, pool, pairs, seed)
-    assert 0 <= sweep.diagonal <= sweep.degree_zero <= pairs
+    got = (sweep.worst, sweep.degree_zero, sweep.diagonal)
+    assert got == scalar_sweep(m, trace, pool, pairs, seed)
 
 
 @given(m=graphs(weights=(0.5, 0.75, 2.0, 3.0)), data=st.data())
