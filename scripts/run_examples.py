@@ -46,7 +46,6 @@ def summarize(command: str, doc: dict) -> str:
     if command == "kasparov":
         worst = max(
             doc["projection"]["idempotency_defect"],
-            doc["projection"]["theta_defect"],
             doc["gram"]["isometry_defect"],
         )
         ranks = ", ".join(f"{c['edge']}:{c['total_rank']}" for c in doc["commutators"])
@@ -59,16 +58,16 @@ def summarize(command: str, doc: dict) -> str:
     return "?"
 
 
-def run() -> int:
+def run(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--full", action="store_true", help="print raw reports")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     worst = 0
     for command, graph, extra in RUNS:
-        argv = [command, os.path.join(GRAPHS, graph)] + extra
+        cli_argv = [command, os.path.join(GRAPHS, graph)] + extra
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli_main(argv)
+            code = cli_main(cli_argv)
         worst = max(worst, code)
         label = f"{command:8s} {graph:18s}"
         if args.full:

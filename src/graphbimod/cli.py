@@ -31,7 +31,6 @@ from .cuntz_pimsner import (
     gram,
     projection_p,
     spanning_basis_size,
-    theta_projection_matrix,
 )
 from .fock import Path, index_levels, make_path, paths
 from .kms import exchange_sweep, invariant_traces
@@ -39,12 +38,11 @@ from .spectral import GrowthTable, eta_tilde
 
 SCHEMA_VERSION = 1
 
-# kasparov's peak memory grows by about 0.64 KiB per spanning symbol at
-# depth+1 over a 32 MiB interpreter (O3 at depth 4: 132,496 symbols, peak
-# RSS 113 MiB; O2 at depth 7: 261,121 symbols, 179 MiB; O5 at depth 3:
-# 609,961 symbols, 415 MiB), so this many keep a run near 470 MiB, under
-# 0.5 GiB
-KASPAROV_MAX_BASIS = 700_000
+# kasparov's peak memory grows by about 0.95 KiB per spanning symbol over
+# a 33 MiB interpreter (O3 at depth 5: 132,496 symbols, peak RSS 156 MiB;
+# O2 at depth 8: 261,121 symbols, 281 MiB; O26 at depth 2: 494,209
+# symbols, 426 MiB), so this many keep a run under 0.5 GiB
+KASPAROV_MAX_BASIS = 500_000
 
 
 class CliError(Exception):
@@ -305,11 +303,11 @@ def cmd_residue(args) -> int:
 def cmd_kasparov(args) -> int:
     module = load_graph(args.graph)
     start = time.perf_counter()
-    size = spanning_basis_size(module, args.depth + 1)
+    size = spanning_basis_size(module, args.depth)
     if size > KASPAROV_MAX_BASIS:
         raise CliError(
-            f"depth {args.depth} needs {size} spanning symbols at depth "
-            f"{args.depth + 1}, above the limit of {KASPAROV_MAX_BASIS} (about 0.5 GiB)"
+            f"depth {args.depth} needs {size} spanning symbols, "
+            f"above the limit of {KASPAROV_MAX_BASIS} (about 0.5 GiB)"
         )
     failures: list[str] = []
     cfg = ResidueConfig(k_max=args.kmax, tol=args.tol)
@@ -328,11 +326,7 @@ def cmd_kasparov(args) -> int:
         stage("gram")
         pdata = projection_p(gdata, expectation)
         stage("projection")
-        theta = theta_projection_matrix(gdata, expectation)
-        stage("theta")
-        # the depth+1 Gram needs classes one longer, which may not certify
-        gram_high = gram(module, args.depth + 1, expectation)
-        commutator_reports = commutator_check(module, args.depth, expectation, gram_high)
+        commutator_reports = commutator_check(module, args.depth, expectation, gdata)
         stage("commutators")
     except ResidueUncertifiedError as exc:
         emit(
@@ -346,7 +340,6 @@ def cmd_kasparov(args) -> int:
             args.format,
         )
         return 1
-    theta_defect = pdata.distance(theta)
     iso_defect = gdata.isometry_defect()
     if min(gdata.psd_min) < -args.tol:
         failures.append(f"gram not positive: min eigenvalue {min(gdata.psd_min)}")
@@ -358,14 +351,11 @@ def cmd_kasparov(args) -> int:
         failures.append(f"projection not idempotent: {pdata.idempotency_defect}")
     if pdata.adjoint_defect > args.tol:
         failures.append(f"projection not gram-adjoint: {pdata.adjoint_defect}")
-    if theta_defect > args.tol:
-        failures.append(f"projection routes disagree: {theta_defect}")
     commutators = []
     for rep in commutator_reports:
         commutators.append(
             {
                 "edge": rep.edge,
-                "discrepancy": rep.discrepancy,
                 "ranks": rep.ranks,
                 "total_rank": rep.total_rank,
                 "predicted": rep.predicted,
@@ -373,8 +363,6 @@ def cmd_kasparov(args) -> int:
                 "matches": rep.matches,
             }
         )
-        if rep.discrepancy > args.tol:
-            failures.append(f"commutator {rep.edge}: routes differ by {rep.discrepancy}")
         if not rep.matches:
             failures.append(
                 f"commutator {rep.edge}: rank {rep.total_rank} != predicted {rep.predicted_total}"
@@ -394,22 +382,19 @@ def cmd_kasparov(args) -> int:
         "projection": {
             "idempotency_defect": pdata.idempotency_defect,
             "adjoint_defect": pdata.adjoint_defect,
-            "theta_defect": theta_defect,
         },
         "commutators": commutators,
         "failures": failures,
     }
     if args.timings:
-        grams = (gdata, gram_high)
         report["timings"] = {
             "seconds": time.perf_counter() - start,
             "stages": stages,
             "counters": {
                 "basis": len(gdata.basis),
-                "basis_high": len(gram_high.basis),
-                "blocks": sum(len(g.blocks) for g in grams),
-                "eigensolves": sum(g.eigensolves for g in grams),
-                "eigh_max_n": max(len(b.members) for g in grams for b in g.blocks),
+                "blocks": len(gdata.blocks),
+                "eigensolves": gdata.eigensolves,
+                "eigh_max_n": max(len(b.members) for b in gdata.blocks),
             },
         }
     emit(report, args.format)

@@ -403,9 +403,11 @@ class GramData:
 
     Slice v of the Gram is the direct sum of the blocks on vertex v, padded
     with zero rows for the other symbols.  Ranks of operators in the
-    quotient are computed per vertex, block by block, and summed.  Blocks
-    of one signature share their arrays; `eigensolves` counts the
-    signatures, one eigendecomposition each.
+    quotient are computed per vertex, block by block, and summed; the
+    commutators of the same depth take theirs here, since their one
+    nonzero row, the vacuum, lies in the depth basis.  Blocks of one
+    signature share their arrays; `eigensolves` counts the signatures, one
+    eigendecomposition each.
     """
 
     basis: tuple[tuple[Path, Path], ...]
@@ -597,10 +599,6 @@ class ProjectionData:
     def entries(self) -> EntryMap:
         return _entries(self.columns)
 
-    def distance(self, entries: EntryMap) -> float:
-        """Largest entry of the difference between `entries` and P."""
-        return _max_abs_difference(entries, self.entries())
-
 
 def projection_p(
     gram_data: GramData, expectation: ConditionalExpectation
@@ -617,43 +615,11 @@ def projection_p(
     return ProjectionData(P, idem, _adjoint_defect(P, gram_data))
 
 
-def theta_projection_matrix(
-    gram_data: GramData, expectation: ConditionalExpectation
-) -> EntryMap:
-    """Rank-one-sum route to the projection entries, for cross-checking.
-
-    Over the Gram's basis, builds each column as the sum over plain path
-    symbols rho of the expectation of the adjoint path times the column
-    symbol, evaluated at the path source.  Only prefixes rho of mu can give
-    a product with equal legs (a longer rho leaves a vertex against a
-    nonempty path, an unrelated one gives zero), so the sum runs over
-    those.  Must agree with the closed-form column map exactly.
-    """
-    idx = gram_data.index
-    M: EntryMap = {}
-    for j, (mu, nu) in enumerate(gram_data.basis):
-        for cut in range(len(mu) + 1):
-            rho = mu.head(cut)
-            empty_s = Path((), rho.s)
-            res = _compose_symbol(empty_s, rho, mu, nu)
-            if res is None:
-                continue
-            a, b = res
-            if a != b:
-                continue
-            if a.r != rho.s:
-                continue
-            key = (idx[(rho, empty_s)], j)
-            M[key] = M.get(key, 0.0) + expectation.coeff(a)
-    return M
-
-
 @dataclass(frozen=True)
 class CommutatorReport:
     """Commutator of the projection with one edge isometry."""
 
     edge: str
-    discrepancy: float
     ranks: dict[str, int]
     total_rank: int
     predicted: dict[str, int]
@@ -666,53 +632,39 @@ def commutator_check(
     module: GraphBimodule,
     depth: int,
     expectation: ConditionalExpectation,
-    gram_high: GramData,
+    gram_data: GramData,
 ) -> tuple[CommutatorReport, ...]:
-    """Compare the direct commutator with its closed form, edge by edge.
+    """Rank of [P, S_g] in the Gram quotient against its prediction, edge by edge.
 
-    The direct route composes the projection at depth+1 and depth with
-    the edge isometry; the closed form is supported on symbols of degree
-    -1 whose adjoint path is the edge followed by the plain path.  Ranks
-    are taken in the Gram quotient at depth+1, `gram_high`, which is
-    gram(module, depth + 1, expectation), per vertex, and compared
-    against the structural prediction: one at the edge's range vertex when
-    any surviving coefficient exceeds the rank tolerance.  The depth basis
-    is the depth+1 basis cut to legs of length at most depth, which keeps
-    its canonical order.
+    Take a column (rho, sigma) with r(rho) = s(g).  When |sigma| <= |rho|,
+    the two terms of the commutator land on the same plain symbol with the
+    same coefficient and cancel; when |sigma| = |rho| + 1, only sigma = g rho
+    survives, in the vacuum row (r(g), r(g)), with the residue coefficient
+    of g rho.  So the commutator is that one row over the columns
+    (rho, g rho), which lie in the depth basis of `gram_data`, which is
+    gram(module, depth, expectation).  Its rank is measured per vertex by
+    `GramData.operator_rank` and compared with the prediction: one at r(g)
+    when a surviving coefficient exceeds the rank tolerance, zero
+    elsewhere.  The vacuum block holds G[0, 0] = 1, so the two agree unless
+    the quotient map loses the vacuum.
     """
-    rows, row_idx = gram_high.basis, gram_high.index
-    cols = [pair for pair in rows if len(pair[0]) <= depth and len(pair[1]) <= depth]
-    col_idx = {pair: i for i, pair in enumerate(cols)}
-    P_low = _projection_columns(cols, col_idx, expectation)
-    P_high = _projection_columns(rows, row_idx, expectation)
+    index = gram_data.index
+    shorter = [rho for k in range(depth) for rho in paths(module, k)]
     reports = []
     for g in module.edges:
-        S: ColumnMap = {}
-        for (rho, sigma), j in col_idx.items():
+        vac = Path((), g.r)
+        row = index[(vac, vac)]
+        formula: EntryMap = {}
+        surviving = []
+        for rho in shorter:
             if rho.r != g.s:
                 continue
-            lifted = Path((g,) + rho.edges, g.r)
-            S[j] = (row_idx[(lifted, sigma)], 1.0)
-        direct = _compose(P_high, S)
-        for key, c in _compose(S, P_low).items():
-            direct[key] = direct.get(key, 0.0) - c
-        formula: EntryMap = {}
-        vac = Path((), g.r)
-        vac_row = row_idx[(vac, vac)]
-        surviving = []
-        for (rho, sigma), j in col_idx.items():
-            if len(sigma) != len(rho) + 1:
-                continue
-            if sigma.edges[0] != g:
-                continue
-            if sigma.tail(len(sigma) - 1) != rho:
-                continue
+            sigma = Path((g,) + rho.edges, g.r)
             coef = expectation.coeff(sigma)
-            formula[(vac_row, j)] = coef
+            formula[(row, index[(rho, sigma)])] = coef
             if abs(coef) > _TOL:
                 surviving.append((rho.label(), sigma.label()))
-        discrepancy = _max_abs_difference(direct, formula)
-        ranks, total = gram_high.operator_rank(direct)
+        ranks, total = gram_data.operator_rank(formula)
         predicted = {v: 0 for v in module.vertices}
         predicted[g.r] = 1 if surviving else 0
         predicted_total = sum(predicted.values())
@@ -720,7 +672,6 @@ def commutator_check(
         reports.append(
             CommutatorReport(
                 edge=g.id,
-                discrepancy=discrepancy,
                 ranks=ranks,
                 total_rank=total,
                 predicted=predicted,

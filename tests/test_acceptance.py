@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from dense_kasparov import dense_commutator_check, dense_theta_matrix
 
 from graphbimod import (
     ConditionalExpectation,
@@ -236,11 +237,19 @@ def test_acceptance_5_kasparov_suite():
             pdata = projection_p(gdata, exp_)
             if pdata.idempotency_defect > 1e-10:
                 problems.append(f"{name}: P^2 - P = {pdata.idempotency_defect}")
-            for rep in commutator_check(m, 3, exp_, gram(m, 4, exp_)):
-                if rep.discrepancy > 1e-10:
-                    problems.append(
-                        f"{name}: commutator routes for {rep.edge} differ by {rep.discrepancy}"
-                    )
+            theta = dense_theta_matrix(m, 3, exp_)
+            for (i, j), c in pdata.entries().items():
+                theta[i, j] -= c
+            if np.any(theta):
+                problems.append(f"{name}: projection routes differ by {np.max(np.abs(theta))}")
+            reports = commutator_check(m, 3, exp_, gdata)
+            dense_reports, discrepancies = dense_commutator_check(m, 3, exp_)
+            if reports != dense_reports:
+                problems.append(f"{name}: commutator reports differ from the dense route")
+            for edge, gap in discrepancies.items():
+                if gap > 1e-10:
+                    problems.append(f"{name}: commutator routes for {edge} differ by {gap}")
+            for rep in reports:
                 if not rep.matches:
                     problems.append(
                         f"{name}: commutator rank {rep.total_rank} != {rep.predicted_total}"

@@ -43,9 +43,8 @@ OSCILLATING = {
 }
 
 
-# the class (v2, v1, 1) certifies at kmax 200 for the depth-0 Gram but
-# not for the depth-1 Gram of the commutators: its growth ratio has a
-# period-2 ripple
+# the class (v2, v1, 1) does not certify at kmax 200: its growth ratio
+# has a period-2 ripple; depth 0 needs no class of length 1
 RIPPLE = {
     "vertices": ["v0", "v1", "v2", "v3"],
     "edges": [
@@ -163,10 +162,32 @@ def test_kasparov_reports_uncertified_commutator_residues(capsys, tmp_path):
     p = tmp_path / "ripple.json"
     p.write_text(json.dumps(RIPPLE))
     code, out, err = run(capsys, "kasparov", str(p), "--depth", "0")
+    assert code == 0 and err == ""
+    assert json.loads(out)["failures"] == []
+    code, out, err = run(capsys, "kasparov", str(p), "--depth", "1")
     assert code == 1 and err == ""
     doc = json.loads(out)
     assert len(doc["failures"]) == 1
     assert "class ('v2', 'v1', 1) did not converge" in doc["failures"][0]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_kasparov_reads_residue_classes_up_to_depth_only(capsys, monkeypatch, name, depth):
+    # the Gram, the projection and the one-row commutators all live on
+    # the depth basis, so no class of length depth+1 is ever solved
+    made = []
+
+    class Recorded(cuntz_pimsner.ConditionalExpectation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "ConditionalExpectation", Recorded)
+    code, _, _ = run(capsys, "kasparov", str(GRAPHS / f"{name}.json"), "--depth", str(depth))
+    assert code == 0
+    assert len(made) == 1 and made[0]._reports
+    assert max(n for _, _, n in made[0]._reports) <= depth
 
 
 def test_kasparov_strict_tolerance_trips_psd(capsys, golden_file):
@@ -276,17 +297,16 @@ def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):
     timings = doc.pop("timings")
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
     assert set(timings) == {"seconds", "stages", "counters"}
-    assert set(timings["stages"]) == {"gram", "projection", "theta", "commutators"}
+    assert set(timings["stages"]) == {"gram", "projection", "commutators"}
     assert all(t >= 0 for t in timings["stages"].values())
-    # paths of length at most 2 (3) by source: 6 (11) at u and 4 (7) at v;
-    # the 112 blocks of both Grams share 15 + 25 matrices, and the largest
-    # is the vacuum block at u, one member per path of range u to length 3
+    # paths of length at most 2 by source: 6 at u and 4 at v; the 30
+    # blocks of the one Gram share 15 matrices, and the largest is the
+    # vacuum block at u, one member per path of range u to length 2
     assert timings["counters"] == {
         "basis": 52,
-        "basis_high": 170,
-        "blocks": 112,
-        "eigensolves": 40,
-        "eigh_max_n": 11,
+        "blocks": 30,
+        "eigensolves": 15,
+        "eigh_max_n": 6,
     }
 
 
@@ -499,11 +519,11 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     count(spectral, "growth_profile", "growth_profile")
 
     assert main(["kasparov", str(GRAPHS / "golden_mean.json"), "--depth", "2"]) == 0
-    assert (calls["spanning_basis"], calls["pf_data"], calls["GrowthTable"]) == (2, 1, 1)
-    # one eigensolve per block signature: 15 at depth 2 and 25 at depth 3,
-    # for 30 + 82 blocks; blocks of one signature share read-only arrays
-    assert calls["eigh"] == 40
-    assert len(grams) == 2
+    assert (calls["spanning_basis"], calls["pf_data"], calls["GrowthTable"]) == (1, 1, 1)
+    # one Gram, at the report's depth, with one eigensolve per block
+    # signature: 15 for 30 blocks, which share read-only arrays
+    assert calls["eigh"] == 15
+    assert len(grams) == 1
     for block in (b for g in grams for b in g.blocks):
         assert not block.matrix.flags.writeable and not block.quotient.flags.writeable
     argv = ["residue", str(GRAPHS / "triangular.json"), "--target", "2", "--kmax", "2000"]

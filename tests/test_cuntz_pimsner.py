@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_kasparov import dense_commutator_check, dense_theta_matrix
 from hypothesis import given, settings, strategies as st
 
 from graphbimod import (
@@ -17,7 +18,7 @@ from graphbimod import (
     projection_p,
     spanning_basis,
 )
-from graphbimod.cuntz_pimsner import spanning_basis_size, theta_projection_matrix
+from graphbimod.cuntz_pimsner import spanning_basis_size
 from graphbimod.fock import make_path, paths, vertex_path
 
 
@@ -286,31 +287,40 @@ def test_projection_fixes_plain_paths_and_kills_offsets(golden):
 
 
 def test_theta_route_agrees_exactly(full_shift2, golden, triangular):
+    # the rank-one-sum route over every plain path symbol is the oracle's
     for m in (full_shift2, golden, triangular):
         exp_ = ConditionalExpectation(m)
-        gd = gram(m, 3, exp_)
-        pd = projection_p(gd, exp_)
-        theta = theta_projection_matrix(gd, exp_)
-        assert pd.distance(theta) == 0
-        assert theta == pd.entries()
+        pd = projection_p(gram(m, 3, exp_), exp_)
+        theta = dense_theta_matrix(m, 3, exp_)
+        P = np.zeros_like(theta)
+        for (i, j), c in pd.entries().items():
+            P[i, j] = c
+        assert np.array_equal(P, theta)
 
 
 def _commutators(m, depth):
+    """Closed-form reports, equal to the dense direct route's.
+
+    The oracle composes the projections at depth and depth+1 with the edge
+    shift; that operator equals the one-row closed form exactly.
+    """
     exp_ = ConditionalExpectation(m)
-    return commutator_check(m, depth, exp_, gram(m, depth + 1, exp_))
+    reports = commutator_check(m, depth, exp_, gram(m, depth, exp_))
+    dense_reports, discrepancies = dense_commutator_check(m, depth, exp_)
+    assert reports == dense_reports
+    assert set(discrepancies.values()) == {0.0}
+    return reports
 
 
 def test_commutator_ranks_full_shift(full_shift2):
     reports = _commutators(full_shift2, 3)
     for rep in reports:
-        assert rep.discrepancy < 1e-10
         assert rep.total_rank == 1
         assert rep.matches
 
 
 def test_commutator_ranks_golden(golden):
     for rep in _commutators(golden, 3):
-        assert rep.discrepancy < 1e-10
         assert rep.matches
         assert rep.total_rank == 1
 
@@ -323,7 +333,6 @@ def test_commutator_ranks_triangular(triangular):
     assert by_edge["f"].total_rank == 0
     assert by_edge["g"].total_rank == 1
     for rep in by_edge.values():
-        assert rep.discrepancy < 1e-10
         assert rep.matches
 
 

@@ -28,7 +28,7 @@ from graphbimod import (
     spanning_basis,
 )
 from graphbimod.cli import KASPAROV_MAX_BASIS, main
-from graphbimod.cuntz_pimsner import spanning_basis_size, theta_projection_matrix
+from graphbimod.cuntz_pimsner import spanning_basis_size
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
@@ -39,9 +39,8 @@ DENSE_MAX_BASIS = 500
 def _block_route(module, depth, exp_):
     gd = gram(module, depth, exp_)
     pd = projection_p(gd, exp_)
-    theta = theta_projection_matrix(gd, exp_)
-    reports = commutator_check(module, depth, exp_, gram(module, depth + 1, exp_))
-    return gd, pd, theta, reports
+    reports = commutator_check(module, depth, exp_, gd)
+    return gd, pd, reports
 
 
 def _dense(entries, n):
@@ -56,10 +55,10 @@ def _check_block_route(module, depth):
         depth -= 1
     exp_ = ConditionalExpectation(module)
     try:
-        gd, pd, theta, reports = _block_route(module, depth, exp_)
+        gd, pd, reports = _block_route(module, depth, exp_)
     except ResidueUncertifiedError:
         with pytest.raises(ResidueUncertifiedError):
-            dense_commutator_check(module, depth, ConditionalExpectation(module))
+            dense_gram(module, depth, ConditionalExpectation(module))
         return
     dense = dense_gram(module, depth, exp_)
     N = len(gd.basis)
@@ -81,8 +80,15 @@ def _check_block_route(module, depth):
     P = dense_projection_matrix(list(gd.basis), exp_)
     assert np.array_equal(_dense(pd.entries(), N), P)
     assert (pd.idempotency_defect, pd.adjoint_defect) == dense_projection_defects(P, dense)
-    assert np.array_equal(_dense(theta, N), dense_theta_matrix(module, depth, exp_))
-    assert reports == dense_commutator_check(module, depth, exp_)
+    assert np.array_equal(_dense(pd.entries(), N), dense_theta_matrix(module, depth, exp_))
+    # the direct commutators rank in the depth+1 Gram, whose longer
+    # classes may not certify where the depth ones do
+    try:
+        dense_reports, discrepancies = dense_commutator_check(module, depth, exp_)
+    except ResidueUncertifiedError:
+        return
+    assert reports == dense_reports
+    assert set(discrepancies.values()) <= {0.0}
 
 
 @given(graphs(), st.integers(0, 2))
@@ -140,7 +146,7 @@ def test_kasparov_full_shift_3_depth_3(capsys):
 
 
 def test_kasparov_size_guard_exits_before_enumerating(capsys, tmp_path):
-    # O10 at depth 8 has about 1.2e18 symbols at depth 9
+    # O10 at depth 8 has about 1.2e16 symbols
     doc = {"vertices": ["z"], "edges": [{"id": f"e{i}", "r": "z", "s": "z"} for i in range(10)]}
     p = tmp_path / "o10.json"
     p.write_text(json.dumps(doc))
@@ -150,5 +156,5 @@ def test_kasparov_size_guard_exits_before_enumerating(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert f"limit of {KASPAROV_MAX_BASIS}" in err
-    assert str(sum(10**k for k in range(10)) ** 2) in err
+    assert str(sum(10**k for k in range(9)) ** 2) in err
     assert elapsed < 1.0
