@@ -44,12 +44,9 @@ def summarize(command: str, doc: dict) -> str:
         methods = sorted({row["method"] for row in doc["paths"]})
         return f"{len(doc['paths'])} paths, limits {vals}, via {'/'.join(methods)}"
     if command == "kasparov":
-        worst = max(
-            doc["projection"]["idempotency_defect"],
-            doc["gram"]["isometry_defect"],
-        )
+        defect = doc["gram"]["isometry_defect"]
         ranks = ", ".join(f"{c['edge']}:{c['total_rank']}" for c in doc["commutators"])
-        return f"basis {doc['basis_size']}, worst defect {worst:.1e}, ranks {ranks}"
+        return f"basis {doc['basis_size']}, isometry defect {defect:.1e}, ranks {ranks}"
     if command == "kms":
         if not doc["feasible"]:
             return "no invariant trace"

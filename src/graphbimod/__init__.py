@@ -48,7 +48,6 @@ from .cuntz_pimsner import (
     CommutatorReport,
     ConditionalExpectation,
     GramData,
-    ProjectionData,
     ResidueConfig,
     ResidueUncertifiedError,
     SpanningElement,
@@ -56,8 +55,6 @@ from .cuntz_pimsner import (
     covariance_substitute,
     gauge_scaled,
     gram,
-    projection_p,
-    spanning_basis,
 )
 from .kms import (
     TraceFamily,
@@ -86,7 +83,6 @@ __all__ = [
     "PFData",
     "PartialSumReport",
     "Path",
-    "ProjectionData",
     "ResidueConfig",
     "ResidueReport",
     "ResidueUncertifiedError",
@@ -116,13 +112,11 @@ __all__ = [
     "pf_data",
     "phi_k",
     "phi_s_partial",
-    "projection_p",
     "rank_one_phi",
     "right_action",
     "right_inner",
     "right_inner_fock",
     "smeb_check",
-    "spanning_basis",
     "tr_phi",
     "verify_rate_certificate",
     "watatani_phi",

@@ -1,9 +1,9 @@
 """Command line front end: graph JSON in, deterministic reports out.
 
 Subcommands: index (k-step index levels), residue (limit coefficients),
-kasparov (Gram, projection, commutator checks), kms (invariant traces and
-the exchange defect).  Reports are byte-identical across runs with the
-same inputs; timing data is added only on request.
+kasparov (Gram ranks and positivity, commutator checks), kms (invariant
+traces and the exchange defect).  Reports are byte-identical across runs
+with the same inputs; timing data is added only on request.
 """
 
 from __future__ import annotations
@@ -29,20 +29,22 @@ from .cuntz_pimsner import (
     SpanningElement,
     commutator_check,
     gram,
-    projection_p,
-    spanning_basis_size,
 )
-from .fock import Path, index_levels, make_path, paths
+from .fock import Path, index_levels, make_path, path_counts, path_totals, paths
 from .kms import exchange_sweep, invariant_traces
 from .spectral import GrowthTable, eta_tilde
 
 SCHEMA_VERSION = 1
 
-# kasparov's peak memory grows by about 0.95 KiB per spanning symbol over
-# a 33 MiB interpreter (O3 at depth 5: 132,496 symbols, peak RSS 156 MiB;
-# O2 at depth 8: 261,121 symbols, 281 MiB; O26 at depth 2: 494,209
-# symbols, 426 MiB), so this many keep a run under 0.5 GiB
-KASPAROV_MAX_BASIS = 500_000
+# kasparov enumerates the paths of length at most the depth (the second
+# legs of the Gram and the commutator columns), and its time and memory
+# grow with their number and length; weights add few signatures (2-CPU
+# machine, one run each: golden mean at depth 23, 317,808 paths, 8.4 s and
+# 183 MiB; at depth 24, 514,226 paths, 14.1 s and 276 MiB; O2 with weights
+# 0.1 and 3.0 at depth 18, 524,287 paths, 10.0 s and 141 MiB; O3 with
+# weights 0.1, 0.3 and 0.7 at depth 12, 797,161 paths, 14.6 s and 284 MiB),
+# so this many keep a run under about 10 s and 250 MiB
+KASPAROV_MAX_BASIS = 400_000
 
 
 class CliError(Exception):
@@ -303,11 +305,11 @@ def cmd_residue(args) -> int:
 def cmd_kasparov(args) -> int:
     module = load_graph(args.graph)
     start = time.perf_counter()
-    size = spanning_basis_size(module, args.depth)
+    size = sum(path_totals(path_counts(module, args.depth)).values())
     if size > KASPAROV_MAX_BASIS:
         raise CliError(
-            f"depth {args.depth} needs {size} spanning symbols, "
-            f"above the limit of {KASPAROV_MAX_BASIS} (about 0.5 GiB)"
+            f"depth {args.depth} needs {size} paths of length at most {args.depth}, "
+            f"above the limit of {KASPAROV_MAX_BASIS} (about 10 s and 250 MiB)"
         )
     failures: list[str] = []
     cfg = ResidueConfig(k_max=args.kmax, tol=args.tol)
@@ -324,8 +326,6 @@ def cmd_kasparov(args) -> int:
     try:
         gdata = gram(module, args.depth, expectation)
         stage("gram")
-        pdata = projection_p(gdata, expectation)
-        stage("projection")
         commutator_reports = commutator_check(module, args.depth, expectation, gdata)
         stage("commutators")
     except ResidueUncertifiedError as exc:
@@ -342,15 +342,9 @@ def cmd_kasparov(args) -> int:
         return 1
     iso_defect = gdata.isometry_defect()
     if min(gdata.psd_min) < -args.tol:
-        failures.append(f"gram not positive: min eigenvalue {min(gdata.psd_min)}")
+        failures.append(f"gram not positive: min pivot {min(gdata.psd_min)}")
     if iso_defect > args.tol:
         failures.append(f"path block not isometric: defect {iso_defect}")
-    if gdata.hermitian_defect > args.tol:
-        failures.append(f"gram not hermitian: defect {gdata.hermitian_defect}")
-    if pdata.idempotency_defect > args.tol:
-        failures.append(f"projection not idempotent: {pdata.idempotency_defect}")
-    if pdata.adjoint_defect > args.tol:
-        failures.append(f"projection not gram-adjoint: {pdata.adjoint_defect}")
     commutators = []
     for rep in commutator_reports:
         commutators.append(
@@ -372,16 +366,11 @@ def cmd_kasparov(args) -> int:
         "command": "kasparov",
         "graph": args.graph,
         "parameters": {"depth": args.depth, "kmax": args.kmax, "tol": args.tol},
-        "basis_size": len(gdata.basis),
+        "basis_size": gdata.basis_size,
         "gram": {
             "psd_min": {v: m for v, m in zip(gdata.vertex_names, gdata.psd_min)},
-            "hermitian_defect": gdata.hermitian_defect,
             "isometry_defect": iso_defect,
             "ranks": {v: r for v, r in zip(gdata.vertex_names, gdata.gram_ranks)},
-        },
-        "projection": {
-            "idempotency_defect": pdata.idempotency_defect,
-            "adjoint_defect": pdata.adjoint_defect,
         },
         "commutators": commutators,
         "failures": failures,
@@ -391,10 +380,9 @@ def cmd_kasparov(args) -> int:
             "seconds": time.perf_counter() - start,
             "stages": stages,
             "counters": {
-                "basis": len(gdata.basis),
-                "blocks": len(gdata.blocks),
-                "eigensolves": gdata.eigensolves,
-                "eigh_max_n": max(len(b.members) for b in gdata.blocks),
+                "basis": gdata.basis_size,
+                "blocks": gdata.blocks,
+                "signatures": gdata.signatures,
             },
         }
     emit(report, args.format)
@@ -508,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--force-iterative", action="store_true")
     p_res.set_defaults(func=cmd_residue)
 
-    p_kas = sub.add_parser("kasparov", help="gram, projection, and commutator checks")
+    p_kas = sub.add_parser("kasparov", help="gram and commutator checks")
     common(p_kas)
     p_kas.add_argument("--depth", type=_count, default=3)
     p_kas.add_argument("--kmax", type=_count, default=200)

@@ -1,5 +1,5 @@
-"""Symbol algebra on path pairs, the residue expectation, and the Fock
-projection with its compact commutators.
+"""Symbol algebra on path pairs, the residue expectation, the Gram of the
+spanning family, and the compact commutators of the Fock projection.
 
 An element is a finite combination of symbols (mu, nu), two paths with a
 common source, standing for the partial isometry built from mu times the
@@ -11,6 +11,8 @@ diagonal by the path weight times the residue coefficient of its class.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
-from .fock import Path, paths
+from .fock import Path, path_counts, path_totals, paths
 from .spectral import GrowthTable, ResidueReport, eta_tilde
 
 
@@ -246,14 +248,18 @@ class ConditionalExpectation:
             self._reports[key] = eta_tilde(self._table, key, tol=self.config.tol)
         return self._reports[key]
 
-    def coeff(self, mu: Path) -> float:
-        rep = self.residue(mu.r, mu.s, len(mu))
+    def limit(self, r: str, s: str, n: int) -> float:
+        """Certified residue limit of the class (r, s, n)."""
+        rep = self.residue(r, s, n)
         if not rep.converged:
             raise ResidueUncertifiedError(
                 f"residue limit for class {rep.target} did not converge "
                 f"(method {rep.method}, k_max {rep.k_max})"
             )
-        return mu.weight * rep.value
+        return rep.value
+
+    def coeff(self, mu: Path) -> float:
+        return mu.weight * self.limit(mu.r, mu.s, len(mu))
 
     def phi(self, x: SpanningElement) -> AlgebraElement:
         vals = np.zeros(len(self.module.vertices), dtype=complex)
@@ -292,165 +298,83 @@ class ConditionalExpectation:
         return worst
 
 
-# -- spanning basis, Gram blocks, and the Fock projection ------------------
+# -- the Gram by inertia, and the commutators ------------------------------
 #
 # Phi(x_i* x_j) vanishes unless one symbol extends the other by a common
 # suffix, (mu_j, nu_j) = (mu_i rho, nu_i rho) or the reverse.  The Gram of
 # the spanning family is therefore block-diagonal, one block per
-# suffix-reduced symbol, and the projection and the edge shifts send each
-# basis symbol to at most one other.  Both are kept in that form: blocks
-# as small dense matrices, operators as column maps.
+# suffix-reduced symbol (mu_0, nu_0), the pair left after stripping the
+# trailing edges mu and nu share.  The members of a block are
+# (mu_0 rho, nu_0 rho) for the paths rho with range u = s(nu_0) and
+# |rho| <= L = depth - max(|mu_0|, |nu_0|); two members pair to c, the
+# coefficient of the longer second leg, when one rho is a prefix of the
+# other, and to zero otherwise.  With X[a, rho] = 1 when a is a prefix of
+# rho, the block is X diag(d) X^T, with the pivots
+#
+#     d(rho) = c(nu_0 rho) - sum over r(e) = s(rho) of c(nu_0 rho e)   if |rho| < L
+#     d(rho) = c(nu_0 rho)                                          if |rho| = L.
+#
+# X is unitriangular, so by Sylvester's law of inertia a block is positive
+# semidefinite exactly when its pivots are nonnegative, and its rank is
+# the number of positive pivots.  A pivot is weight(nu_0) weight(rho) times
+# a harmonic defect of the residues, which depends on rho only through
+# s(rho) and |rho|; the block as a whole depends only on its signature
+# (r(nu_0), |nu_0|, weight(nu_0), u, L).  Nothing is enumerated but the
+# second legs nu_0, and nothing is eigensolved.
 
-# column -> (row, coefficient); a column that is absent is zero
-ColumnMap = dict[int, tuple[int, float]]
-# (row, column) -> coefficient; absent entries are zero
-EntryMap = dict[tuple[int, int], float]
-
-# Gram eigenvalues above this span the quotient, and operator ranks in the
-# quotient count singular values above it
+# Gram pivots above this count towards the rank, and so do operators whose
+# quotient norm exceeds it
 _TOL = 1e-10
 
 
-def spanning_basis(module: GraphBimodule, depth: int) -> list[tuple[Path, Path]]:
-    """All symbols with both path lengths at most `depth`, canonically ordered.
-
-    The order is by |mu|, then |nu|, then mu, then nu, each path by its
-    sort key.  The loops emit it directly: `paths` lists every length in
-    sort-key order (length 0 in vertex order, which is name order), and
-    the second legs come from per-length lists by source, which keep it.
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    levels = [paths(module, k) for k in range(depth + 1)]
-    by_source: list[dict[str, list[Path]]] = []
-    for level in levels:
-        groups: dict[str, list[Path]] = {v: [] for v in module.vertices}
-        for p in level:
-            groups[p.s].append(p)
-        by_source.append(groups)
-    basis: list[tuple[Path, Path]] = []
-    for mus in levels:
-        for nus in by_source:
-            for mu in mus:
-                basis.extend((mu, nu) for nu in nus[mu.s])
-    return basis
-
-
 def spanning_basis_size(module: GraphBimodule, depth: int) -> int:
-    """Length of spanning_basis(module, depth), from path counts by source.
+    """Number of symbols (mu, nu) with |mu|, |nu| <= depth and s(mu) = s(nu).
 
-    The counts are exact integers built edge by edge, so no path is
-    enumerated: a length-k path with source v is a length-(k-1) path with
-    source r(g) followed by an edge g with s(g) = v.
+    Read from path counts by source, so no path is enumerated.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    level = {v: 1 for v in module.vertices}
-    total = dict(level)
-    for _ in range(depth):
-        nxt = {v: 0 for v in module.vertices}
-        for g in module.edges:
-            nxt[g.s] += level[g.r]
-        level = nxt
-        for v, c in level.items():
-            total[v] += c
-    return sum(t * t for t in total.values())
+    return _symbol_count(path_counts(module, depth))
 
 
-def _max_abs_difference(a: Mapping, b: Mapping) -> float:
-    """Largest |a[k] - b[k]| over both key sets, absent keys reading zero."""
-    return max(
-        (float(abs(a.get(k, 0.0) - b.get(k, 0.0))) for k in a.keys() | b.keys()),
-        default=0.0,
-    )
-
-
-def _compose(outer: ColumnMap, inner: ColumnMap) -> EntryMap:
-    """Entries of the product outer @ inner."""
-    out: EntryMap = {}
-    for j, (k, c) in inner.items():
-        hit = outer.get(k)
-        if hit is not None:
-            out[(hit[0], j)] = hit[1] * c
-    return out
-
-
-def _entries(columns: ColumnMap) -> EntryMap:
-    return {(row, j): c for j, (row, c) in columns.items()}
-
-
-@dataclass(frozen=True)
-class GramBlock:
-    """Gram entries among the symbols (mu_0 rho, nu_0 rho) of one reduced key.
-
-    The block lives on the vertex slice r(nu_0).  `members` are basis
-    indices in ascending order, which is (|rho|, rho) order; `quotient` is
-    sqrt(eigenvalue) times the eigenvector, transposed, for each eigenvalue
-    above _TOL, so it maps coefficient vectors onto the quotient by the
-    block's null space.  `matrix` and `quotient` are read-only, and blocks
-    with the same signature share them.
-    """
-
-    vertex: int
-    members: np.ndarray
-    matrix: np.ndarray
-    quotient: np.ndarray
+def _symbol_count(counts: list[dict[str, int]]) -> int:
+    return sum(t * t for t in path_totals(counts).values())
 
 
 @dataclass(frozen=True)
 class GramData:
-    """Vertex-sliced Gram of a spanning family, as diagonal blocks.
+    """Inertia of the vertex-sliced Gram of the depth-limited spanning family.
 
-    Slice v of the Gram is the direct sum of the blocks on vertex v, padded
-    with zero rows for the other symbols.  Ranks of operators in the
-    quotient are computed per vertex, block by block, and summed; the
-    commutators of the same depth take theirs here, since their one
-    nonzero row, the vacuum, lies in the depth basis.  Blocks of one
-    signature share their arrays; `eigensolves` counts the signatures, one
-    eigendecomposition each.
+    `gram_ranks` and `psd_min` are per vertex slice, in `vertex_names`
+    order: the number of positive pivots, and the lowest pivot, capped at
+    0 when other slices exist, since the symbols of those are zero rows of
+    this one.  `basis_size` counts the spanning symbols, `blocks` the
+    suffix-reduced symbols and `signatures` the distinct blocks, each
+    solved once.  `vacuum` holds c(v), the Gram entry of the vacuum symbol
+    (v, v), the rho = () member of the vacuum block of v.
     """
 
-    basis: tuple[tuple[Path, Path], ...]
-    index: dict[tuple[Path, Path], int]
     vertex_names: tuple[str, ...]
-    blocks: tuple[GramBlock, ...]
-    block_of: np.ndarray
-    hermitian_defect: float
     psd_min: tuple[float, ...]
     gram_ranks: tuple[int, ...]
-    eigensolves: int
+    basis_size: int
+    blocks: int
+    signatures: int
+    vacuum: tuple[float, ...]
 
-    def _row(self, i: int) -> tuple[GramBlock, int]:
-        """The block holding basis index i and the position of i in it."""
-        block = self.blocks[self.block_of[i]]
-        return block, int(np.searchsorted(block.members, i))
+    def operator_rank(
+        self, rows: Mapping[str, Sequence[float]]
+    ) -> tuple[dict[str, int], int]:
+        """Per-vertex rank in the quotient of an operator living on vacuum rows.
 
-    def operator_rank(self, entries: EntryMap) -> tuple[dict[str, int], int]:
-        """Per-vertex rank of an operator, given by its entries, in the quotient.
-
-        Only the nonzero columns and the blocks holding a nonzero row are
-        assembled: for each vertex, the quotient map of each such block
-        times the operator's rows in it, stacked.
+        rows[v] is the operator's one nonzero row, at the vacuum symbol
+        (v, v), over any columns.  The quotient sends that symbol to a
+        vector of norm sqrt(c(v)), so the operator has rank one at v when
+        sqrt(c(v)) times the norm of the row exceeds _TOL, and zero
+        otherwise.
         """
-        nonzero = {key: c for key, c in entries.items() if c != 0}
-        cols = {j: n for n, j in enumerate(sorted({j for _, j in nonzero}))}
-        touched: dict[int, np.ndarray] = {}
-        for (i, j), c in nonzero.items():
-            b = int(self.block_of[i])
-            sub = touched.get(b)
-            if sub is None:
-                sub = touched[b] = np.zeros((len(self.blocks[b].members), len(cols)))
-            sub[self._row(i)[1], cols[j]] = c
-        stacks: list[list[np.ndarray]] = [[] for _ in self.vertex_names]
-        for b, sub in touched.items():
-            block = self.blocks[b]
-            if block.quotient.shape[0]:
-                stacks[block.vertex].append(block.quotient @ sub)
-        ranks: dict[str, int] = {}
-        for label, parts in zip(self.vertex_names, stacks):
-            ranks[label] = (
-                int(np.linalg.matrix_rank(np.vstack(parts), tol=_TOL)) if parts else 0
-            )
+        ranks = {}
+        for v, c in zip(self.vertex_names, self.vacuum):
+            norm = float(np.linalg.norm(rows.get(v, ())))
+            ranks[v] = int(math.sqrt(max(c, 0.0)) * norm > _TOL)
         return ranks, sum(ranks.values())
 
     def isometry_defect(self) -> float:
@@ -458,161 +382,95 @@ class GramData:
 
         Path symbols with an empty second leg pair to the point mass at
         their common source when equal and to zero otherwise, so the
-        module map from the path space is isometric.  Exact up to the
-        residue coefficients at length zero, which every branch fixes
-        at one.  A plain symbol is the rho = () member of a block with
-        nu_0 = (), so it is alone in its block, at position 0.
+        module map from the path space is isometric.  Each such symbol is
+        the rho = () member of a block with nu_0 = (), whose entry is the
+        vacuum coefficient c(v); every residue branch fixes it at one.
         """
-        worst = 0.0
-        for block in self.blocks:
-            if not self.basis[block.members[0]][1].edges:
-                worst = max(worst, float(abs(block.matrix[0, 0] - 1.0)))
-        return worst
+        return max(abs(c - 1.0) for c in self.vacuum)
 
 
 def gram(
     module: GraphBimodule, depth: int, expectation: ConditionalExpectation
 ) -> GramData:
-    """Block-diagonal Gram of the depth-limited spanning family.
+    """Ranks and positivity of the Gram of the depth-limited spanning family.
 
-    Symbols are grouped by their suffix-reduced key (mu_0, nu_0), the pair
-    left after stripping the trailing edges mu and nu share.  The members
-    of a block are (mu_0 rho, nu_0 rho) for the paths rho with range
-    u = s(nu_0) and |rho| <= L = depth - max(|mu_0|, |nu_0|), in (|rho|, rho)
-    order.  Two members pair to the coefficient of the longer second leg
-    when one extends the other, and to zero otherwise; that coefficient is
-    weight(nu_0) times the edge weights of rho, multiplied left to right as
-    in `Path.weight`, times the residue of (r(nu_0), s(rho), |nu_0| + |rho|).
-    The matrix is therefore a function of the signature (r(nu_0), |nu_0|,
-    weight(nu_0), u, L), and each signature gets one eigendecomposition,
-    shared read-only by its blocks.
+    Only the second legs nu_0, the paths of length <= depth, are
+    enumerated.  The first legs mu_0 of each length a with source s(nu_0)
+    are counted: all of them, less those ending in the last edge e of
+    nu_0, which would share it, counted as the length-(a-1) paths with
+    source r(e).  Each signature (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), L)
+    is solved once: its rho are walked level by level, grouped by
+    (s(rho), weight(rho)) with multiplicities, and each group has one
+    pivot.  Residues are read through `ConditionalExpectation.limit`, in
+    (|rho|, rho) order, so an uncertified class raises
+    `ResidueUncertifiedError`; only classes of length <= depth are read.
     """
-    basis = spanning_basis(module, depth)
-    N = len(basis)
-    vidx = {v: i for i, v in enumerate(module.vertices)}
-    groups: dict[tuple, list[int]] = {}
-    for i, (mu, nu) in enumerate(basis):
-        m, n = mu.edges, nu.edges
-        a, b = len(m), len(n)
-        while a and b and m[a - 1] is n[b - 1]:
-            a -= 1
-            b -= 1
-        groups.setdefault((mu.base, m[:a], nu.base, n[:b]), []).append(i)
+    counts = path_counts(module, depth)
+    vertices = module.vertices
+    vidx = {v: i for i, v in enumerate(vertices)}
 
-    # signature -> (matrix, quotient, lowest eigenvalue, rank)
-    solved: dict[tuple, tuple[np.ndarray, np.ndarray, float, int]] = {}
-    blocks = []
-    block_of = np.empty(N, dtype=np.intp)
-    herm = 0.0
-    V = len(module.vertices)
-    low = [np.inf] * V
-    covered = [0] * V
+    # (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), r(last edge)) -> count
+    legs: Counter[tuple[str, int, float, str, str | None]] = Counter()
+    for n in range(depth + 1):
+        for nu in paths(module, n):
+            legs[(nu.r, n, nu.weight, nu.s, nu.edges[-1].r if nu.edges else None)] += 1
+    # signature -> number of blocks that have it
+    signatures: dict[tuple[str, int, float, str, int], int] = {}
+    for (r0, n, w0, u, shared), count in legs.items():
+        for a in range(depth + 1):
+            mult = counts[a][u]
+            if shared is not None and a:
+                mult -= counts[a - 1][shared]
+            if mult:
+                key = (r0, n, w0, u, depth - max(a, n))
+                signatures[key] = signatures.get(key, 0) + count * mult
+
+    # u -> levels of the rho with range u, up to the depth that the vacuum
+    # block of u needs: (s(rho), weight(rho)) -> count
+    walks: dict[str, list[dict[tuple[str, float], int]]] = {}
+    for u in vertices:
+        walk = walks[u] = [{(u, 1.0): 1}]
+        for _ in range(depth):
+            nxt: dict[tuple[str, float], int] = {}
+            for (s, w), k in walk[-1].items():
+                for e in module.edges_with_range(s):
+                    key = (e.s, w * e.weight)
+                    nxt[key] = nxt.get(key, 0) + k
+            walk.append(nxt)
+
+    V = len(vertices)
+    low = [math.inf] * V
     ranks = [0] * V
-    for (_, m0, v, n0), members in groups.items():
-        weight = 1.0
-        for e in n0:
-            weight *= e.weight
-        u = n0[-1].s if n0 else v
-        signature = (v, len(n0), weight, u, depth - max(len(m0), len(n0)))
-        hit = solved.get(signature)
-        if hit is None:
-            cut0 = len(m0)
-            pos_of = {basis[i][0].edges[cut0:]: pos for pos, i in enumerate(members)}
-            G = np.zeros((len(members), len(members)))
-            for rho, pos in pos_of.items():
-                c = expectation.coeff(basis[members[pos]][1])
-                for cut in range(len(rho) + 1):
-                    other = pos_of[rho[:cut]]
-                    G[pos, other] = G[other, pos] = c
-            herm = max(herm, float(np.max(np.abs(G - G.T))))
-            vals, vecs = np.linalg.eigh(G)
-            keep = vals > _TOL
-            Q = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
-            G.flags.writeable = False
-            Q.flags.writeable = False
-            hit = solved[signature] = (G, Q, float(vals[0]), int(keep.sum()))
-        G, Q, lowest, rank = hit
-        idx = np.array(members, dtype=np.intp)
-        block_of[idx] = len(blocks)
-        vi = vidx[v]
-        blocks.append(GramBlock(vertex=vi, members=idx, matrix=G, quotient=Q))
+    for (r0, n, w0, u, L), mult in signatures.items():
+        walk = walks[u][: L + 1]
+        # the groups of a level come in the order of their first rho, so
+        # the classes are read in the order of the rho themselves
+        res = [
+            {s: expectation.limit(r0, s, n + j) for s, _ in level}
+            for j, level in enumerate(walk)
+        ]
+        lowest, rank = math.inf, 0
+        for j, level in enumerate(walk):
+            for (s, w), k in level.items():
+                h = res[j][s]
+                if j < L:
+                    h -= sum(e.weight * res[j + 1][e.s] for e in module.edges_with_range(s))
+                d = w0 * w * h
+                lowest = min(lowest, d)
+                if d > _TOL:
+                    rank += k
+        vi = vidx[r0]
         low[vi] = min(low[vi], lowest)
-        covered[vi] += len(members)
-        ranks[vi] += rank
-    # symbols of the other slices are zero rows here: exact zero eigenvalues
-    psd_min = tuple(min(lo, 0.0) if c < N else lo for lo, c in zip(low, covered))
+        ranks[vi] += mult * rank
     return GramData(
-        basis=tuple(basis),
-        index={pair: i for i, pair in enumerate(basis)},
-        vertex_names=tuple(module.vertices),
-        blocks=tuple(blocks),
-        block_of=block_of,
-        hermitian_defect=herm,
-        psd_min=psd_min,
+        vertex_names=tuple(vertices),
+        psd_min=tuple(min(lo, 0.0) if V > 1 else lo for lo in low),
         gram_ranks=tuple(ranks),
-        eigensolves=len(solved),
+        basis_size=_symbol_count(counts),
+        blocks=sum(signatures.values()),
+        signatures=len(signatures),
+        vacuum=tuple(expectation.limit(v, v, 0) for v in vertices),
     )
-
-
-def _projection_columns(
-    basis: Sequence[tuple[Path, Path]],
-    index: Mapping[tuple[Path, Path], int],
-    exp_: ConditionalExpectation,
-) -> ColumnMap:
-    P: ColumnMap = {}
-    for j, (mu, nu) in enumerate(basis):
-        n = len(nu)
-        cut = len(mu) - n
-        if cut < 0 or mu.edges[cut:] != nu.edges:
-            continue
-        head = mu.head(cut)
-        P[j] = (index[(head, Path((), head.s))], exp_.coeff(nu))
-    return P
-
-
-def _adjoint_defect(P: ColumnMap, gdata: GramData) -> float:
-    """Largest entry of P* G_v - G_v P over the vertex slices.
-
-    P sends column j to row k only, so (P* G_v)[j, i] = c_j G_v[k, i] and
-    (G_v P)[i, j] = G_v[i, k] c_j; both are read from the block of k.
-    """
-    left: dict[tuple[int, int, int], float] = {}
-    right: dict[tuple[int, int, int], float] = {}
-    for j, (k, c) in P.items():
-        block, pos = gdata._row(k)
-        row = block.matrix[pos]
-        for q in np.flatnonzero(row):
-            i = int(block.members[q])
-            left[(block.vertex, j, i)] = c * row[q]
-            right[(block.vertex, i, j)] = row[q] * c
-    return _max_abs_difference(left, right)
-
-
-@dataclass(frozen=True)
-class ProjectionData:
-    """Closed-form action of the vacuum-summing projection on the basis."""
-
-    columns: ColumnMap
-    idempotency_defect: float
-    adjoint_defect: float
-
-    def entries(self) -> EntryMap:
-        return _entries(self.columns)
-
-
-def projection_p(
-    gram_data: GramData, expectation: ConditionalExpectation
-) -> ProjectionData:
-    """Column map of the projection onto plain path symbols, with defects.
-
-    The basis is the Gram's.  A symbol (mu, nu) projects to the path symbol
-    of the head of mu when the tail of mu matches nu, scaled by the residue
-    coefficient of nu; otherwise to zero.  The adjoint defect measures
-    self-adjointness with respect to the vertex Gram slices.
-    """
-    P = _projection_columns(gram_data.basis, gram_data.index, expectation)
-    idem = _max_abs_difference(_compose(P, P), _entries(P))
-    return ProjectionData(P, idem, _adjoint_defect(P, gram_data))
 
 
 @dataclass(frozen=True)
@@ -636,35 +494,33 @@ def commutator_check(
 ) -> tuple[CommutatorReport, ...]:
     """Rank of [P, S_g] in the Gram quotient against its prediction, edge by edge.
 
-    Take a column (rho, sigma) with r(rho) = s(g).  When |sigma| <= |rho|,
-    the two terms of the commutator land on the same plain symbol with the
-    same coefficient and cancel; when |sigma| = |rho| + 1, only sigma = g rho
-    survives, in the vacuum row (r(g), r(g)), with the residue coefficient
-    of g rho.  So the commutator is that one row over the columns
-    (rho, g rho), which lie in the depth basis of `gram_data`, which is
-    gram(module, depth, expectation).  Its rank is measured per vertex by
-    `GramData.operator_rank` and compared with the prediction: one at r(g)
-    when a surviving coefficient exceeds the rank tolerance, zero
-    elsewhere.  The vacuum block holds G[0, 0] = 1, so the two agree unless
-    the quotient map loses the vacuum.
+    P is the projection onto the plain path symbols: it sends (mu, nu) to
+    the path symbol of the head of mu, scaled by c(nu), when the tail of mu
+    is nu, and to zero otherwise.  Take a column (rho, sigma) with
+    r(rho) = s(g).  When |sigma| <= |rho|, the two terms of the commutator
+    land on the same plain symbol with the same coefficient and cancel;
+    when |sigma| = |rho| + 1, only sigma = g rho survives, in the vacuum
+    row (r(g), r(g)), with the residue coefficient of g rho.  So the
+    commutator is that one row, over the rho of length < depth, and
+    `GramData.operator_rank` of `gram_data`, which is
+    gram(module, depth, expectation), ranks it.  The prediction is one at
+    r(g) when a surviving coefficient exceeds the rank tolerance, zero
+    elsewhere; the vacuum coefficient is one, so the two agree.
     """
-    index = gram_data.index
     shorter = [rho for k in range(depth) for rho in paths(module, k)]
     reports = []
     for g in module.edges:
-        vac = Path((), g.r)
-        row = index[(vac, vac)]
-        formula: EntryMap = {}
+        row = []
         surviving = []
         for rho in shorter:
             if rho.r != g.s:
                 continue
             sigma = Path((g,) + rho.edges, g.r)
             coef = expectation.coeff(sigma)
-            formula[(row, index[(rho, sigma)])] = coef
+            row.append(coef)
             if abs(coef) > _TOL:
                 surviving.append((rho.label(), sigma.label()))
-        ranks, total = gram_data.operator_rank(formula)
+        ranks, total = gram_data.operator_rank({g.r: row})
         predicted = {v: 0 for v in module.vertices}
         predicted[g.r] = 1 if surviving else 0
         predicted_total = sum(predicted.values())

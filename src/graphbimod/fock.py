@@ -146,6 +146,30 @@ def paths(module: GraphBimodule, k: int) -> list[Path]:
     return [Path(tup, tup[0].r) for tup in level]
 
 
+def path_counts(module: GraphBimodule, depth: int) -> list[dict[str, int]]:
+    """Number of paths of each length 0..depth, by source vertex.
+
+    The counts are exact integers built edge by edge, so no path is
+    enumerated: a length-k path with source v is a length-(k-1) path with
+    source r(g) followed by an edge g with s(g) = v.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    levels = [{v: 1 for v in module.vertices}]
+    for _ in range(depth):
+        prev = levels[-1]
+        nxt = {v: 0 for v in module.vertices}
+        for g in module.edges:
+            nxt[g.s] += prev[g.r]
+        levels.append(nxt)
+    return levels
+
+
+def path_totals(counts: list[dict[str, int]]) -> dict[str, int]:
+    """Number of paths of length at most the depth of `counts`, by source."""
+    return {v: sum(level[v] for level in counts) for v in counts[0]}
+
+
 def path_index(module: GraphBimodule, k: int) -> dict[Path, int]:
     return {p: i for i, p in enumerate(paths(module, k))}
 

@@ -4,13 +4,16 @@ Every quantity here is built as a full N x N complex matrix over the
 spanning basis: the Gram slices by one symbol product per pair, the
 projection and the edge shifts column by column, and the commutator by
 matrix products.  The basis itself is built here too, by pairing every
-two paths with a common source and sorting.  The package computes the
-same numbers from the block structure; tests compare the two.  Memory
-grows with N^2 per vertex, so keep the bases small.
+two paths with a common source and sorting.  The package counts the basis
+and its blocks and reads the Gram's ranks and positivity from pivots, with
+no eigensolve; tests compare the two, against the eigenvalues and against
+an LDL^T elimination of each dense block.  Memory grows with N^2 per
+vertex, so keep the bases small.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,65 @@ def dense_basis(module, depth):
     return basis
 
 
+def _reduced(mu, nu):
+    """The pair left after stripping the trailing edges mu and nu share."""
+    a, b = len(mu), len(nu)
+    while a and b and mu.edges[a - 1] == nu.edges[b - 1]:
+        a -= 1
+        b -= 1
+    return (mu.base, mu.edges[:a], nu.base, nu.edges[:b])
+
+
+def reduced_keys(basis):
+    """The suffix-reduced symbols of a basis, one per Gram block."""
+    return {_reduced(mu, nu) for mu, nu in basis}
+
+
+def _ldl_pivots(A, cutoff):
+    """Pivots of an LDL^T elimination of a real symmetric matrix, in order.
+
+    A pivot of magnitude at most `cutoff` eliminates nothing: when the
+    matrix is X diag(d) X^T with X unitriangular, a zero pivot has a zero
+    column, and a round-off one a column of round-off.
+    """
+    A = np.array(A, dtype=float)
+    pivots = []
+    for k in range(len(A)):
+        d = A[k, k]
+        pivots.append(float(d))
+        if abs(d) > cutoff:
+            col = A[k + 1 :, k]
+            A[k + 1 :, k + 1 :] -= np.outer(col, col) / d
+    return pivots
+
+
+def _pivot_min(basis, mats, cutoff=1e-13):
+    """Lowest LDL^T pivot of each vertex slice, block by block.
+
+    The members (mu_0 rho, nu_0 rho) of a block, taken longest rho first,
+    make its prefix matrix X lower unitriangular, so the pivots of the
+    block's G = X diag(d) X^T are the d themselves.  Every block is
+    eliminated in every slice, so the blocks of other vertices give zero
+    pivots there, and the slices are checked to have no entry outside the
+    blocks.
+    """
+    blocks: dict = {}
+    for i in sorted(range(len(basis)), key=lambda i: -len(basis[i][1])):
+        blocks.setdefault(_reduced(*basis[i]), []).append(i)
+    lowest = []
+    for G in mats:
+        inside = 0
+        low = math.inf
+        for members in blocks.values():
+            sub = G[np.ix_(members, members)]
+            assert not sub.imag.any()
+            inside += np.count_nonzero(sub)
+            low = min(low, min(_ldl_pivots(sub.real, cutoff)))
+        assert inside == np.count_nonzero(G)
+        lowest.append(low if basis else 0.0)
+    return tuple(lowest)
+
+
 @dataclass(frozen=True)
 class DenseGram:
     basis: tuple
@@ -47,6 +109,7 @@ class DenseGram:
     matrices: np.ndarray
     hermitian_defect: float
     psd_min: tuple
+    pivot_min: tuple
     quotient_maps: tuple
     gram_ranks: tuple
 
@@ -99,7 +162,7 @@ def dense_gram(module, depth, exp_: ConditionalExpectation, cutoff=1e-10) -> Den
         ranks.append(int(keep.sum()))
     return DenseGram(
         tuple(basis), tuple(module.vertices), mats, herm,
-        tuple(psd_min), tuple(maps), tuple(ranks),
+        tuple(psd_min), _pivot_min(basis, mats), tuple(maps), tuple(ranks),
     )
 
 

@@ -8,7 +8,12 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from dense_kasparov import dense_commutator_check, dense_theta_matrix
+from dense_kasparov import (
+    dense_commutator_check,
+    dense_gram,
+    dense_projection_defects,
+    dense_projection_matrix,
+)
 
 from graphbimod import (
     ConditionalExpectation,
@@ -27,7 +32,6 @@ from graphbimod import (
     invariant_traces,
     kms_check,
     paths,
-    projection_p,
     right_action,
     right_inner,
     smeb_check,
@@ -231,17 +235,24 @@ def test_acceptance_5_kasparov_suite():
             exp_ = ConditionalExpectation(m)
             gdata = gram(m, 3, exp_)
             if min(gdata.psd_min) < -1e-10:
-                problems.append(f"{name}: gram eigenvalue {min(gdata.psd_min)}")
+                problems.append(f"{name}: gram pivot {min(gdata.psd_min)}")
             if gdata.isometry_defect() > 1e-12:
                 problems.append(f"{name}: path block defect {gdata.isometry_defect()}")
-            pdata = projection_p(gdata, exp_)
-            if pdata.idempotency_defect > 1e-10:
-                problems.append(f"{name}: P^2 - P = {pdata.idempotency_defect}")
-            theta = dense_theta_matrix(m, 3, exp_)
-            for (i, j), c in pdata.entries().items():
-                theta[i, j] -= c
-            if np.any(theta):
-                problems.append(f"{name}: projection routes differ by {np.max(np.abs(theta))}")
+            dense = dense_gram(m, 3, exp_)
+            if gdata.gram_ranks != dense.gram_ranks:
+                problems.append(f"{name}: gram ranks {gdata.gram_ranks} != dense {dense.gram_ranks}")
+            gap = max(abs(a - b) for a, b in zip(gdata.psd_min, dense.pivot_min))
+            if gap > 1e-12:
+                problems.append(f"{name}: min pivot and dense LDL^T pivot differ by {gap}")
+            for pivot, eig in zip(gdata.psd_min, dense.psd_min):
+                if (pivot < -1e-10) != (eig < -1e-10):
+                    problems.append(f"{name}: min pivot {pivot} but min eigenvalue {eig}")
+            P = dense_projection_matrix(list(dense.basis), exp_)
+            idempotency, adjoint = dense_projection_defects(P, dense)
+            if idempotency > 1e-10:
+                problems.append(f"{name}: P^2 - P = {idempotency}")
+            if adjoint > 1e-10:
+                problems.append(f"{name}: P not gram-adjoint: {adjoint}")
             reports = commutator_check(m, 3, exp_, gdata)
             dense_reports, discrepancies = dense_commutator_check(m, 3, exp_)
             if reports != dense_reports:

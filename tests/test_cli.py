@@ -143,7 +143,7 @@ def test_kasparov_clean_run(capsys, golden_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["failures"] == []
-    assert doc["projection"]["idempotency_defect"] == 0.0
+    assert "projection" not in doc and "hermitian_defect" not in doc["gram"]
     assert doc["gram"]["isometry_defect"] == 0.0
     assert all(c["matches"] for c in doc["commutators"])
 
@@ -174,8 +174,8 @@ def test_kasparov_reports_uncertified_commutator_residues(capsys, tmp_path):
 @pytest.mark.parametrize("name", BUNDLED)
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_kasparov_reads_residue_classes_up_to_depth_only(capsys, monkeypatch, name, depth):
-    # the Gram, the projection and the one-row commutators all live on
-    # the depth basis, so no class of length depth+1 is ever solved
+    # the Gram pivots and the one-row commutators read classes of length
+    # at most the depth, so no class of length depth+1 is ever solved
     made = []
 
     class Recorded(cuntz_pimsner.ConditionalExpectation):
@@ -191,7 +191,7 @@ def test_kasparov_reads_residue_classes_up_to_depth_only(capsys, monkeypatch, na
 
 
 def test_kasparov_strict_tolerance_trips_psd(capsys, golden_file):
-    # eigensolver noise sits around 1e-15, so an absurd tolerance fails
+    # pivot round-off sits around 1e-16, so an absurd tolerance may fail
     code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2", "--tol", "1e-18")
     doc = json.loads(out)
     if doc["failures"]:
@@ -297,17 +297,11 @@ def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):
     timings = doc.pop("timings")
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
     assert set(timings) == {"seconds", "stages", "counters"}
-    assert set(timings["stages"]) == {"gram", "projection", "commutators"}
+    assert set(timings["stages"]) == {"gram", "commutators"}
     assert all(t >= 0 for t in timings["stages"].values())
-    # paths of length at most 2 by source: 6 at u and 4 at v; the 30
-    # blocks of the one Gram share 15 matrices, and the largest is the
-    # vacuum block at u, one member per path of range u to length 2
-    assert timings["counters"] == {
-        "basis": 52,
-        "blocks": 30,
-        "eigensolves": 15,
-        "eigh_max_n": 6,
-    }
+    # paths of length at most 2 by source: 6 at u and 4 at v, so 6² + 4²
+    # symbols; they fall in 30 blocks, which have 15 signatures
+    assert timings["counters"] == {"basis": 52, "blocks": 30, "signatures": 15}
 
 
 def test_reports_are_byte_identical(capsys, golden_file):
@@ -472,7 +466,6 @@ def test_reports_match_stored(capsys, monkeypatch, graph, argv, stored):
 
 def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     calls = {
-        "spanning_basis": 0,
         "pf_data": 0,
         "GrowthTable": 0,
         "strong_components": 0,
@@ -512,20 +505,17 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "gram", kept_gram)
     count(np.linalg, "eigh", "eigh")
-    count(cuntz_pimsner, "spanning_basis", "spanning_basis")
     count(spectral, "pf_data", "pf_data")
     count(spectral.GrowthTable, "__init__", "GrowthTable")
     count(bimodule, "_strong_components", "strong_components")
     count(spectral, "growth_profile", "growth_profile")
 
     assert main(["kasparov", str(GRAPHS / "golden_mean.json"), "--depth", "2"]) == 0
-    assert (calls["spanning_basis"], calls["pf_data"], calls["GrowthTable"]) == (1, 1, 1)
-    # one Gram, at the report's depth, with one eigensolve per block
-    # signature: 15 for 30 blocks, which share read-only arrays
-    assert calls["eigh"] == 15
-    assert len(grams) == 1
-    for block in (b for g in grams for b in g.blocks):
-        assert not block.matrix.flags.writeable and not block.quotient.flags.writeable
+    assert (calls["pf_data"], calls["GrowthTable"]) == (1, 1)
+    # one Gram, at the report's depth, whose ranks and positivity come
+    # from pivots: 15 signatures for 30 blocks, and no eigensolve
+    assert calls["eigh"] == 0
+    assert [(g.blocks, g.signatures) for g in grams] == [(30, 15)]
     argv = ["residue", str(GRAPHS / "triangular.json"), "--target", "2", "--kmax", "2000"]
     assert main(argv) == 0
     assert calls["GrowthTable"] == 2

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from dense_kasparov import dense_commutator_check, dense_theta_matrix
+from dense_kasparov import (
+    dense_basis,
+    dense_commutator_check,
+    dense_gram,
+    dense_projection_defects,
+    dense_projection_matrix,
+    dense_theta_matrix,
+)
 from hypothesis import given, settings, strategies as st
 
 from graphbimod import (
@@ -15,8 +22,6 @@ from graphbimod import (
     covariance_substitute,
     gauge_scaled,
     gram,
-    projection_p,
-    spanning_basis,
 )
 from graphbimod.cuntz_pimsner import spanning_basis_size
 from graphbimod.fock import make_path, paths, vertex_path
@@ -247,55 +252,48 @@ def test_unconverged_residue_raises(oscillating):
 
 
 def test_spanning_basis_sizes(full_shift2, golden, triangular):
-    assert len(spanning_basis(full_shift2, 3)) == 225
-    assert len(spanning_basis(golden, 3)) == 170
-    assert len(spanning_basis(triangular, 3)) == 116
-    # the same sizes from integer path counts, with no path enumerated
-    assert spanning_basis_size(full_shift2, 3) == 225
-    assert spanning_basis_size(golden, 3) == 170
-    assert spanning_basis_size(triangular, 3) == 116
-
-
-def test_spanning_basis_sources_always_match(golden):
-    for mu, nu in spanning_basis(golden, 3):
-        assert mu.s == nu.s
+    # from integer path counts, with no path enumerated
+    for m, size in ((full_shift2, 225), (golden, 170), (triangular, 116)):
+        assert spanning_basis_size(m, 3) == size
+        assert len(dense_basis(m, 3)) == size
 
 
 def test_gram_psd_and_isometry(full_shift2, golden, triangular):
     for m in (full_shift2, golden, triangular):
         gd = gram(m, 3, ConditionalExpectation(m))
-        assert gd.hermitian_defect == 0
         assert min(gd.psd_min) >= -1e-10
         assert gd.isometry_defect() < 1e-12
 
 
 def test_projection_is_idempotent_and_symmetric(full_shift2, golden, triangular):
+    # the projection is the dense oracle's; each column has one entry, so
+    # both defects are products of one nonzero and come out exactly 0
     for m in (full_shift2, golden, triangular):
         exp_ = ConditionalExpectation(m)
-        pd = projection_p(gram(m, 3, exp_), exp_)
-        assert pd.idempotency_defect < 1e-10
-        assert pd.adjoint_defect < 1e-10
+        dense = dense_gram(m, 3, exp_)
+        P = dense_projection_matrix(list(dense.basis), exp_)
+        assert dense_projection_defects(P, dense) == (0.0, 0.0)
 
 
 def test_projection_fixes_plain_paths_and_kills_offsets(golden):
     exp_ = ConditionalExpectation(golden)
-    gd = gram(golden, 2, exp_)
-    pd = projection_p(gd, exp_)
-    j = gd.index[(make_path(golden, ["a"]), vertex_path(golden, "u"))]
-    # the column map holds one (row, coefficient) per column: P e_j = e_j
-    assert pd.columns[j] == (j, 1.0)
+    basis = dense_basis(golden, 2)
+    index = {pair: i for i, pair in enumerate(basis)}
+    P = dense_projection_matrix(basis, exp_)
+    # a runs u <- u and c runs v <- u, so (a, c) has no matching tail
+    j = index[(make_path(golden, ["a"]), vertex_path(golden, "u"))]
+    k = index[(make_path(golden, ["a"]), make_path(golden, ["c"]))]
+    assert np.flatnonzero(P[:, j]).tolist() == [j] and P[j, j] == 1.0
+    assert not P[:, k].any()
 
 
 def test_theta_route_agrees_exactly(full_shift2, golden, triangular):
-    # the rank-one-sum route over every plain path symbol is the oracle's
+    # the closed-form projection is the rank-one sum over every plain path
+    # symbol, entry for entry
     for m in (full_shift2, golden, triangular):
         exp_ = ConditionalExpectation(m)
-        pd = projection_p(gram(m, 3, exp_), exp_)
-        theta = dense_theta_matrix(m, 3, exp_)
-        P = np.zeros_like(theta)
-        for (i, j), c in pd.entries().items():
-            P[i, j] = c
-        assert np.array_equal(P, theta)
+        P = dense_projection_matrix(dense_basis(m, 3), exp_)
+        assert np.array_equal(P, dense_theta_matrix(m, 3, exp_))
 
 
 def _commutators(m, depth):

@@ -1,6 +1,7 @@
-"""The block-diagonal Kasparov layer against the dense oracle and stored reports."""
+"""The Kasparov Gram by inertia against the dense oracle and stored reports."""
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from dense_kasparov import (
     dense_gram,
     dense_projection_defects,
     dense_projection_matrix,
-    dense_theta_matrix,
+    reduced_keys,
 )
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,11 +25,11 @@ from graphbimod import (
     ResidueUncertifiedError,
     commutator_check,
     gram,
-    projection_p,
-    spanning_basis,
+    paths,
 )
 from graphbimod.cli import KASPAROV_MAX_BASIS, main
 from graphbimod.cuntz_pimsner import spanning_basis_size
+from graphbimod.fock import path_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
@@ -36,51 +37,49 @@ DATA = Path(__file__).resolve().parent / "data"
 DENSE_MAX_BASIS = 500
 
 
-def _block_route(module, depth, exp_):
-    gd = gram(module, depth, exp_)
-    pd = projection_p(gd, exp_)
-    reports = commutator_check(module, depth, exp_, gd)
-    return gd, pd, reports
+def _dense_depth(module, depth):
+    while depth > 0 and spanning_basis_size(module, depth + 1) > DENSE_MAX_BASIS:
+        depth -= 1
+    return depth
 
 
-def _dense(entries, n):
-    M = np.zeros((n, n), dtype=complex)
-    for (i, j), c in entries.items():
-        M[i, j] = c
-    return M
+def _check_gram(gd, module, depth, exp_):
+    dense = dense_gram(module, depth, exp_)
+    # the counts are those of the enumerated basis and its blocks
+    assert gd.basis_size == len(dense.basis)
+    assert gd.blocks == len(reduced_keys(dense.basis))
+    # X diag(d) X^T is symmetric, and so is the Gram of symbol products
+    assert dense.hermitian_defect == 0.0
+    # the lowest pivot is that of an LDL^T elimination of the dense blocks
+    assert np.allclose(gd.psd_min, dense.pivot_min, rtol=0, atol=1e-12)
+    # Sylvester's law: the pivots have the inertia of the eigenvalues, so
+    # the lowest pivot has the sign and the verdict of the lowest
+    # eigenvalue.  The two agree to round-off when the residues are
+    # harmonic; an extrapolated residue off by 3e-12 moves them apart, by
+    # up to the conditioning of the prefix matrix (Ostrowski's theorem),
+    # but not across zero.
+    assert gd.gram_ranks == dense.gram_ranks
+    for pivot, eig in zip(gd.psd_min, dense.psd_min):
+        assert (pivot < -1e-10) == (eig < -1e-10)
+        assert abs(pivot - eig) <= 1e-12 or pivot * eig > 0
+    assert gd.isometry_defect() == dense.isometry_defect()
+    return dense
 
 
 def _check_block_route(module, depth):
-    while depth > 0 and spanning_basis_size(module, depth + 1) > DENSE_MAX_BASIS:
-        depth -= 1
+    depth = _dense_depth(module, depth)
     exp_ = ConditionalExpectation(module)
     try:
-        gd, pd, reports = _block_route(module, depth, exp_)
+        gd = gram(module, depth, exp_)
+        reports = commutator_check(module, depth, exp_, gd)
     except ResidueUncertifiedError:
         with pytest.raises(ResidueUncertifiedError):
             dense_gram(module, depth, ConditionalExpectation(module))
         return
-    dense = dense_gram(module, depth, exp_)
-    N = len(gd.basis)
-    assert gd.basis == dense.basis
-    assert spanning_basis_size(module, depth) == N
-    # every nonzero of the dense Gram sits in a block, on the block's vertex
-    for block in gd.blocks:
-        sub = dense.matrices[block.vertex][np.ix_(block.members, block.members)]
-        assert np.array_equal(sub, block.matrix)
-    assert np.count_nonzero(dense.matrices) == sum(
-        np.count_nonzero(b.matrix) for b in gd.blocks
-    )
-    assert sorted(np.concatenate([b.members for b in gd.blocks])) == list(range(N))
-    assert np.allclose(gd.psd_min, dense.psd_min, rtol=0, atol=1e-12)
-    assert gd.gram_ranks == dense.gram_ranks
-    assert gd.hermitian_defect == dense.hermitian_defect
-    assert gd.isometry_defect() == dense.isometry_defect()
+    dense = _check_gram(gd, module, depth, exp_)
 
-    P = dense_projection_matrix(list(gd.basis), exp_)
-    assert np.array_equal(_dense(pd.entries(), N), P)
-    assert (pd.idempotency_defect, pd.adjoint_defect) == dense_projection_defects(P, dense)
-    assert np.array_equal(_dense(pd.entries(), N), dense_theta_matrix(module, depth, exp_))
+    P = dense_projection_matrix(list(dense.basis), exp_)
+    assert dense_projection_defects(P, dense) == (0.0, 0.0)
     # the direct commutators rank in the depth+1 Gram, whose longer
     # classes may not certify where the depth ones do
     try:
@@ -91,18 +90,51 @@ def _check_block_route(module, depth):
     assert set(discrepancies.values()) <= {0.0}
 
 
+class _ArbitraryCoefficients(ConditionalExpectation):
+    """Class coefficients of either sign, fixed by the seed and the class."""
+
+    def __init__(self, module, seed):
+        super().__init__(module)
+        self.seed = seed
+
+    def limit(self, r, s, n):
+        rng = random.Random(f"{self.seed}:{r}:{s}:{n}")
+        return rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+
+
 @given(graphs(), st.integers(0, 2))
 @settings(max_examples=30, deadline=None)
 def test_block_route_matches_dense_oracle(module, depth):
     _check_block_route(module, depth)
 
 
-@given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 2))
+@given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 3))
+@example(
+    # (v0, v0, 1) extrapolates to 10.000000000028434, so the vacuum block
+    # of v0 has the pivot -2.8e-12 and the lowest eigenvalue -1.4e-12
+    GraphBimodule(
+        ["v0", "v1"],
+        [Edge("e0", "v0", "v0", 0.1), Edge("e1", "v1", "v1", 0.1), Edge("e2", "v0", "v1", 3.0)],
+    ),
+    1,
+)
 @settings(max_examples=30, deadline=None)
 def test_block_route_matches_dense_oracle_on_weighted_graphs(module, depth):
-    # 0.1 is not dyadic, so a block that reused the matrix of another
-    # weight(nu_0) would differ from the dense entries in some bit
+    # a signature that took the pivots of another weight(nu_0) or w(rho)
+    # would scale them, and move its lowest pivot off the dense one
     _check_block_route(module, depth)
+
+
+@given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 3), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_pivots_match_dense_blocks_for_any_coefficients(module, depth, seed):
+    # G = X diag(d) X^T holds for any class coefficients, not only harmonic
+    # ones.  With these the pivots are of order one and of both signs, so
+    # a signature solved with the wrong weight(nu_0) or w(rho), or the
+    # wrong inner sum, moves the lowest pivot or a rank.
+    depth = _dense_depth(module, depth)
+    exp_ = _ArbitraryCoefficients(module, seed)
+    _check_gram(gram(module, depth, exp_), module, depth, exp_)
 
 
 @given(graphs(), st.integers(0, 3))
@@ -112,13 +144,20 @@ def test_block_route_matches_dense_oracle_on_weighted_graphs(module, depth):
     3,
 )
 @settings(max_examples=40, deadline=None)
-def test_spanning_basis_matches_sorted_oracle(module, depth):
-    assert spanning_basis(module, depth) == dense_basis(module, depth)
+def test_spanning_basis_size_matches_sorted_oracle(module, depth):
+    assert spanning_basis_size(module, depth) == len(dense_basis(module, depth))
+    counts = path_counts(module, depth)
+    for k, level in enumerate(counts):
+        by_source = {v: 0 for v in module.vertices}
+        for p in paths(module, k):
+            by_source[p.s] += 1
+        assert level == by_source
 
 
 @pytest.mark.parametrize("name", ["full_shift_2", "golden_mean", "triangular"])
 def test_kasparov_reports_match_stored(name, capsys, monkeypatch):
-    # stored from the dense route; eigensolver round-off in psd_min may move
+    # stored from the dense route, whose psd_min were eigensolver round-off
+    # on singular blocks; the pivots move them by less than 1e-13
     want_text = (DATA / f"kasparov_{name}_depth2.json").read_text()
     want = json.loads(want_text)
     assert json.dumps(want, indent=2, sort_keys=True) + "\n" == want_text
@@ -145,8 +184,23 @@ def test_kasparov_full_shift_3_depth_3(capsys):
     assert all(c["matches"] and c["total_rank"] == 1 for c in doc["commutators"])
 
 
+@pytest.mark.parametrize(
+    "name, depth, size",
+    [("full_shift_2", 12, 67_092_481), ("full_shift_3", 8, 96_845_281)],
+)
+def test_kasparov_counts_bases_it_could_not_enumerate(capsys, name, depth, size):
+    # about 1e8 spanning symbols, from under 10,000 paths
+    graph = str(ROOT / "scripts" / "graphs" / f"{name}.json")
+    code = main(["kasparov", graph, "--depth", str(depth)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["failures"] == []
+    assert doc["basis_size"] == size
+    assert all(c["matches"] and c["total_rank"] == 1 for c in doc["commutators"])
+
+
 def test_kasparov_size_guard_exits_before_enumerating(capsys, tmp_path):
-    # O10 at depth 8 has about 1.2e16 symbols
+    # O10 at depth 8 has 111,111,111 paths of length at most 8
     doc = {"vertices": ["z"], "edges": [{"id": f"e{i}", "r": "z", "s": "z"} for i in range(10)]}
     p = tmp_path / "o10.json"
     p.write_text(json.dumps(doc))
@@ -156,5 +210,5 @@ def test_kasparov_size_guard_exits_before_enumerating(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert f"limit of {KASPAROV_MAX_BASIS}" in err
-    assert str(sum(10**k for k in range(9)) ** 2) in err
+    assert f"needs {sum(10**k for k in range(9))} paths" in err
     assert elapsed < 1.0
