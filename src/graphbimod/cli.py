@@ -30,7 +30,7 @@ from .cuntz_pimsner import (
     commutator_check,
     gram,
 )
-from .fock import Path, index_levels, make_path, path_counts, path_totals, paths
+from .fock import index_levels, make_path, path_counts, path_pool, path_totals, paths
 from .kms import exchange_sweep, invariant_traces
 from .spectral import GrowthTable, eta_tilde
 
@@ -428,9 +428,7 @@ def cmd_kms(args) -> int:
         report["phi_d"] = phi_d_rows
         rng = np.random.default_rng(args.seed)
         mark = time.perf_counter()
-        pool: list[Path] = []
-        for k in range(args.length + 1):
-            pool.extend(paths(module, k))
+        pool = path_pool(module, args.length)
         stages["pool"] = time.perf_counter() - mark
         mark = time.perf_counter()
         sweep = exchange_sweep(module, trace, pool, args.pairs, rng)

@@ -482,7 +482,7 @@ class CommutatorReport:
     total_rank: int
     predicted: dict[str, int]
     predicted_total: int
-    surviving: tuple[tuple[str, str], ...]
+    surviving: int
     matches: bool
 
 
@@ -507,19 +507,22 @@ def commutator_check(
     r(g) when a surviving coefficient exceeds the rank tolerance, zero
     elsewhere; the vacuum coefficient is one, so the two agree.
     """
-    shorter = [rho for k in range(depth) for rho in paths(module, k)]
     reports = []
     for g in module.edges:
         row = []
-        surviving = []
-        for rho in shorter:
-            if rho.r != g.s:
-                continue
-            sigma = Path((g,) + rho.edges, g.r)
-            coef = expectation.coeff(sigma)
-            row.append(coef)
-            if abs(coef) > _TOL:
-                surviving.append((rho.label(), sigma.label()))
+        # (s(rho), weight of g rho) over the rho of length k with r(rho) =
+        # s(g), in path order; the weight is multiplied left to right from
+        # g, as Path.weight does
+        level = [(g.s, g.weight)]
+        for k in range(depth):
+            sources = dict.fromkeys(s for s, _ in level)
+            limits = {s: expectation.limit(g.r, s, k + 1) for s in sources}
+            row += [w * limits[s] for s, w in level]
+            if k + 1 < depth:
+                level = [
+                    (e.s, w * e.weight) for s, w in level for e in module.edges_with_range(s)
+                ]
+        surviving = sum(abs(coef) > _TOL for coef in row)
         ranks, total = gram_data.operator_rank({g.r: row})
         predicted = {v: 0 for v in module.vertices}
         predicted[g.r] = 1 if surviving else 0
@@ -532,7 +535,7 @@ def commutator_check(
                 total_rank=total,
                 predicted=predicted,
                 predicted_total=predicted_total,
-                surviving=tuple(sorted(surviving)),
+                surviving=surviving,
                 matches=matches,
             )
         )

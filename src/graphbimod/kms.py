@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from .algebra import AlgebraElement
 from .bimodule import GraphBimodule, ModuleVector, right_inner
 from .cuntz_pimsner import SpanningElement, _check_pair, _compose_symbol
-from .fock import Path
+from .fock import Path, PathPool
 
 
 def d_weight(module: GraphBimodule, path: Path) -> float:
@@ -231,12 +231,38 @@ def draw_pairs(
             yield a[0::2], b[0::2], a[1::2], b[1::2]
 
 
+def diagonal_screen(
+    pool: PathPool,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    sigma: np.ndarray,
+    rho: np.ndarray,
+) -> np.ndarray:
+    """Which degree-0 pairs x = (mu, nu), y = (sigma, rho) reach the diagonal.
+
+    The arrays hold pool ids, with |mu| - |nu| + |sigma| - |rho| = 0, and
+    a = |sigma| - |nu| = |rho| - |mu|.  For a >= 0, xy reduces to a
+    diagonal symbol exactly when sigma = nu alpha and rho = mu alpha, for
+    alpha the last a edges of sigma; for a <= 0, exactly when nu = sigma
+    alpha and mu = rho alpha, with |alpha| = -a.  The same condition
+    decides gamma_{-i}(y) x.  A head longer than the path is -1, so the
+    condition of the other sign of a fails by itself.
+    """
+    heads, tails, n = pool.heads, pool.tails, pool.length
+    a = np.abs(n[sigma] - n[nu])
+    grow = (heads[n[nu], sigma] == nu) & (heads[n[mu], rho] == mu)
+    shrink = (heads[n[sigma], nu] == sigma) & (heads[n[rho], mu] == rho)
+    return (grow & (tails[a, sigma] == tails[a, rho])) | (
+        shrink & (tails[a, nu] == tails[a, mu])
+    )
+
+
 @dataclass(frozen=True)
 class ExchangeSweep:
     """Largest exchange defect over random symbol pairs, with counts.
 
     degree_zero counts the pairs of total degree 0, the only ones that
-    were checked; diagonal counts those whose product xy or
+    can reach the diagonal; diagonal counts those whose product xy or
     gamma_{-i}(y) x reduced to a diagonal symbol.
     """
 
@@ -248,7 +274,7 @@ class ExchangeSweep:
 def exchange_sweep(
     module: GraphBimodule,
     trace: TraceState,
-    pool: Sequence[Path],
+    pool: PathPool,
     pairs: int,
     rng: np.random.Generator,
 ) -> ExchangeSweep:
@@ -256,18 +282,18 @@ def exchange_sweep(
 
     Each pair draws mu from the pool, nu from the pool paths with the
     source of mu, then sigma and rho the same way, all by `draw_pairs`.
-    A nonzero symbol product has degree deg(x) + deg(y) and a diagonal
-    symbol has degree 0, so a pair of nonzero total degree has both sides
-    exactly zero and defect 0.0; only the others go through the term-pair
+    The state vanishes off the diagonal.  A nonzero symbol product has
+    degree deg(x) + deg(y) and a diagonal symbol has degree 0, so a pair
+    of nonzero total degree has both sides exactly zero and defect 0.0,
+    and so does a pair of degree 0 that `diagonal_screen` rejects.  Only
+    the pairs it passes are built as paths and go through the term-pair
     check of kms_check.
     """
-    source_ids: dict[str, int] = {}
-    source = np.array([source_ids.setdefault(p.s, len(source_ids)) for p in pool])
-    # pool indices grouped by source, each group in pool order
+    source, length = pool.source, pool.length
+    # pool ids grouped by source, each group in pool order
     members = np.argsort(source, kind="stable")
     sizes = np.bincount(source)
     offset = np.cumsum(sizes) - sizes
-    length = np.array([len(p) for p in pool])
     one = 1 + 0j
     worst = 0.0
     degree_zero = diagonal = 0
@@ -276,11 +302,12 @@ def exchange_sweep(
         nu = members[offset[source[mu]] + nu]
         rho = members[offset[source[sigma]] + rho]
         keep = length[mu] - length[nu] + length[sigma] - length[rho] == 0
-        picked = [q[keep].tolist() for q in (mu, nu, sigma, rho)]
-        degree_zero += len(picked[0])
-        for i, j, k, l in zip(*picked):
-            x = (((pool[i], pool[j]), one),)
-            y = (((pool[k], pool[l]), one),)
+        quad = [q[keep] for q in (mu, nu, sigma, rho)]
+        degree_zero += len(quad[0])
+        hit = diagonal_screen(pool, *quad)
+        for i, j, k, l in zip(*(q[hit].tolist() for q in quad)):
+            x = (((pool.path(i), pool.path(j)), one),)
+            y = (((pool.path(k), pool.path(l)), one),)
             defect, diag = _exchange(module, trace, x, y)
             worst = max(worst, defect)
             diagonal += diag

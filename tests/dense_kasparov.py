@@ -239,7 +239,7 @@ def dense_commutator_check(
         formula = np.zeros_like(direct)
         vac = Path((), g.r)
         vac_row = row_idx[(vac, vac)]
-        surviving = []
+        surviving = 0
         for (rho, sigma), j in col_idx.items():
             if len(sigma) != len(rho) + 1:
                 continue
@@ -249,8 +249,7 @@ def dense_commutator_check(
                 continue
             coef = exp_.coeff(sigma)
             formula[vac_row, j] = coef
-            if abs(coef) > rank_tol:
-                surviving.append((rho.label(), sigma.label()))
+            surviving += abs(coef) > rank_tol
         ranks, total = gram_high.operator_rank(direct, rank_tol)
         predicted = {v: 0 for v in module.vertices}
         predicted[g.r] = 1 if surviving else 0
@@ -263,7 +262,7 @@ def dense_commutator_check(
                 total_rank=total,
                 predicted=predicted,
                 predicted_total=predicted_total,
-                surviving=tuple(sorted(surviving)),
+                surviving=surviving,
                 matches=ranks == predicted and total == predicted_total,
             )
         )

@@ -29,7 +29,7 @@ from graphbimod import (
 )
 from graphbimod.cli import KASPAROV_MAX_BASIS, main
 from graphbimod.cuntz_pimsner import spanning_basis_size
-from graphbimod.fock import path_counts
+from graphbimod.fock import make_path, path_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
@@ -135,6 +135,33 @@ def test_pivots_match_dense_blocks_for_any_coefficients(module, depth, seed):
     depth = _dense_depth(module, depth)
     exp_ = _ArbitraryCoefficients(module, seed)
     _check_gram(gram(module, depth, exp_), module, depth, exp_)
+
+
+class _RowRecorder:
+    """Stands in for the Gram data: keeps the rows commutator_check ranks."""
+
+    def __init__(self):
+        self.rows = []
+
+    def operator_rank(self, rows):
+        self.rows.append(rows)
+        return {}, 0
+
+
+@given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 4), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_commutator_rows_are_the_path_coefficients(module, depth, seed):
+    # each edge's vacuum row is coeff(g rho) over the rho of length < depth
+    # with r(rho) = s(g), in path order, bit for bit: the weight of g rho
+    # is taken left to right as Path.weight takes it
+    exp_ = _ArbitraryCoefficients(module, seed)
+    recorder = _RowRecorder()
+    commutator_check(module, depth, exp_, recorder)
+    shorter = [rho for k in range(depth) for rho in paths(module, k)]
+    assert len(recorder.rows) == len(module.edges)
+    for g, rows in zip(module.edges, recorder.rows):
+        row = [exp_.coeff(make_path(module, (g.id,) + rho.ids)) for rho in shorter if rho.r == g.s]
+        assert rows == {g.r: row}
 
 
 @given(graphs(), st.integers(0, 3))

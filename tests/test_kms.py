@@ -18,8 +18,9 @@ from graphbimod import (
     right_inner,
     tr_phi,
 )
-from graphbimod.fock import make_path, paths, vertex_path
-from graphbimod.kms import TraceState, draw_pairs, exchange_sweep
+from graphbimod.cuntz_pimsner import _compose_symbol
+from graphbimod.fock import make_path, path_pool, paths, vertex_path
+from graphbimod.kms import TraceState, diagonal_screen, draw_pairs, exchange_sweep
 
 
 def materialised_defect(module, trace, x, y):
@@ -312,9 +313,104 @@ def test_exchange_sweep_equals_one_check_per_pair(m, length, pairs, seed, data):
     }
     trace = TraceState(m, weights)
     pool = [p for k in range(length + 1) for p in paths(m, k)]
-    sweep = exchange_sweep(m, trace, pool, pairs, np.random.default_rng(seed))
+    sweep = exchange_sweep(m, trace, path_pool(m, length), pairs, np.random.default_rng(seed))
     got = (sweep.worst, sweep.degree_zero, sweep.diagonal)
     assert got == scalar_sweep(m, trace, pool, pairs, seed)
+
+
+def reaches_diagonal(x, y):
+    """Whether xy and gamma_{-i}(y) x reduce to diagonal symbols, by
+    `_compose_symbol`: diagonal_screen's oracle."""
+    out = []
+    for product in (_compose_symbol(*x, *y), _compose_symbol(*y, *x)):
+        out.append(product is not None and product[0] == product[1])
+    return tuple(out)
+
+
+@given(
+    m=graphs(weights=(0.5, 0.75, 2.0, 3.0)),
+    length=st.integers(0, 4),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_diagonal_screen_agrees_with_the_symbol_products(m, length, data):
+    # random degree-0 pairs almost never reach the diagonal, so half of
+    # the pairs are built to: y = (nu alpha, mu alpha) for x = (mu, nu),
+    # and x = (rho alpha, sigma alpha) for y = (sigma, rho)
+    pool = path_pool(m, length)
+    plist = [p for k in range(length + 1) for p in paths(m, k)]
+    at = {p: i for i, p in enumerate(plist)}
+    by_src, by_range = {}, {}
+    for p in plist:
+        by_src.setdefault(p.s, []).append(p)
+        by_range.setdefault(p.r, []).append(p)
+
+    def symbol():
+        mu = data.draw(st.sampled_from(plist))
+        return mu, data.draw(st.sampled_from(by_src[mu.s]))
+
+    def extended(mu, nu):
+        room = length - max(len(mu), len(nu))
+        alpha = data.draw(st.sampled_from([a for a in by_range[mu.s] if len(a) <= room]))
+        return mu.concat(alpha), nu.concat(alpha)
+
+    pairs, built = [], []
+    for _ in range(10):
+        x = symbol()
+        sigma = data.draw(st.sampled_from(plist))
+        size = len(x[0]) - len(x[1]) + len(sigma)
+        rhos = [p for p in by_src[sigma.s] if len(p) == size]
+        if rhos:
+            pairs.append((x, (sigma, data.draw(st.sampled_from(rhos)))))
+        mu, nu = symbol()
+        built.append(((mu, nu), extended(nu, mu)))
+        sigma, rho = symbol()
+        built.append((extended(rho, sigma), (sigma, rho)))
+    pairs += built
+    quad = [np.array([at[p] for p in ps], dtype=np.intp) for ps in zip(*(x + y for x, y in pairs))]
+    screen = diagonal_screen(pool, *quad).tolist()
+    for (x, y), passed in zip(pairs, screen):
+        assert reaches_diagonal(x, y) == (passed, passed)
+    assert screen[len(screen) - len(built) :] == [True] * len(built)
+
+
+def exact_scale(m, path):
+    """d(path) in exact arithmetic: the index at the range of each edge."""
+    out = Fraction(1)
+    for e in path.edges:
+        out *= m.index_exact[e.r]
+    return out
+
+
+@given(m=graphs(weights=(0.5, 0.75, 2.0, 3.0)), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_exchange_identity_is_exact_on_diagonal_pairs(m, data):
+    # for any vertex weights tau, both sides of the exchange relation are
+    # tau(s(alpha)) / d(mu alpha), since d is multiplicative
+    plist = [p for k in range(4) for p in paths(m, k)]
+    by_src, by_range = {}, {}
+    for p in plist:
+        by_src.setdefault(p.s, []).append(p)
+        by_range.setdefault(p.r, []).append(p)
+    tau = {
+        v: Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+        for v in m.vertices
+    }
+    mu = data.draw(st.sampled_from(plist))
+    nu = data.draw(st.sampled_from(by_src[mu.s]))
+    alpha = data.draw(st.sampled_from(by_range[mu.s]))
+    mu_a, nu_a = mu.concat(alpha), nu.concat(alpha)
+    want = tau[alpha.s] / exact_scale(m, mu_a)
+    # y = (nu alpha, mu alpha) for x = (mu, nu); x = (rho alpha, sigma
+    # alpha) for y = (sigma, rho), here with rho = mu and sigma = nu
+    for x, y in (((mu, nu), (nu_a, mu_a)), ((mu_a, nu_a), (nu, mu))):
+        xy = _compose_symbol(*x, *y)
+        yx = _compose_symbol(*y, *x)
+        assert xy == (mu_a, mu_a) and yx[0] == yx[1]
+        lhs = tau[xy[0].s] / exact_scale(m, xy[0])
+        ratio = exact_scale(m, y[0]) / exact_scale(m, y[1])
+        rhs = ratio * tau[yx[0].s] / exact_scale(m, yx[0])
+        assert lhs == rhs == want
 
 
 @given(m=graphs(weights=(0.5, 0.75, 2.0, 3.0)), data=st.data())
