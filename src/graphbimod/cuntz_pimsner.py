@@ -12,7 +12,6 @@ diagonal by the path weight times the residue coefficient of its class.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -319,8 +318,8 @@ class ConditionalExpectation:
 # the number of positive pivots.  A pivot is weight(nu_0) weight(rho) times
 # a harmonic defect of the residues, which depends on rho only through
 # s(rho) and |rho|; the block as a whole depends only on its signature
-# (r(nu_0), |nu_0|, weight(nu_0), u, L).  Nothing is enumerated but the
-# second legs nu_0, and nothing is eigensolved.
+# (r(nu_0), |nu_0|, weight(nu_0), u, L).  The second legs nu_0 are
+# counted by key, no path is built, and nothing is eigensolved.
 
 # Gram pivots above this count towards the rank, and so do operators whose
 # quotient norm exceeds it
@@ -389,19 +388,51 @@ class GramData:
         return max(abs(c - 1.0) for c in self.vacuum)
 
 
+def _second_legs(
+    module: GraphBimodule, depth: int
+) -> dict[tuple[str, int, float, str, str | None], int]:
+    """Count the paths nu of length <= depth by their leg key.
+
+    The key is (r(nu), |nu|, weight(nu), s(nu), r of the last edge of nu),
+    with None for the last range of a vertex.  The paths are walked level
+    by level as counted keys, so none is built.  Level 1 is module.edges;
+    from there each key is followed by the edges with range at its source,
+    in id order, and the weight is multiplied left to right from 1.0, as
+    Path.weight does.  The keys therefore come in the order of their first
+    path in [nu for n in range(depth + 1) for nu in paths(module, n)].
+    """
+    legs = {(v, 0, 1.0, v, None): 1 for v in module.vertices}
+    # (r(nu), weight(nu), s(nu), r of the last edge) -> count, one length
+    level: dict[tuple[str, float, str, str], int] = {}
+    for e in module.edges:
+        key = (e.r, 1.0 * e.weight, e.s, e.r)
+        level[key] = level.get(key, 0) + 1
+    for n in range(1, depth + 1):
+        for (r0, w, s, last), k in level.items():
+            legs[(r0, n, w, s, last)] = k
+        if n < depth:
+            nxt: dict[tuple[str, float, str, str], int] = {}
+            for (r0, w, s, _), k in level.items():
+                for e in module.edges_with_range(s):
+                    key = (r0, w * e.weight, e.s, s)
+                    nxt[key] = nxt.get(key, 0) + k
+            level = nxt
+    return legs
+
+
 def gram(
     module: GraphBimodule, depth: int, expectation: ConditionalExpectation
 ) -> GramData:
     """Ranks and positivity of the Gram of the depth-limited spanning family.
 
-    Only the second legs nu_0, the paths of length <= depth, are
-    enumerated.  The first legs mu_0 of each length a with source s(nu_0)
-    are counted: all of them, less those ending in the last edge e of
-    nu_0, which would share it, counted as the length-(a-1) paths with
-    source r(e).  Each signature (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), L)
-    is solved once: its rho are walked level by level, grouped by
-    (s(rho), weight(rho)) with multiplicities, and each group has one
-    pivot.  Residues are read through `ConditionalExpectation.limit`, in
+    The second legs nu_0, the paths of length <= depth, are counted by
+    `_second_legs` without building a path.  The first legs mu_0 of each
+    length a with source s(nu_0) are counted: all of them, less those
+    ending in the last edge e of nu_0, which would share it, counted as
+    the length-(a-1) paths with source r(e).  Each signature
+    (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), L) is solved once: its rho
+    are walked level by level, grouped by (s(rho), weight(rho)) with
+    multiplicities, and each group has one pivot.  Residues are read through `ConditionalExpectation.limit`, in
     (|rho|, rho) order, so an uncertified class raises
     `ResidueUncertifiedError`; only classes of length <= depth are read.
     """
@@ -409,14 +440,9 @@ def gram(
     vertices = module.vertices
     vidx = {v: i for i, v in enumerate(vertices)}
 
-    # (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), r(last edge)) -> count
-    legs: Counter[tuple[str, int, float, str, str | None]] = Counter()
-    for n in range(depth + 1):
-        for nu in paths(module, n):
-            legs[(nu.r, n, nu.weight, nu.s, nu.edges[-1].r if nu.edges else None)] += 1
     # signature -> number of blocks that have it
     signatures: dict[tuple[str, int, float, str, int], int] = {}
-    for (r0, n, w0, u, shared), count in legs.items():
+    for (r0, n, w0, u, shared), count in _second_legs(module, depth).items():
         for a in range(depth + 1):
             mult = counts[a][u]
             if shared is not None and a:

@@ -177,28 +177,28 @@ class GrowthTable:
 
     Holds the normalized powers B^k 1 with cumulative log norms (overflow
     safe), the Perron data, and the condensation growth profile, which is
-    computed on first use.
+    computed on first use.  `ratios` reads one class's growth ratios for
+    every k as one column; `ratio` reads a single k, bit for bit the same
+    entry.
     """
 
     def __init__(self, module: GraphBimodule, k_max: int):
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
         B = module.adjacency()
-        n = B.shape[0]
         self.module = module
         self.k_max = k_max
-        vecs = np.empty((k_max + 1, n))
+        vecs = np.empty((k_max + 1, B.shape[0]))
         logs = np.empty(k_max + 1)
-        v = np.ones(n)
-        acc = 0.0
-        vecs[0] = v
+        vecs[0] = 1.0
         logs[0] = 0.0
+        acc = 0.0
         for k in range(1, k_max + 1):
-            v = B @ v
-            m = float(np.max(v))
-            v = v / m
+            v = vecs[k]
+            np.matmul(B, vecs[k - 1], out=v)
+            m = float(v.max())
+            v /= m
             acc += math.log(m)
-            vecs[k] = v
             logs[k] = acc
         self.vectors = vecs
         self.log_norms = logs
@@ -216,6 +216,24 @@ class GrowthTable:
         ri = self.module.vertices.index(r_vertex)
         scale = math.exp(self.log_norms[k - n] - self.log_norms[k])
         return scale * self.vectors[k - n][si] / self.vectors[k][ri]
+
+    def ratios(self, s_vertex: str, r_vertex: str, n: int) -> np.ndarray:
+        """`ratio` for k = n..k_max as one float64 array, entry k - n.
+
+        The scale of each k is taken with math.exp, as `ratio` takes it, so
+        every entry has the same bits as the scalar read.  An entry whose
+        normalized powers underflowed comes out 0/0 = nan without a numpy
+        warning.
+        """
+        if not 0 <= n <= self.k_max:
+            raise ValueError("need 0 <= n <= k_max")
+        si = self.module.vertices.index(s_vertex)
+        ri = self.module.vertices.index(r_vertex)
+        top = self.k_max - n + 1
+        diff = self.log_norms[:top] - self.log_norms[n:]
+        scale = np.fromiter(map(math.exp, diff.tolist()), dtype=float, count=top)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return scale * self.vectors[:top, si] / self.vectors[n:, ri]
 
 
 # -- condensation growth profile ------------------------------------------
@@ -312,19 +330,20 @@ def _target_realized(module: GraphBimodule, r: str, s: str, n: int) -> bool:
     return s in frontier
 
 
-def _fit_decay(samples, value, k_max):
-    """Least-squares slope of log residual against log k over the top half."""
-    xs, ys = [], []
-    lo = max(1, k_max // 2)
-    for k, c in samples:
-        res = abs(c - value)
-        if k >= lo and res > 1e-14:
-            xs.append(math.log(k))
-            ys.append(math.log(res))
-    if len(xs) < 3:
+def _fit_decay(col: np.ndarray, n: int, value: float, k_max: int):
+    """Least-squares slope of log residual against log k over the top half.
+
+    `col` holds the growth ratios for k = n..k_max.  Only the k >= k_max // 2
+    are read, and only the residuals above 1e-14 are logged.
+    """
+    first = max(1, k_max // 2, n)
+    with np.errstate(invalid="ignore"):
+        res = np.abs(col[first - n :] - value)
+    keep = np.flatnonzero(res > 1e-14)
+    if len(keep) < 3:
         return math.inf, None
-    xs = np.array(xs)
-    ys = np.array(ys)
+    xs = np.array([math.log(k) for k in (keep + first).tolist()])
+    ys = np.array([math.log(x) for x in res[keep].tolist()])
     A = np.stack([xs, np.ones_like(xs)], axis=1)
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
     pred = A @ coef
@@ -375,13 +394,14 @@ def eta_tilde(
 
     `target` is a Path or an (r, s, n) triple; the ratio depends on the
     path only through its endpoints and length.  The growth table supplies
-    k_max, the samples, the Perron data and the growth profile.  Primitive
-    graphs whose Perron root pf_data certifies get the closed form
-    r^{-n} w_s / w_r from the right Perron eigenvector of the adjacency
-    matrix.  Otherwise a stationary sequence is read off directly, a strict
+    k_max, the Perron data, the growth profile and the samples, read as one
+    column of ratios for k = n..k_max.  Primitive graphs whose Perron root
+    pf_data certifies get the closed form r^{-n} w_s / w_r from the right
+    Perron eigenvector of the adjacency matrix.  Otherwise a sequence
+    stationary over its last three quarters is read off directly, a strict
     growth gap forces the limit 0 exactly, and the remaining cases are
-    extrapolated polynomially in 1/k; a sequence with no limit (oscillating
-    growth coefficients) is reported unconverged.
+    extrapolated polynomially in 1/k; a sequence with no limit
+    (oscillating growth coefficients) is reported unconverged.
     """
     module, k_max = table.module, table.k_max
     r, s, n = _resolve_target(module, target)
@@ -389,7 +409,9 @@ def eta_tilde(
         raise ValueError(f"no path of length {n} from source {s!r} to range {r!r}")
     if k_max < n + 8:
         raise ValueError("k_max too small for the requested length")
-    samples = tuple((k, table.ratio(s, r, n, k)) for k in range(n, k_max + 1))
+    col = table.ratios(s, r, n)
+    vals = col.tolist()
+    samples = tuple(zip(range(n, k_max + 1), vals))
     data = table.pf
     rate_alpha = data.rate_alpha
 
@@ -399,10 +421,11 @@ def eta_tilde(
         value = data.spectral_radius ** (-n) * wi[s] / wi[r]
         converged, method = True, "closed_form"
     else:
-        lookup = dict(samples)
-        vc = lookup[k_max]
+        vc = vals[-1]
         scale = max(1.0, abs(vc))
-        if all(abs(c - vc) <= tol * scale for _, c in samples[len(samples) // 4 :]):
+        with np.errstate(invalid="ignore"):
+            stationary = bool(np.all(np.abs(col[len(col) // 4 :] - vc) <= tol * scale))
+        if stationary:
             value, converged, method = vc, True, "stationary"
         else:
             rad, deg = table.profile.radius, table.profile.degree
@@ -414,13 +437,13 @@ def eta_tilde(
             else:
                 ks = _extrapolation_nodes(n, k_max)
                 xs = [1.0 / k for k in ks]
-                ys = [lookup[k] for k in ks]
+                ys = [vals[k - n] for k in ks]
                 value, est = _extrapolate_to_zero(xs, ys)
                 value = float(value)
                 converged = bool(est <= max(tol * max(1.0, abs(value)), 1e-13))
                 method = "extrapolation"
 
-    delta, r2 = _fit_decay(samples, value, k_max)
+    delta, r2 = _fit_decay(col, n, value, k_max)
     return ResidueReport(
         (r, s, n), value, converged, method, delta, r2, samples, rate_alpha, k_max
     )

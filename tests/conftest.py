@@ -149,3 +149,18 @@ def no_limit():
     # the ratio of the class (z, z, 1) alternates between 2/5 and 5/8
     # and has no limit
     return x_y_cycle_into_z(1.0)
+
+
+@pytest.fixture(scope="session")
+def underflow():
+    # the ratio of the class (x, x, 1) is exactly 4 at every k, but x's
+    # entry of the normalized powers decays like 8^-k against y's and
+    # underflows to 0.0 near k = 360, so the float ratio turns 0/0 = nan
+    return GraphBimodule(
+        ["x", "y"],
+        [
+            Edge("l", "x", "x", weight=0.25),
+            Edge("m", "y", "y", weight=2.0),
+            Edge("n", "y", "x"),
+        ],
+    )

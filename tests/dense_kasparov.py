@@ -14,6 +14,7 @@ vertex, so keep the bases small.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,19 @@ def dense_basis(module, depth):
         )
     )
     return basis
+
+
+def path_legs(module, depth):
+    """The second-leg counts of the Gram, one Path per leg.
+
+    Keys (r(nu), |nu|, weight(nu), s(nu), r of the last edge of nu) in the
+    order of their first path: the reference for `_second_legs`.
+    """
+    legs = Counter()
+    for n in range(depth + 1):
+        for nu in paths(module, n):
+            legs[(nu.r, n, nu.weight, nu.s, nu.edges[-1].r if nu.edges else None)] += 1
+    return legs
 
 
 def _reduced(mu, nu):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,14 +455,35 @@ STORED_RUNS = [
             ["kms", "--pairs", "2000", "--length", "6"],
             "kms_weighted_two_vertex.json",
             id="kms-weighted_two_vertex",
-        )
+        ),
+        # deep k_max: stationary, structural-zero and extrapolated classes
+        pytest.param(
+            "scripts/graphs/triangular.json",
+            ["residue", "--target", "3", "--kmax", "2000"],
+            "residue_triangular_target3_kmax2000.json",
+            id="residue-triangular-kmax2000",
+        ),
+        # (x, x, 1) underflows in the float table: nan, unconverged
+        pytest.param(
+            "tests/data/underflow.json",
+            ["residue", "--target", "1", "--kmax", "600"],
+            "residue_underflow_target1_kmax600.json",
+            id="residue-underflow-kmax600",
+        ),
     ],
 )
 def test_reports_match_stored(capsys, monkeypatch, graph, argv, stored):
     monkeypatch.chdir(ROOT)
-    code = main([argv[0], graph, *argv[1:]])
+    # numpy reports a bad float operation as a warning, which the CLI
+    # would print to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], graph, *argv[1:]])
     assert code == 0
-    assert capsys.readouterr().out == (DATA / stored).read_text()
+    out = capsys.readouterr()
+    assert out.out == (DATA / stored).read_text()
+    assert out.err == ""
+    assert [str(w.message) for w in caught] == []
 
 
 def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from dense_kasparov import (
     dense_gram,
     dense_projection_defects,
     dense_projection_matrix,
+    path_legs,
     reduced_keys,
 )
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,7 @@ from graphbimod import (
     paths,
 )
 from graphbimod.cli import KASPAROV_MAX_BASIS, main
-from graphbimod.cuntz_pimsner import spanning_basis_size
+from graphbimod.cuntz_pimsner import _second_legs, spanning_basis_size
 from graphbimod.fock import make_path, path_counts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -162,6 +163,16 @@ def test_commutator_rows_are_the_path_coefficients(module, depth, seed):
     for g, rows in zip(module.edges, recorder.rows):
         row = [exp_.coeff(make_path(module, (g.id,) + rho.ids)) for rho in shorter if rho.r == g.s]
         assert rows == {g.r: row}
+
+
+@given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_second_legs_walk_matches_path_oracle(module, depth):
+    # equal keys, counts and first-occurrence order: the order of the
+    # signatures, and so the first uncertified class, rests on it
+    assert list(_second_legs(module, depth).items()) == list(
+        path_legs(module, depth).items()
+    )
 
 
 @given(graphs(), st.integers(0, 3))

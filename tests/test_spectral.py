@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from graphbimod import (
 )
 from graphbimod.cuntz_pimsner import SpanningElement
 from graphbimod.fock import beta_k, make_path, paths, phi_k
-from graphbimod.spectral import GrowthTable, growth_profile
+from graphbimod.spectral import GrowthTable, _target_realized, growth_profile
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -176,6 +177,89 @@ def test_growth_table_matches_matrix_powers(triangular):
                 assert table.ratio(s, r, n, k) == pytest.approx(float(want), rel=1e-12)
     with pytest.raises(ValueError):
         GrowthTable(triangular, -1)
+
+
+@given(graphs(weights=(0.1, 0.25, 0.5, 1.0, 3.0)), st.integers(8, 300), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_ratio_column_is_the_scalar_ratio_bit_for_bit(m, k_max, n):
+    table = GrowthTable(m, k_max)
+    for s in m.vertices:
+        for r in m.vertices:
+            col = table.ratios(s, r, n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scalar = [table.ratio(s, r, n, k) for k in range(n, k_max + 1)]
+            assert col.dtype == np.float64
+            assert col.tobytes() == np.array(scalar).tobytes()
+
+
+def test_ratio_column_underflows_where_the_scalar_does(underflow):
+    table = GrowthTable(underflow, 600)
+    col = table.ratios("x", "x", 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scalar = np.array([table.ratio("x", "x", 1, k) for k in range(1, 601)])
+    assert np.array_equal(col, scalar, equal_nan=True)
+    # 4 while x's entry is a normal float; it loses digits as a subnormal,
+    # then turns nan once it is 0.0, which it stays
+    assert np.allclose(col[:300], 4.0, rtol=1e-12, atol=0)
+    nan = np.isnan(col)
+    first = int(np.argmax(nan))
+    assert 300 < first and nan[first:].all()
+    with pytest.raises(ValueError):
+        table.ratios("x", "x", 601)
+
+
+def test_underflowed_class_warns_nothing(underflow):
+    # the report is still the float table's: nan and unconverged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = eta_tilde(GrowthTable(underflow, 600), ("x", "x", 1))
+    assert math.isnan(rep.value)
+    assert rep.method == "extrapolation"
+    assert not rep.converged
+
+
+def test_stationary_window_is_the_last_three_quarters(underflow):
+    # (y, y, 1) tends to 1/2 with an error of order 8^-k, within 1e-10
+    # from k = 12 on; at k_max 40 the last three quarters start at k = 11
+    # and the last half at k = 21, at k_max 60 the three quarters at k = 16
+    rep = eta_tilde(GrowthTable(underflow, 40), ("y", "y", 1))
+    tail = [c for _, c in rep.samples]
+    last = tail[-1]
+    assert all(abs(c - last) <= 1e-10 for c in tail[len(tail) // 2 :])
+    assert rep.method != "stationary"
+    rep = eta_tilde(GrowthTable(underflow, 60), ("y", "y", 1))
+    assert rep.method == "stationary"
+    assert rep.value == rep.samples[-1][1]
+
+
+def _fit_decay_loop(samples, value, k_max):
+    """The decay fit one sample at a time: the reference for the column's."""
+    xs, ys = [], []
+    for k, c in samples:
+        res = abs(c - value)
+        if k >= max(1, k_max // 2) and res > 1e-14:
+            xs.append(math.log(k))
+            ys.append(math.log(res))
+    if len(xs) < 3:
+        return math.inf, None
+    A = np.stack([np.array(xs), np.ones(len(xs))], axis=1)
+    coef, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
+    ys = np.array(ys)
+    ss_res = float(np.sum((ys - A @ coef) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    return float(-coef[0]), 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+
+
+@given(graphs(weights=(0.25, 0.5, 1.0, 3.0)), st.integers(40, 300), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_decay_fit_on_the_column_matches_the_sample_loop(m, k_max, n):
+    table = GrowthTable(m, k_max)
+    for r in m.vertices:
+        for s in m.vertices:
+            if _target_realized(m, r, s, n):
+                rep = eta_tilde(table, (r, s, n), force_iterative=True)
+                want = _fit_decay_loop(rep.samples, rep.value, k_max)
+                assert (rep.delta, rep.r_squared) == want
 
 
 def test_growth_profile_radii_and_degrees(triangular, oscillating):
