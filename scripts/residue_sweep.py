@@ -16,13 +16,13 @@ from graphbimod.cli import load_graph
 from graphbimod.spectral import GrowthTable
 
 
-def run() -> int:
+def run(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("graph")
     ap.add_argument("path", help="comma-separated edge ids")
     ap.add_argument("--kmax", type=int, default=400)
     ap.add_argument("--points", type=int, default=12)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     module = load_graph(args.graph)
     p = make_path(module, [t for t in args.path.split(",") if t])

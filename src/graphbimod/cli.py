@@ -296,7 +296,11 @@ def cmd_residue(args) -> int:
         report["timings"] = {
             "seconds": time.perf_counter() - start,
             "stages": stages,
-            "counters": {"classes": len(entries), "method": dict(methods)},
+            "counters": {
+                "classes": len(entries),
+                "method": dict(methods),
+                "level_bits": table.level_bits,
+            },
         }
     emit(report, args.format)
     return 0
@@ -383,6 +387,7 @@ def cmd_kasparov(args) -> int:
                 "basis": gdata.basis_size,
                 "blocks": gdata.blocks,
                 "signatures": gdata.signatures,
+                "level_bits": expectation.table.level_bits,
             },
         }
     emit(report, args.format)

@@ -230,8 +230,8 @@ class ConditionalExpectation:
     Symbols with mu != nu are sent to zero.  A diagonal symbol (mu, mu)
     contributes its path weight times the residue limit of the class
     (range, source, length) of mu, placed at the range vertex.  One growth
-    table up to the configured k_max serves every class, and residue
-    reports are kept per class; an unconverged limit raises
+    table, `table`, up to the configured k_max serves every class, and
+    residue reports are kept per class; an unconverged limit raises
     `ResidueUncertifiedError`.
     """
 
@@ -239,12 +239,12 @@ class ConditionalExpectation:
         self.module = module
         self.config = config or ResidueConfig()
         self._reports: dict[tuple[str, str, int], ResidueReport] = {}
-        self._table = GrowthTable(module, self.config.k_max)
+        self.table = GrowthTable(module, self.config.k_max)
 
     def residue(self, r: str, s: str, n: int) -> ResidueReport:
         key = (r, s, n)
         if key not in self._reports:
-            self._reports[key] = eta_tilde(self._table, key, tol=self.config.tol)
+            self._reports[key] = eta_tilde(self.table, key, tol=self.config.tol)
         return self._reports[key]
 
     def limit(self, r: str, s: str, n: int) -> float:
@@ -274,15 +274,15 @@ class ConditionalExpectation:
         the k-step index, computed without forming the level matrix.  The
         level must not exceed the configured k_max.
         """
-        if k > self._table.k_max:
-            raise ValueError(f"level {k} above k_max {self._table.k_max}")
+        if k > self.table.k_max:
+            raise ValueError(f"level {k} above k_max {self.table.k_max}")
         vals = np.zeros(len(self.module.vertices), dtype=complex)
         for (mu, nu), c in x.terms.items():
             if mu != nu:
                 continue
             if len(mu) > k:
                 raise ValueError(f"level {k} below symbol length {len(mu)}")
-            ratio = self._table.ratio(mu.s, mu.r, len(mu), k)
+            ratio = self.table.ratio(mu.s, mu.r, len(mu), k)
             vals[self.module.vertices.index(mu.r)] += c * mu.weight * ratio
         return AlgebraElement(self.module.vertices, vals)
 

@@ -22,9 +22,15 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
-from .fock import Path
+from .fock import Path, index_levels
 
 _CERTIFIED_WIDTH = 1e-12
+# A table to k_max holds about V * log2(D * radius) * k_max^2 / 2 level bits.
+# On a 2-CPU machine, one run each: 4 vertices, weights 0.1 and 3, k_max
+# 2000: 445 million bits, 1.5 s, 90 MiB; 3 vertices, weights 1e-300, k_max
+# 580: 530 million bits, 2.9 s, 115 MiB.  So 64 MiB of bits keep a run
+# under about 3 s and 120 MiB
+GROWTH_MAX_LEVEL_BITS = 2**29
 # relative tolerance under which two spectral radii count as equal
 _RADIUS_RTOL = 1e-9
 
@@ -175,65 +181,60 @@ def verify_rate_certificate(
 class GrowthTable:
     """The growth data of one graph up to k_max, built once and passed in.
 
-    Holds the normalized powers B^k 1 with cumulative log norms (overflow
-    safe), the Perron data, and the condensation growth profile, which is
-    computed on first use.  `ratios` reads one class's growth ratios for
-    every k as one column; `ratio` reads a single k, bit for bit the same
-    entry.
+    Holds the exact levels A^k 1 = D^k B^k 1 of `fock.index_levels` for
+    k = 0..k_max, the Perron data, and the growth profile (on first use).
+    Each growth ratio is the correctly rounded float of an integer
+    quotient.  The levels gain log2(D * radius) bits per entry and step,
+    so a non-dyadic weight costs much (D = 2^55 for 0.1); their total,
+    `level_bits`, may not pass `GROWTH_MAX_LEVEL_BITS`.
     """
 
     def __init__(self, module: GraphBimodule, k_max: int):
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        B = module.adjacency()
         self.module = module
         self.k_max = k_max
-        vecs = np.empty((k_max + 1, B.shape[0]))
-        logs = np.empty(k_max + 1)
-        vecs[0] = 1.0
-        logs[0] = 0.0
-        acc = 0.0
-        for k in range(1, k_max + 1):
-            v = vecs[k]
-            np.matmul(B, vecs[k - 1], out=v)
-            m = float(v.max())
-            v /= m
-            acc += math.log(m)
-            logs[k] = acc
-        self.vectors = vecs
-        self.log_norms = logs
+        self.levels = []
+        self.level_bits = 0
+        for k, level in zip(range(k_max + 1), index_levels(module)):
+            self.level_bits += sum(x.bit_length() for x in level)
+            if self.level_bits > GROWTH_MAX_LEVEL_BITS:
+                raise ValueError(
+                    f"the index levels to k_max {k_max} pass the limit of "
+                    f"{GROWTH_MAX_LEVEL_BITS} bits (64 MiB, about 3 s and 120 MiB) "
+                    f"at level {k}"
+                )
+            self.levels.append(level)
         self.pf = pf_data(module)
 
     @cached_property
     def profile(self) -> GrowthProfile:
         return growth_profile(self.module)
 
+    def _quotients(self, s: str, r: str, n: int, ks) -> list[float]:
+        """A^{k-n}1_s D^n / A^k 1_r for each k in ks; never 0/0, as every
+        vertex is a range.  Only a class with no path, or whose path weighs
+        below 2^-1024, passes the double range: that raises ValueError.
+        """
+        si, ri = self.module.vertices.index(s), self.module.vertices.index(r)
+        scale, levels = self.module.denominator**n, self.levels
+        try:
+            return [levels[k - n][si] * scale / levels[k][ri] for k in ks]
+        except OverflowError:
+            raise ValueError(f"class {(r, s, n)}: growth ratio past the double range")
+
     def ratio(self, s_vertex: str, r_vertex: str, n: int, k: int) -> float:
-        """(B^{k-n} 1)_s / (B^k 1)_r without forming the raw powers."""
+        """(B^{k-n} 1)_s / (B^k 1)_r, correctly rounded."""
         if not 0 <= n <= k <= self.k_max:
             raise ValueError("need 0 <= n <= k <= k_max")
-        si = self.module.vertices.index(s_vertex)
-        ri = self.module.vertices.index(r_vertex)
-        scale = math.exp(self.log_norms[k - n] - self.log_norms[k])
-        return scale * self.vectors[k - n][si] / self.vectors[k][ri]
+        return self._quotients(s_vertex, r_vertex, n, (k,))[0]
 
     def ratios(self, s_vertex: str, r_vertex: str, n: int) -> np.ndarray:
-        """`ratio` for k = n..k_max as one float64 array, entry k - n.
-
-        The scale of each k is taken with math.exp, as `ratio` takes it, so
-        every entry has the same bits as the scalar read.  An entry whose
-        normalized powers underflowed comes out 0/0 = nan without a numpy
-        warning.
-        """
+        """`ratio` for k = n..k_max as one float64 array, entry k - n."""
         if not 0 <= n <= self.k_max:
             raise ValueError("need 0 <= n <= k_max")
-        si = self.module.vertices.index(s_vertex)
-        ri = self.module.vertices.index(r_vertex)
-        top = self.k_max - n + 1
-        diff = self.log_norms[:top] - self.log_norms[n:]
-        scale = np.fromiter(map(math.exp, diff.tolist()), dtype=float, count=top)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return scale * self.vectors[:top, si] / self.vectors[n:, ri]
+        ks = range(n, self.k_max + 1)
+        return np.array(self._quotients(s_vertex, r_vertex, n, ks))
 
 
 # -- condensation growth profile ------------------------------------------
@@ -337,8 +338,7 @@ def _fit_decay(col: np.ndarray, n: int, value: float, k_max: int):
     are read, and only the residuals above 1e-14 are logged.
     """
     first = max(1, k_max // 2, n)
-    with np.errstate(invalid="ignore"):
-        res = np.abs(col[first - n :] - value)
+    res = np.abs(col[first - n :] - value)
     keep = np.flatnonzero(res > 1e-14)
     if len(keep) < 3:
         return math.inf, None
@@ -423,8 +423,7 @@ def eta_tilde(
     else:
         vc = vals[-1]
         scale = max(1.0, abs(vc))
-        with np.errstate(invalid="ignore"):
-            stationary = bool(np.all(np.abs(col[len(col) // 4 :] - vc) <= tol * scale))
+        stationary = bool(np.all(np.abs(col[len(col) // 4 :] - vc) <= tol * scale))
         if stationary:
             value, converged, method = vc, True, "stationary"
         else:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
@@ -43,6 +45,25 @@ def graphs(draw, primitive=False, per_source=None, weights=None):
     if primitive:
         assume(is_primitive(module))
     return module
+
+
+def fraction_levels(module: GraphBimodule, k_max: int) -> list[dict]:
+    """B^k 1 for k = 0..k_max, iterated in Fractions over the edges."""
+    vec = {v: Fraction(1) for v in module.vertices}
+    levels = [vec]
+    for _ in range(k_max):
+        nxt = {v: Fraction(0) for v in module.vertices}
+        for e in module.edges:
+            nxt[e.r] += Fraction(e.weight) * vec[e.s]
+        vec = nxt
+        levels.append(vec)
+    return levels
+
+
+def exact_ratio(levels: list[dict], s: str, r: str, n: int, k: int) -> float:
+    """(B^{k-n} 1)_s / (B^k 1)_r, correctly rounded, as one integer division."""
+    a, b = levels[k - n][s], levels[k][r]
+    return (a.numerator * b.denominator) / (a.denominator * b.numerator)
 
 
 @pytest.fixture(scope="session")
@@ -153,9 +174,9 @@ def no_limit():
 
 @pytest.fixture(scope="session")
 def underflow():
-    # the ratio of the class (x, x, 1) is exactly 4 at every k, but x's
-    # entry of the normalized powers decays like 8^-k against y's and
-    # underflows to 0.0 near k = 360, so the float ratio turns 0/0 = nan
+    # the ratio of the class (x, x, 1) is exactly 4 at every k, while
+    # (B^k 1)_x decays like 8^-k against (B^k 1)_y: a table of normalized
+    # float powers loses x's entry to 0.0 near k = 360, and 0/0 = nan
     return GraphBimodule(
         ["x", "y"],
         [

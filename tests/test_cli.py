@@ -1,9 +1,11 @@
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import exact_ratio, fraction_levels
 
 from graphbimod import bimodule, cli, cuntz_pimsner, spectral
 from graphbimod.cli import main
@@ -191,6 +193,47 @@ def test_kasparov_reads_residue_classes_up_to_depth_only(capsys, monkeypatch, na
     assert max(n for _, _, n in made[0]._reports) <= depth
 
 
+def test_kasparov_passes_a_positive_reducible_weighted_gram(capsys):
+    # (v2, v2, 1) is 1/0.1 at every k; a normalized float table gave it
+    # 3.2e-9 too high, which broke the harmonic pivots
+    graph = str(DATA / "reducible_weighted.json")
+    code, out, err = run(capsys, "kasparov", graph, "--depth", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["failures"] == []
+    code, out, _ = run(capsys, "residue", graph, "--target", "e5")
+    assert json.loads(out)["classes"][0]["value"] == float(1 / Fraction(0.1))
+
+
+# loops of weight 1 at a and 1e-300 at b and c, links c <- b <- a of weight
+# 1e-300: D = 2^1050, and the class (c, a, 2) has ratio near 1e600
+TINY_CHAIN = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"id": "la", "r": "a", "s": "a"},
+        {"id": "lb", "r": "b", "s": "b", "weight": 1e-300},
+        {"id": "lc", "r": "c", "s": "c", "weight": 1e-300},
+        {"id": "ab", "r": "b", "s": "a", "weight": 1e-300},
+        {"id": "bc", "r": "c", "s": "b", "weight": 1e-300},
+    ],
+}
+
+
+def test_growth_table_past_its_limits_exits_2(capsys, tmp_path):
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps(TINY_CHAIN))
+    # about 3 * 1050 * k^2 / 2 level bits pass 2^29 at k = 585
+    for argv in (["residue", str(p), "--target", "1"], ["kasparov", str(p)]):
+        code, out, err = run(capsys, *argv, "--kmax", "2000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the index levels to k_max 2000 pass the limit of 536870912 "
+            "bits (64 MiB, about 3 s and 120 MiB) at level 585\n"
+        )
+    code, out, err = run(capsys, "residue", str(p), "--target", "2", "--kmax", "40")
+    assert (code, out) == (2, "")
+    assert err == "error: class ('c', 'a', 2): growth ratio past the double range\n"
+
+
 def test_kasparov_strict_tolerance_trips_psd(capsys, golden_file):
     # pivot round-off sits around 1e-16, so an absurd tolerance may fail
     code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2", "--tol", "1e-18")
@@ -284,9 +327,11 @@ def test_residue_timings_report_stages_and_counters(capsys, tmp_path):
     assert [c["method"] for c in doc["classes"]] == [
         "stationary", "stationary", "structural_zero", "extrapolation"
     ]
+    # level_bits: the bit lengths of the exact levels A^k 1, k <= 200
     assert timings["counters"] == {
         "classes": 4,
         "method": {"stationary": 2, "structural_zero": 1, "extrapolation": 1},
+        "level_bits": 61788,
     }
 
 
@@ -301,8 +346,11 @@ def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):
     assert set(timings["stages"]) == {"gram", "commutators"}
     assert all(t >= 0 for t in timings["stages"].values())
     # paths of length at most 2 by source: 6 at u and 4 at v, so 6² + 4²
-    # symbols; they fall in 30 blocks, which have 15 signatures
-    assert timings["counters"] == {"basis": 52, "blocks": 30, "signatures": 15}
+    # symbols; they fall in 30 blocks, which have 15 signatures.  The
+    # levels to k_max 200 are the Fibonacci pairs (F(k+2), F(k+1))
+    assert timings["counters"] == {
+        "basis": 52, "blocks": 30, "signatures": 15, "level_bits": 28065
+    }
 
 
 def test_reports_are_byte_identical(capsys, golden_file):
@@ -463,7 +511,7 @@ STORED_RUNS = [
             "residue_triangular_target3_kmax2000.json",
             id="residue-triangular-kmax2000",
         ),
-        # (x, x, 1) underflows in the float table: nan, unconverged
+        # (x, x, 1) is 4 at every k, where normalized float powers underflow
         pytest.param(
             "tests/data/underflow.json",
             ["residue", "--target", "1", "--kmax", "600"],
@@ -484,6 +532,14 @@ def test_reports_match_stored(capsys, monkeypatch, graph, argv, stored):
     assert out.out == (DATA / stored).read_text()
     assert out.err == ""
     assert [str(w.message) for w in caught] == []
+    if argv[0] == "residue":
+        # every stored sample is the correctly rounded exact growth ratio
+        doc = json.loads(out.out)
+        levels = fraction_levels(cli.load_graph(graph), doc["parameters"]["kmax"])
+        for cls in doc["classes"]:
+            t = cls["target"]
+            for k, c in cls["samples"]:
+                assert c == exact_ratio(levels, t["source"], t["range"], t["length"], k)
 
 
 def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):

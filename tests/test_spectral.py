@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import graphs
+from conftest import exact_ratio, fraction_levels, graphs
 from hypothesis import given, settings, strategies as st
 
 from graphbimod import (
@@ -174,7 +174,7 @@ def test_growth_table_matches_matrix_powers(triangular):
         for n in sorted({0, min(1, k), k // 2, k}):
             for s, r in (("v", "v"), ("v", "w"), ("w", "w")):
                 want = Fraction(int(level[k - n][vi[s]]), int(level[k][vi[r]]))
-                assert table.ratio(s, r, n, k) == pytest.approx(float(want), rel=1e-12)
+                assert table.ratio(s, r, n, k) == float(want)
     with pytest.raises(ValueError):
         GrowthTable(triangular, -1)
 
@@ -182,40 +182,38 @@ def test_growth_table_matches_matrix_powers(triangular):
 @given(graphs(weights=(0.1, 0.25, 0.5, 1.0, 3.0)), st.integers(8, 300), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_ratio_column_is_the_scalar_ratio_bit_for_bit(m, k_max, n):
+    # only realized classes: the ratio of a class with no path may pass
+    # the double range
     table = GrowthTable(m, k_max)
+    levels = fraction_levels(m, k_max)
+    ks = range(n, k_max + 1)
     for s in m.vertices:
         for r in m.vertices:
+            if not _target_realized(m, r, s, n):
+                continue
             col = table.ratios(s, r, n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scalar = [table.ratio(s, r, n, k) for k in range(n, k_max + 1)]
+            scalar = [table.ratio(s, r, n, k) for k in ks]
             assert col.dtype == np.float64
             assert col.tobytes() == np.array(scalar).tobytes()
+            assert col.tolist() == [exact_ratio(levels, s, r, n, k) for k in ks]
 
 
-def test_ratio_column_underflows_where_the_scalar_does(underflow):
-    table = GrowthTable(underflow, 600)
-    col = table.ratios("x", "x", 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scalar = np.array([table.ratio("x", "x", 1, k) for k in range(1, 601)])
-    assert np.array_equal(col, scalar, equal_nan=True)
-    # 4 while x's entry is a normal float; it loses digits as a subnormal,
-    # then turns nan once it is 0.0, which it stays
-    assert np.allclose(col[:300], 4.0, rtol=1e-12, atol=0)
-    nan = np.isnan(col)
-    first = int(np.argmax(nan))
-    assert 300 < first and nan[first:].all()
+def test_ratio_column_is_exact_where_the_floats_underflowed(underflow):
+    table = GrowthTable(underflow, 2000)
+    assert table.ratios("x", "x", 1).tolist() == [4.0] * 2000
     with pytest.raises(ValueError):
-        table.ratios("x", "x", 601)
+        table.ratios("x", "x", 2001)
 
 
 def test_underflowed_class_warns_nothing(underflow):
-    # the report is still the float table's: nan and unconverged
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = eta_tilde(GrowthTable(underflow, 600), ("x", "x", 1))
-    assert math.isnan(rep.value)
-    assert rep.method == "extrapolation"
-    assert not rep.converged
+    for k_max in (200, 600, 2000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = GrowthTable(underflow, k_max)
+            x = eta_tilde(table, ("x", "x", 1))
+            y = eta_tilde(table, ("y", "y", 1))
+        assert (x.value, x.method, x.converged) == (4.0, "stationary", True)
+        assert (y.value, y.method, y.converged) == (0.5, "stationary", True)
 
 
 def test_stationary_window_is_the_last_three_quarters(underflow):
