@@ -30,21 +30,18 @@ from .cuntz_pimsner import (
     commutator_check,
     gram,
 )
-from .fock import index_levels, make_path, path_counts, path_pool, path_totals, paths
+from .fock import index_levels, make_path, path_counts, path_pool, paths
 from .kms import exchange_sweep, invariant_traces
 from .spectral import GrowthTable, eta_tilde
 
 SCHEMA_VERSION = 1
 
-# kasparov enumerates the paths of length at most the depth (the second
-# legs of the Gram and the commutator columns), and its time and memory
-# grow with their number and length; weights add few signatures (2-CPU
-# machine, one run each: golden mean at depth 23, 317,808 paths, 8.4 s and
-# 183 MiB; at depth 24, 514,226 paths, 14.1 s and 276 MiB; O2 with weights
-# 0.1 and 3.0 at depth 18, 524,287 paths, 10.0 s and 141 MiB; O3 with
-# weights 0.1, 0.3 and 0.7 at depth 12, 797,161 paths, 14.6 s and 284 MiB),
-# so this many keep a run under about 10 s and 250 MiB
-KASPAROV_MAX_BASIS = 400_000
+# residue --target N lists every path of length N, one report row each, and
+# its time and memory grow with their number and length (2-CPU machine, one
+# run each: O2 at --target 16, 65,536 rows, 5.6 s and 320 MiB; golden mean
+# at --target 22, 75,025 rows of 22 edges, 8.5 s and 413 MiB), so this many
+# keep a run under about 6 s and 350 MiB
+RESIDUE_MAX_ROWS = 2**16
 
 
 class CliError(Exception):
@@ -245,6 +242,12 @@ def cmd_residue(args) -> int:
     start = time.perf_counter()
     if re.fullmatch(r"\d+", args.target):
         n = int(args.target)
+        rows = sum(path_counts(module, n)[n].values())
+        if rows > RESIDUE_MAX_ROWS:
+            raise CliError(
+                f"--target {n} needs {rows} paths of length {n}, above the limit of "
+                f"{RESIDUE_MAX_ROWS} rows (about 6 s and 350 MiB)"
+            )
         pool = paths(module, n)
         if not pool:
             raise CliError(f"no paths of length {n}")
@@ -309,12 +312,6 @@ def cmd_residue(args) -> int:
 def cmd_kasparov(args) -> int:
     module = load_graph(args.graph)
     start = time.perf_counter()
-    size = sum(path_totals(path_counts(module, args.depth)).values())
-    if size > KASPAROV_MAX_BASIS:
-        raise CliError(
-            f"depth {args.depth} needs {size} paths of length at most {args.depth}, "
-            f"above the limit of {KASPAROV_MAX_BASIS} (about 10 s and 250 MiB)"
-        )
     failures: list[str] = []
     cfg = ResidueConfig(k_max=args.kmax, tol=args.tol)
     expectation = ConditionalExpectation(module, cfg)

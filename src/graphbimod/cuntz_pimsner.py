@@ -11,9 +11,10 @@ diagonal by the path weight times the residue coefficient of its class.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -318,12 +319,20 @@ class ConditionalExpectation:
 # the number of positive pivots.  A pivot is weight(nu_0) weight(rho) times
 # a harmonic defect of the residues, which depends on rho only through
 # s(rho) and |rho|; the block as a whole depends only on its signature
-# (r(nu_0), |nu_0|, weight(nu_0), u, L).  The second legs nu_0 are
-# counted by key, no path is built, and nothing is eigensolved.
+# (r(nu_0), |nu_0|, weight(nu_0), u, L).  The second legs nu_0 and the
+# rho, which the commutators read too, are counted by key, no path is
+# built, and nothing is eigensolved.  A run costs one pivot per signature
+# and rho group.
 
 # Gram pivots above this count towards the rank, and so do operators whose
 # quotient norm exceeds it
 _TOL = 1e-10
+# On a 2-CPU machine, one run each, a pivot took 1.8-2.4 us, residues
+# included: 4 vertices with weights 0.1 to 3 at depth 13, 2.68 million
+# pivots, 5.5 s; O2 with weights 0.1 and 3 at depth 30, 2.58 million,
+# 4.5 s; golden mean at depth 100, 0.72 million, 1.7 s.  So this many keep
+# a run under about 10 s
+GRAM_MAX_PIVOTS = 4_000_000
 
 
 def spanning_basis_size(module: GraphBimodule, depth: int) -> int:
@@ -360,19 +369,19 @@ class GramData:
     vacuum: tuple[float, ...]
 
     def operator_rank(
-        self, rows: Mapping[str, Sequence[float]]
+        self, row_norms: Mapping[str, float]
     ) -> tuple[dict[str, int], int]:
         """Per-vertex rank in the quotient of an operator living on vacuum rows.
 
-        rows[v] is the operator's one nonzero row, at the vacuum symbol
-        (v, v), over any columns.  The quotient sends that symbol to a
-        vector of norm sqrt(c(v)), so the operator has rank one at v when
-        sqrt(c(v)) times the norm of the row exceeds _TOL, and zero
-        otherwise.
+        row_norms[v] is the squared norm of the operator's one nonzero row,
+        at the vacuum symbol (v, v), over any columns.  The quotient sends
+        that symbol to a vector of norm sqrt(c(v)), so the operator has
+        rank one at v when sqrt(c(v)) times the norm of the row exceeds
+        _TOL, and zero otherwise.
         """
         ranks = {}
         for v, c in zip(self.vertex_names, self.vacuum):
-            norm = float(np.linalg.norm(rows.get(v, ())))
+            norm = math.sqrt(row_norms.get(v, 0.0))
             ranks[v] = int(math.sqrt(max(c, 0.0)) * norm > _TOL)
         return ranks, sum(ranks.values())
 
@@ -420,6 +429,46 @@ def _second_legs(
     return legs
 
 
+def _pivot_limit(depth: int) -> ValueError:
+    return ValueError(
+        f"the Gram at depth {depth} passes the limit of {GRAM_MAX_PIVOTS} pivots (about 10 s)"
+    )
+
+
+def _rho_levels(
+    module: GraphBimodule, depth: int, counts: list[dict[str, int]] | None = None
+) -> dict[str, list[dict[tuple[str, float], int]]]:
+    """u -> the paths rho with range u of length 0..depth, level by level.
+
+    Level j maps (s(rho), weight(rho)) to the number of rho of length j
+    with that key, in the order of their first rho in paths(module, j);
+    the weight is multiplied left to right from 1.0, as Path.weight does.
+    Given path `counts` by source, it raises past `GRAM_MAX_PIVOTS` pivots
+    of the vacuum blocks as it walks: the block of u has a signature with
+    L = depth - a for each a <= top, the longest path from u within the
+    depth, and each has a pivot per key of length <= L.
+    """
+    walks = {}
+    pivots = 0
+    for u in module.vertices:
+        top = -1 if counts is None else max(a for a, c in enumerate(counts) if c[u])
+        level = {(u, 1.0): 1}
+        walks[u] = [level]
+        for j in range(1, depth + 1):
+            uses = min(depth - j, top) + 1
+            nxt: dict[tuple[str, float], int] = {}
+            for (s, w), k in level.items():
+                for e in module.edges_with_range(s):
+                    key = (e.s, w * e.weight)
+                    nxt[key] = nxt.get(key, 0) + k
+                if pivots + len(nxt) * uses > GRAM_MAX_PIVOTS:
+                    raise _pivot_limit(depth)
+            pivots += len(nxt) * uses
+            level = nxt
+            walks[u].append(level)
+    return walks
+
+
 def gram(
     module: GraphBimodule, depth: int, expectation: ConditionalExpectation
 ) -> GramData:
@@ -432,38 +481,43 @@ def gram(
     the length-(a-1) paths with source r(e).  Each signature
     (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), L) is solved once: its rho
     are walked level by level, grouped by (s(rho), weight(rho)) with
-    multiplicities, and each group has one pivot.  Residues are read through `ConditionalExpectation.limit`, in
-    (|rho|, rho) order, so an uncertified class raises
-    `ResidueUncertifiedError`; only classes of length <= depth are read.
+    multiplicities (`_rho_levels`), and each group has one pivot.  Residues
+    are read through `ConditionalExpectation.limit`, in (|rho|, rho) order,
+    so an uncertified class raises `ResidueUncertifiedError`; only classes
+    of length <= depth are read.  More than `GRAM_MAX_PIVOTS` pivots raise
+    `ValueError` while the keys are counted, before any residue is read.
     """
     counts = path_counts(module, depth)
     vertices = module.vertices
     vidx = {v: i for i, v in enumerate(vertices)}
 
+    # walked first, as the second legs are the same walks refined by their
+    # last range: a Gram past the limit stops before they are built
+    walks = _rho_levels(module, depth, counts)
+    # u -> number of rho groups of length <= L, by L
+    groups = {u: list(itertools.accumulate(map(len, walk))) for u, walk in walks.items()}
+
     # signature -> number of blocks that have it
     signatures: dict[tuple[str, int, float, str, int], int] = {}
+    pivots = 0
     for (r0, n, w0, u, shared), count in _second_legs(module, depth).items():
         for a in range(depth + 1):
             mult = counts[a][u]
             if shared is not None and a:
                 mult -= counts[a - 1][shared]
             if mult:
-                key = (r0, n, w0, u, depth - max(a, n))
-                signatures[key] = signatures.get(key, 0) + count * mult
+                L = depth - max(a, n)
+                key = (r0, n, w0, u, L)
+                if key not in signatures:
+                    signatures[key] = 0
+                    pivots += groups[u][L]
+                    if pivots > GRAM_MAX_PIVOTS:
+                        raise _pivot_limit(depth)
+                signatures[key] += count * mult
 
-    # u -> levels of the rho with range u, up to the depth that the vacuum
-    # block of u needs: (s(rho), weight(rho)) -> count
-    walks: dict[str, list[dict[tuple[str, float], int]]] = {}
-    for u in vertices:
-        walk = walks[u] = [{(u, 1.0): 1}]
-        for _ in range(depth):
-            nxt: dict[tuple[str, float], int] = {}
-            for (s, w), k in walk[-1].items():
-                for e in module.edges_with_range(s):
-                    key = (e.s, w * e.weight)
-                    nxt[key] = nxt.get(key, 0) + k
-            walk.append(nxt)
-
+    # (r(nu_0), s(rho), |nu_0 rho|) -> the weighted residues one edge on
+    outflow: dict[tuple[str, str, int], float] = {}
+    edges_in = module.edges_with_range
     V = len(vertices)
     low = [math.inf] * V
     ranks = [0] * V
@@ -480,7 +534,10 @@ def gram(
             for (s, w), k in level.items():
                 h = res[j][s]
                 if j < L:
-                    h -= sum(e.weight * res[j + 1][e.s] for e in module.edges_with_range(s))
+                    key = (r0, s, n + j)
+                    if key not in outflow:
+                        outflow[key] = sum(e.weight * res[j + 1][e.s] for e in edges_in(s))
+                    h -= outflow[key]
                 d = w0 * w * h
                 lowest = min(lowest, d)
                 if d > _TOL:
@@ -527,29 +584,27 @@ def commutator_check(
     land on the same plain symbol with the same coefficient and cancel;
     when |sigma| = |rho| + 1, only sigma = g rho survives, in the vacuum
     row (r(g), r(g)), with the residue coefficient of g rho.  So the
-    commutator is that one row, over the rho of length < depth, and
-    `GramData.operator_rank` of `gram_data`, which is
-    gram(module, depth, expectation), ranks it.  The prediction is one at
+    commutator is that one row, over the rho of length < depth, read as
+    the counted keys of `_rho_levels`, and `GramData.operator_rank` of
+    `gram_data`, which is gram(module, depth, expectation), ranks its
+    squared norm.  The prediction is one at
     r(g) when a surviving coefficient exceeds the rank tolerance, zero
     elsewhere; the vacuum coefficient is one, so the two agree.
     """
+    walks = _rho_levels(module, max(depth - 1, 0))
     reports = []
     for g in module.edges:
-        row = []
-        # (s(rho), weight of g rho) over the rho of length k with r(rho) =
-        # s(g), in path order; the weight is multiplied left to right from
-        # g, as Path.weight does
-        level = [(g.s, g.weight)]
-        for k in range(depth):
+        norm2, surviving = 0.0, 0
+        # the rho of length < depth with r(rho) = s(g)
+        for k, level in enumerate(walks[g.s][:depth]):
             sources = dict.fromkeys(s for s, _ in level)
             limits = {s: expectation.limit(g.r, s, k + 1) for s in sources}
-            row += [w * limits[s] for s, w in level]
-            if k + 1 < depth:
-                level = [
-                    (e.s, w * e.weight) for s, w in level for e in module.edges_with_range(s)
-                ]
-        surviving = sum(abs(coef) > _TOL for coef in row)
-        ranks, total = gram_data.operator_rank({g.r: row})
+            for (s, w), m in level.items():
+                coef = g.weight * w * limits[s]
+                # a count past the double range would not convert
+                norm2 += coef * coef * min(m, 1e300)
+                surviving += m * (abs(coef) > _TOL)
+        ranks, total = gram_data.operator_rank({g.r: norm2})
         predicted = {v: 0 for v in module.vertices}
         predicted[g.r] = 1 if surviving else 0
         predicted_total = sum(predicted.values())

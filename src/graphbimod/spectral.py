@@ -78,9 +78,10 @@ class PFData:
     1e-12 relative to its upper end.
 
     The rate constants bound the geometric convergence of the normalized
-    transpose powers to the orthogonal projection Q.  They are meaningful
-    as a certificate only when B is normal, and are None unless B is
-    primitive and `converged` holds.
+    transpose powers to the orthogonal projection Q.  They are a
+    certificate only when B is normal, and are None unless B is primitive,
+    `converged` holds and A A^T = A^T A exactly in the integers of
+    `integer_adjacency` (B = A / D is normal exactly when A is).
     """
 
     spectral_radius: float
@@ -95,6 +96,16 @@ class PFData:
     radius_bounds: tuple[Fraction, Fraction] | None
 
 
+def _is_normal(module: GraphBimodule) -> bool:
+    """Whether the integer adjacency A has A A^T = A^T A, exactly."""
+    V = len(module.vertices)
+    A = np.zeros((V, V), dtype=object)
+    for i, row in enumerate(module.integer_adjacency):
+        for j, a in row:
+            A[i, j] = a
+    return bool((A @ A.T == A.T @ A).all())
+
+
 def pf_data(module: GraphBimodule) -> PFData:
     B = module.adjacency()
     n = B.shape[0]
@@ -106,7 +117,7 @@ def pf_data(module: GraphBimodule) -> PFData:
         bounds[1] - bounds[0] <= _CERTIFIED_WIDTH * bounds[1]
     )
     Q = np.outer(x, x)
-    if not (primitive and converged):
+    if not (primitive and converged and _is_normal(module)):
         return PFData(lam, x, w, Q, primitive, None, None, 0, converged, bounds)
     # smallest l with ||(1-Q)(B^T/r)^l(1-Q)|| < 1, then a geometric envelope
     # constant covering the powers below l
@@ -145,9 +156,10 @@ def verify_rate_certificate(
 ) -> RateCheck:
     """Check ||(B^T/r)^k - Q|| <= C alpha^k for k = 1..k_max.
 
-    Only meaningful when the normalized powers actually converge to the
-    orthogonal projection, i.e. when the adjacency matrix is normal.  The
-    geometric bound quickly drops below what repeated matrix products can
+    The normalized powers converge to the orthogonal projection only when
+    the adjacency matrix is normal, so `pf_data` gives no rate constants
+    otherwise, and a non-normal graph raises ValueError.  The geometric
+    bound quickly drops below what repeated matrix products can
     resolve, so a precision floor growing linearly with k is added to the
     bound before comparing.
     """
@@ -155,7 +167,9 @@ def verify_rate_certificate(
     if not data.primitive:
         raise ValueError("rate certificate requires a primitive adjacency matrix")
     if data.rate_alpha is None or data.rate_C is None:
-        raise ValueError("rate constants unavailable (Perron root not certified)")
+        raise ValueError(
+            "rate constants unavailable (adjacency not normal, or Perron root not certified)"
+        )
     B = module.adjacency()
     S = B.T / data.spectral_radius
     eps = float(np.finfo(float).eps)

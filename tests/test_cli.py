@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -139,6 +140,47 @@ def test_residue_bad_target_exits_2(capsys, golden_file):
     code, _, err = run(capsys, "residue", golden_file, "--target", "zz")
     assert code == 2
     assert "bad target" in err
+
+
+def test_residue_row_limit_exits_before_listing(capsys, tmp_path):
+    # O10 has 10^8 paths of length 8, one report row each
+    p = tmp_path / "o10.json"
+    edges = [{"id": f"e{i}", "r": "z", "s": "z"} for i in range(10)]
+    p.write_text(json.dumps({"vertices": ["z"], "edges": edges}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "residue", str(p), "--target", "8")
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    assert f"needs {10**8} paths of length 8" in err
+    assert f"limit of {cli.RESIDUE_MAX_ROWS} rows" in err
+    assert elapsed < 1.0
+
+
+# a primitive graph whose adjacency is not normal: its normalized powers
+# tend to an oblique Perron projection, not to the orthogonal one that the
+# rate constants bound, and the certificate failed at k = 1 by 2.6e12
+NON_NORMAL = {
+    "vertices": ["u", "v", "w"],
+    "edges": [
+        {"id": i, "r": r, "s": s}
+        for i, r, s in [("a", "u", "u"), ("b", "u", "v"), ("c", "v", "w"),
+                        ("d", "w", "u"), ("e", "u", "w"), ("f", "w", "w")]
+    ],
+}
+
+
+def test_residue_prints_no_rate_for_a_non_normal_graph(capsys, tmp_path):
+    p = tmp_path / "non_normal.json"
+    p.write_text(json.dumps(NON_NORMAL))
+    code, out, _ = run(capsys, "residue", str(p), "--target", "1")
+    assert code == 0
+    classes = json.loads(out)["classes"]
+    assert len(classes) == 6
+    assert all(c["method"] == "closed_form" and c["rate_alpha"] is None for c in classes)
+    module = cli.load_graph(str(p))
+    assert spectral.pf_data(module).rate_C is None
+    with pytest.raises(ValueError, match="not normal"):
+        spectral.verify_rate_certificate(module)
 
 
 def test_kasparov_clean_run(capsys, golden_file):

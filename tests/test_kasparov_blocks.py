@@ -28,8 +28,8 @@ from graphbimod import (
     gram,
     paths,
 )
-from graphbimod.cli import KASPAROV_MAX_BASIS, main
-from graphbimod.cuntz_pimsner import _second_legs, spanning_basis_size
+from graphbimod.cli import main
+from graphbimod.cuntz_pimsner import GRAM_MAX_PIVOTS, _second_legs, spanning_basis_size
 from graphbimod.fock import make_path, path_counts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -138,14 +138,14 @@ def test_pivots_match_dense_blocks_for_any_coefficients(module, depth, seed):
     _check_gram(gram(module, depth, exp_), module, depth, exp_)
 
 
-class _RowRecorder:
-    """Stands in for the Gram data: keeps the rows commutator_check ranks."""
+class _NormRecorder:
+    """Stands in for the Gram data: keeps the squared row norms commutator_check ranks."""
 
     def __init__(self):
-        self.rows = []
+        self.norms = []
 
-    def operator_rank(self, rows):
-        self.rows.append(rows)
+    def operator_rank(self, row_norms):
+        self.norms.append(row_norms)
         return {}, 0
 
 
@@ -153,16 +153,19 @@ class _RowRecorder:
 @settings(max_examples=30, deadline=None)
 def test_commutator_rows_are_the_path_coefficients(module, depth, seed):
     # each edge's vacuum row is coeff(g rho) over the rho of length < depth
-    # with r(rho) = s(g), in path order, bit for bit: the weight of g rho
-    # is taken left to right as Path.weight takes it
+    # with r(rho) = s(g).  The counted walk never lists it, but its squared
+    # norm and its surviving count are those of the listed row; the weight
+    # of g rho is taken in another order, so they agree to round-off
     exp_ = _ArbitraryCoefficients(module, seed)
-    recorder = _RowRecorder()
-    commutator_check(module, depth, exp_, recorder)
+    recorder = _NormRecorder()
+    reports = commutator_check(module, depth, exp_, recorder)
     shorter = [rho for k in range(depth) for rho in paths(module, k)]
-    assert len(recorder.rows) == len(module.edges)
-    for g, rows in zip(module.edges, recorder.rows):
+    assert len(recorder.norms) == len(reports) == len(module.edges)
+    for g, norms, rep in zip(module.edges, recorder.norms, reports):
         row = [exp_.coeff(make_path(module, (g.id,) + rho.ids)) for rho in shorter if rho.r == g.s]
-        assert rows == {g.r: row}
+        assert norms.keys() == {g.r}
+        assert norms[g.r] == pytest.approx(sum(c * c for c in row), rel=1e-12, abs=0)
+        assert rep.surviving == sum(abs(c) > 1e-10 for c in row)
 
 
 @given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 3))
@@ -192,15 +195,21 @@ def test_spanning_basis_size_matches_sorted_oracle(module, depth):
         assert level == by_source
 
 
-@pytest.mark.parametrize("name", ["full_shift_2", "golden_mean", "triangular"])
+@pytest.mark.parametrize(
+    "name", ["full_shift_2", "golden_mean", "triangular", "reducible_weighted"]
+)
 def test_kasparov_reports_match_stored(name, capsys, monkeypatch):
-    # stored from the dense route, whose psd_min were eigensolver round-off
-    # on singular blocks; the pivots move them by less than 1e-13
-    want_text = (DATA / f"kasparov_{name}_depth2.json").read_text()
+    # the unweighted ones stored from the dense route at depth 2, whose
+    # psd_min were eigensolver round-off on singular blocks; the pivots move
+    # them by less than 1e-13.  The weighted one stored from the pivots with
+    # a listed commutator row, at depth 4
+    stored = sorted(DATA.glob(f"kasparov_{name}_depth*.json"))
+    assert len(stored) == 1
+    want_text = stored[0].read_text()
     want = json.loads(want_text)
     assert json.dumps(want, indent=2, sort_keys=True) + "\n" == want_text
     monkeypatch.chdir(ROOT)
-    code = main(["kasparov", f"scripts/graphs/{name}.json", "--depth", "2"])
+    code = main(["kasparov", want["graph"], "--depth", str(want["parameters"]["depth"])])
     out = capsys.readouterr().out
     assert code == 0
     got = json.loads(out)
@@ -222,14 +231,27 @@ def test_kasparov_full_shift_3_depth_3(capsys):
     assert all(c["matches"] and c["total_rank"] == 1 for c in doc["commutators"])
 
 
+O10 = {"vertices": ["z"], "edges": [{"id": f"e{i}", "r": "z", "s": "z"} for i in range(10)]}
+
+
 @pytest.mark.parametrize(
     "name, depth, size",
-    [("full_shift_2", 12, 67_092_481), ("full_shift_3", 8, 96_845_281)],
+    [
+        ("full_shift_2", 12, 67_092_481),
+        ("full_shift_3", 8, 96_845_281),
+        ("full_shift_2", 40, (2**41 - 1) ** 2),
+        ("golden_mean", 40, 679_891_633_965_988_457),
+        ("full_shift_10", 8, 111_111_111**2),
+    ],
 )
-def test_kasparov_counts_bases_it_could_not_enumerate(capsys, name, depth, size):
-    # about 1e8 spanning symbols, from under 10,000 paths
-    graph = str(ROOT / "scripts" / "graphs" / f"{name}.json")
-    code = main(["kasparov", graph, "--depth", str(depth)])
+def test_kasparov_counts_bases_it_could_not_enumerate(capsys, tmp_path, name, depth, size):
+    # about 1e8 spanning symbols from under 10,000 paths; at depth 40 and on
+    # O10, more paths than any listing could hold
+    graph = ROOT / "scripts" / "graphs" / f"{name}.json"
+    if name == "full_shift_10":
+        graph = tmp_path / "o10.json"
+        graph.write_text(json.dumps(O10))
+    code = main(["kasparov", str(graph), "--depth", str(depth)])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["failures"] == []
@@ -237,16 +259,20 @@ def test_kasparov_counts_bases_it_could_not_enumerate(capsys, name, depth, size)
     assert all(c["matches"] and c["total_rank"] == 1 for c in doc["commutators"])
 
 
-def test_kasparov_size_guard_exits_before_enumerating(capsys, tmp_path):
-    # O10 at depth 8 has 111,111,111 paths of length at most 8
-    doc = {"vertices": ["z"], "edges": [{"id": f"e{i}", "r": "z", "s": "z"} for i in range(10)]}
-    p = tmp_path / "o10.json"
-    p.write_text(json.dumps(doc))
-    t0 = time.perf_counter()
-    code = main(["kasparov", str(p), "--depth", "8"])
-    elapsed = time.perf_counter() - t0
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"limit of {KASPAROV_MAX_BASIS}" in err
-    assert f"needs {sum(10**k for k in range(9))} paths" in err
-    assert elapsed < 1.0
+def test_kasparov_size_guard_exits_before_enumerating(capsys, monkeypatch):
+    # reducible_weighted has 4.87 million pivots at depth 14.  At depth 40
+    # the walks of its vacuum blocks alone pass the bound, before a second
+    # leg is built; listing them all first takes 30 s and 2 GiB
+    def unread(*args):
+        raise AssertionError(f"residue {args[1:]} read")
+
+    monkeypatch.setattr(ConditionalExpectation, "residue", unread)
+    for depth in (14, 40):
+        t0 = time.perf_counter()
+        code = main(["kasparov", str(DATA / "reducible_weighted.json"), "--depth", str(depth)])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"the Gram at depth {depth} passes the limit of {GRAM_MAX_PIVOTS} pivots" in err
+        assert "(about 10 s)" in err
+        assert elapsed < 1.0
