@@ -9,31 +9,27 @@ dynamics with its equilibrium states) is computed from that one structure.
 
 from .algebra import AlgebraElement, VertexSet
 from .bimodule import (
-    AxiomReport,
     Edge,
     GraphBimodule,
     GraphStructureError,
-    ModuleVector,
     beta_is_central,
-    check_bimodule_axioms,
     index_element,
-    left_action,
-    left_inner,
-    right_action,
-    right_inner,
-    smeb_check,
-    watatani_phi,
 )
 from .fock import (
+    AxiomReport,
     FockVector,
     Path,
     beta_k,
-    left_inner_fock,
+    check_bimodule_axioms,
+    left_action,
+    left_inner,
     make_path,
     paths,
     phi_k,
     rank_one_phi,
-    right_inner_fock,
+    right_action,
+    right_inner,
+    smeb_check,
 )
 from .spectral import (
     PFData,
@@ -79,7 +75,6 @@ __all__ = [
     "GramData",
     "GraphBimodule",
     "GraphStructureError",
-    "ModuleVector",
     "PFData",
     "PartialSumReport",
     "Path",
@@ -106,7 +101,6 @@ __all__ = [
     "kms_check",
     "left_action",
     "left_inner",
-    "left_inner_fock",
     "make_path",
     "paths",
     "pf_data",
@@ -115,9 +109,7 @@ __all__ = [
     "rank_one_phi",
     "right_action",
     "right_inner",
-    "right_inner_fock",
     "smeb_check",
     "tr_phi",
     "verify_rate_certificate",
-    "watatani_phi",
 ]

@@ -1,4 +1,4 @@
-"""Edge module of a finite directed graph as a two-sided inner-product module.
+"""Finite directed graph and the exact data of its edge bimodule.
 
 Conventions, fixed throughout the package:
 
@@ -9,6 +9,10 @@ Conventions, fixed throughout the package:
 * the left inner product <e|f>_L(v) sums c_g e_g conj(f_g) over edges with
   r(g) = v, where c_g > 0 is the per-edge weight (default 1).
 
+The edge module is the degree-1 summand of the Fock module, so its vectors
+are the degree-1 `fock.FockVector`s, and the actions and inner products
+are those of `fock`.
+
 Graphs must have no sources and no sinks (every vertex has at least one
 incoming and one outgoing edge); this is validated at construction.
 """
@@ -16,9 +20,9 @@ incoming and one outgoing edge); this is validated at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -207,27 +211,6 @@ class GraphBimodule:
             f"{len(self.edges)} edges)"
         )
 
-    # -- module vectors -------------------------------------------------
-
-    def zero_vector(self) -> "ModuleVector":
-        return ModuleVector(self, np.zeros(len(self.edges), dtype=complex))
-
-    def delta(self, edge_id: str) -> "ModuleVector":
-        vals = np.zeros(len(self.edges), dtype=complex)
-        vals[self.edge_position(edge_id)] = 1.0
-        return ModuleVector(self, vals)
-
-    def frame(self) -> list["ModuleVector"]:
-        """The edge point masses; they reconstruct every vector exactly."""
-        return [self.delta(e.id) for e in self.edges]
-
-    def vector(self, values) -> "ModuleVector":
-        return ModuleVector(self, values)
-
-    def random_vector(self, rng: np.random.Generator) -> "ModuleVector":
-        n = len(self.edges)
-        return ModuleVector(self, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
     def random_algebra_element(self, rng: np.random.Generator) -> AlgebraElement:
         n = len(self.vertices)
         return AlgebraElement(
@@ -235,97 +218,11 @@ class GraphBimodule:
         )
 
 
-@dataclass(frozen=True)
-class ModuleVector:
-    """Complex function on the edges, in the module's canonical edge order."""
-
-    module: GraphBimodule = field(repr=False)
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=complex).reshape(-1).copy()
-        if arr.shape != (len(self.module.edges),):
-            raise ValueError("value vector does not match the edge count")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        return ModuleVector(self.module, self.values + other.values)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return ModuleVector(self.module, self.values - other.values)
-
-    def __mul__(self, scalar) -> "ModuleVector":
-        return ModuleVector(self.module, self.values * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.module, -self.values)
-
-    def norm(self) -> float:
-        """Module norm: sup over vertices of sqrt(<x|x>_R)."""
-        return float(np.sqrt(right_inner(self, self).norm()))
-
-    def __getitem__(self, edge_id: str) -> complex:
-        return complex(self.values[self.module.edge_position(edge_id)])
-
-
-# -- actions and inner products -----------------------------------------
-
-
-def left_action(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
-    """(a.x)(g) = a(r(g)) x(g)."""
-    m = x.module
-    scale = np.array([a[e.r] for e in m.edges])
-    return ModuleVector(m, scale * x.values)
-
-
-def right_action(x: ModuleVector, a: AlgebraElement) -> ModuleVector:
-    """(x.a)(g) = x(g) a(s(g))."""
-    m = x.module
-    scale = np.array([a[e.s] for e in m.edges])
-    return ModuleVector(m, x.values * scale)
-
-
-def right_inner(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
-    """<x|y>_R(v) = sum over s(g) = v of conj(x_g) y_g."""
-    m = x.module
-    vals = np.zeros(len(m.vertices), dtype=complex)
-    prod = np.conj(x.values) * y.values
-    for i, e in enumerate(m.edges):
-        vals[m.vertices.index(e.s)] += prod[i]
-    return AlgebraElement(m.vertices, vals)
-
-
-def left_inner(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
-    """<x|y>_L(v) = sum over r(g) = v of c_g x_g conj(y_g)."""
-    m = x.module
-    vals = np.zeros(len(m.vertices), dtype=complex)
-    prod = x.values * np.conj(y.values)
-    for i, e in enumerate(m.edges):
-        vals[m.vertices.index(e.r)] += e.weight * prod[i]
-    return AlgebraElement(m.vertices, vals)
-
-
-def watatani_phi(module: GraphBimodule, T: np.ndarray) -> AlgebraElement:
-    """Left-inner-product trace of an edge-space operator.
-
-    Phi(T)(v) = sum over r(g) = v of c_g T[g, g].  Applied to the identity it
-    gives the one-step index vector.
-    """
-    T = np.asarray(T, dtype=complex)
-    n = len(module.edges)
-    if T.shape != (n, n):
-        raise ValueError(f"operator must be {n}x{n}")
-    vals = np.zeros(len(module.vertices), dtype=complex)
-    for i, e in enumerate(module.edges):
-        vals[module.vertices.index(e.r)] += e.weight * T[i, i]
-    return AlgebraElement(module.vertices, vals)
-
-
 def index_element(module: GraphBimodule) -> AlgebraElement:
-    """One-step index e^beta = Phi(Id): weighted out-degree per vertex."""
+    """One-step index e^beta = Phi(Id): weighted out-degree per vertex.
+
+    Phi is Watatani's trace on the edge operators, `fock.phi_k` at k = 1.
+    """
     return AlgebraElement.from_dict(module.vertices, module.index_float)
 
 
@@ -337,117 +234,3 @@ def beta_is_central(module: GraphBimodule) -> bool:
     """
     index = module.index_exact
     return all(index[e.r] == index[e.s] for e in module.edges)
-
-
-# -- structural checks ----------------------------------------------------
-
-
-@dataclass
-class AxiomReport:
-    trials: int
-    seed: int
-    residuals: dict[str, float]
-    passed: bool
-
-    def worst(self) -> float:
-        return max(self.residuals.values())
-
-
-def check_bimodule_axioms(
-    module: GraphBimodule,
-    trials: int = 100,
-    seed: int = 42,
-    tol: float = 1e-12,
-) -> AxiomReport:
-    """Randomized check of the two-sided inner-product module axioms.
-
-    Covers linearity of both inner products in their linear slots, the
-    adjoint relations between the two actions, positivity of both inner
-    products, and the frame reconstruction identity.
-    """
-    rng = np.random.default_rng(seed)
-    res = {
-        "right_linearity": 0.0,
-        "left_linearity": 0.0,
-        "right_adjoint": 0.0,
-        "left_adjoint": 0.0,
-        "right_positivity": 0.0,
-        "left_positivity": 0.0,
-        "hermitian_symmetry": 0.0,
-        "frame_reconstruction": 0.0,
-    }
-    for _ in range(trials):
-        x = module.random_vector(rng)
-        y = module.random_vector(rng)
-        a = module.random_algebra_element(rng)
-
-        lhs = right_inner(x, right_action(y, a))
-        rhs = right_inner(x, y) * a
-        res["right_linearity"] = max(res["right_linearity"], (lhs - rhs).norm())
-
-        lhs = left_inner(left_action(a, x), y)
-        rhs = a * left_inner(x, y)
-        res["left_linearity"] = max(res["left_linearity"], (lhs - rhs).norm())
-
-        lhs = right_inner(left_action(a, x), y)
-        rhs = right_inner(x, left_action(a.adjoint(), y))
-        res["right_adjoint"] = max(res["right_adjoint"], (lhs - rhs).norm())
-
-        lhs = left_inner(right_action(x, a), y)
-        rhs = left_inner(x, right_action(y, a.adjoint()))
-        res["left_adjoint"] = max(res["left_adjoint"], (lhs - rhs).norm())
-
-        rpos = right_inner(x, x).values
-        res["right_positivity"] = max(
-            res["right_positivity"],
-            float(np.max(np.abs(rpos.imag))),
-            float(max(0.0, -np.min(rpos.real))),
-        )
-        lpos = left_inner(x, x).values
-        res["left_positivity"] = max(
-            res["left_positivity"],
-            float(np.max(np.abs(lpos.imag))),
-            float(max(0.0, -np.min(lpos.real))),
-        )
-
-        sym = right_inner(x, y) - right_inner(y, x).adjoint()
-        res["hermitian_symmetry"] = max(res["hermitian_symmetry"], sym.norm())
-
-        rebuilt = module.zero_vector()
-        for g in module.frame():
-            rebuilt = rebuilt + right_action(g, right_inner(g, x))
-        res["frame_reconstruction"] = max(
-            res["frame_reconstruction"], max(np.abs(rebuilt.values - x.values))
-        )
-    return AxiomReport(trials, seed, res, all(v <= tol for v in res.values()))
-
-
-@dataclass
-class SmebResult:
-    holds: bool
-    witness: tuple[str, str, str] | None
-    defect: float
-
-
-def smeb_check(module: GraphBimodule, tol: float = 1e-10) -> SmebResult:
-    """Test <g|h>_L . k = g . <h|k>_R on all edge-basis triples.
-
-    Holds exactly when both endpoint maps are injective and the weights are
-    all 1, i.e. for unit-weight permutation graphs.  Returns the first
-    failing triple as a witness.
-    """
-    worst = 0.0
-    witness = None
-    for g in module.edges:
-        dg = module.delta(g.id)
-        for h in module.edges:
-            dh = module.delta(h.id)
-            for k in module.edges:
-                dk = module.delta(k.id)
-                lhs = left_action(left_inner(dg, dh), dk)
-                rhs = right_action(dg, right_inner(dh, dk))
-                defect = float(np.max(np.abs(lhs.values - rhs.values)))
-                worst = max(worst, defect)
-                if defect > tol and witness is None:
-                    witness = (g.id, h.id, k.id)
-    return SmebResult(worst <= tol, witness, worst)

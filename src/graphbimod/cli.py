@@ -457,10 +457,25 @@ def cmd_kms(args) -> int:
 
 
 def _count(text: str) -> int:
-    """Argument type of --depth, --kmax, --pairs and --length."""
+    """Argument type of --depth, --kmax, --pairs, --length and --seed."""
     if not re.fullmatch(r"\d+", text):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """Argument type of --tol: a finite number >= 0.
+
+    Under inf no check can fail, and under nan or a negative value the
+    tolerance alone would decide the checks.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("graph", help="path to a graph JSON file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=_tolerance, default=1e-10)
         p.add_argument(
             "--timings",
             action="store_true",
@@ -505,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kms = sub.add_parser("kms", help="invariant traces and the exchange defect")
     common(p_kms)
     p_kms.add_argument("--pairs", type=_count, default=200)
-    p_kms.add_argument("--seed", type=int, default=42)
+    p_kms.add_argument("--seed", type=_count, default=42)
     p_kms.add_argument("--length", type=_count, default=3)
     p_kms.set_defaults(func=cmd_kms)
     return parser

@@ -435,27 +435,24 @@ def _pivot_limit(depth: int) -> ValueError:
     )
 
 
-def _rho_levels(
-    module: GraphBimodule, depth: int, counts: list[dict[str, int]] | None = None
-) -> dict[str, list[dict[tuple[str, float], int]]]:
+def _rho_levels(module: GraphBimodule, depth: int) -> dict[str, list[dict[tuple[str, float], int]]]:
     """u -> the paths rho with range u of length 0..depth, level by level.
 
     Level j maps (s(rho), weight(rho)) to the number of rho of length j
     with that key, in the order of their first rho in paths(module, j);
     the weight is multiplied left to right from 1.0, as Path.weight does.
-    Given path `counts` by source, it raises past `GRAM_MAX_PIVOTS` pivots
-    of the vacuum blocks as it walks: the block of u has a signature with
-    L = depth - a for each a <= top, the longest path from u within the
-    depth, and each has a pivot per key of length <= L.
+    It raises past `GRAM_MAX_PIVOTS` pivots of the vacuum blocks as it
+    walks: every vertex is the source of paths of every length, so the
+    block of u has a signature with L = depth - a for each a <= depth, and
+    each has a pivot per key of length <= L.
     """
     walks = {}
     pivots = 0
     for u in module.vertices:
-        top = -1 if counts is None else max(a for a, c in enumerate(counts) if c[u])
         level = {(u, 1.0): 1}
         walks[u] = [level]
         for j in range(1, depth + 1):
-            uses = min(depth - j, top) + 1
+            uses = depth - j + 1
             nxt: dict[tuple[str, float], int] = {}
             for (s, w), k in level.items():
                 for e in module.edges_with_range(s):
@@ -493,7 +490,7 @@ def gram(
 
     # walked first, as the second legs are the same walks refined by their
     # last range: a Gram past the limit stops before they are built
-    walks = _rho_levels(module, depth, counts)
+    walks = _rho_levels(module, depth)
     # u -> number of rho groups of length <= L, by L
     groups = {u: list(itertools.accumulate(map(len, walk))) for u, walk in walks.items()}
 
@@ -591,6 +588,8 @@ def commutator_check(
     r(g) when a surviving coefficient exceeds the rank tolerance, zero
     elsewhere; the vacuum coefficient is one, so the two agree.
     """
+    # one level shorter than the walk of `gram`, so it counts fewer pivots
+    # and stays within the bound that walk has passed
     walks = _rho_levels(module, max(depth - 1, 0))
     reports = []
     for g in module.edges:

@@ -1,4 +1,8 @@
-"""Path spaces, tensor powers of the edge module, and the k-step index.
+"""Path spaces, the Fock module of the edge module E, and the k-step index.
+
+`FockVector` is the one vector type: the length-k paths span E^k, and the
+degree-1 vectors are E itself.  `phi_k` at k = 1 is Watatani's trace on
+the edge operators.
 
 A path of length k is a sequence (g_1, ..., g_k) of edges with
 s(g_i) = r(g_{i+1}); its range is r(g_1) and its source is s(g_k), so paths
@@ -170,10 +174,6 @@ def path_totals(counts: list[dict[str, int]]) -> dict[str, int]:
     return {v: sum(level[v] for level in counts) for v in counts[0]}
 
 
-def path_index(module: GraphBimodule, k: int) -> dict[Path, int]:
-    return {p: i for i, p in enumerate(paths(module, k))}
-
-
 @dataclass(frozen=True, eq=False)
 class PathPool:
     """The paths of length 0..max_length as integer ids.
@@ -298,6 +298,14 @@ class FockVector:
     def delta(cls, module: GraphBimodule, path: Path) -> "FockVector":
         return cls(module, {path: 1.0})
 
+    @classmethod
+    def from_edges(cls, module: GraphBimodule, values: Iterable[complex]) -> "FockVector":
+        """Degree-1 vector with the given values in module.edges order."""
+        values = list(values)
+        if len(values) != len(module.edges):
+            raise ValueError("value vector does not match the edge count")
+        return cls(module, {Path((e,), e.r): c for e, c in zip(module.edges, values)})
+
     def degree(self) -> int:
         """Common path length; raises if the support mixes lengths."""
         lengths = {len(p) for p in self.terms}
@@ -323,19 +331,12 @@ class FockVector:
 
     __rmul__ = __mul__
 
-    def left_action(self, a: AlgebraElement) -> "FockVector":
-        return FockVector(self.module, {p: a[p.r] * c for p, c in self.terms.items()})
-
-    def right_action(self, a: AlgebraElement) -> "FockVector":
-        return FockVector(self.module, {p: c * a[p.s] for p, c in self.terms.items()})
-
     def coefficient(self, path: Path) -> complex:
         return self.terms.get(path, 0.0)
 
     def norm(self) -> float:
         """Module norm via the right inner product."""
-        g = right_inner_fock(self, self)
-        return float(np.sqrt(g.norm()))
+        return float(np.sqrt(right_inner(self, self).norm()))
 
     def sup_coefficient(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -346,7 +347,17 @@ class FockVector:
         return f"FockVector({inner or '0'})"
 
 
-def right_inner_fock(x: FockVector, y: FockVector) -> AlgebraElement:
+def left_action(a: AlgebraElement, x: FockVector) -> FockVector:
+    """(a.x)(p) = a(r(p)) x(p)."""
+    return FockVector(x.module, {p: a[p.r] * c for p, c in x.terms.items()})
+
+
+def right_action(x: FockVector, a: AlgebraElement) -> FockVector:
+    """(x.a)(p) = x(p) a(s(p))."""
+    return FockVector(x.module, {p: c * a[p.s] for p, c in x.terms.items()})
+
+
+def right_inner(x: FockVector, y: FockVector) -> AlgebraElement:
     """<x|y>_R(v) over paths with source v; distinct paths are orthogonal."""
     m = x.module
     vals = np.zeros(len(m.vertices), dtype=complex)
@@ -357,7 +368,7 @@ def right_inner_fock(x: FockVector, y: FockVector) -> AlgebraElement:
     return AlgebraElement(m.vertices, vals)
 
 
-def left_inner_fock(x: FockVector, y: FockVector) -> AlgebraElement:
+def left_inner(x: FockVector, y: FockVector) -> AlgebraElement:
     """<x|y>_L(v) over paths with range v, weighted by the path weight."""
     m = x.module
     vals = np.zeros(len(m.vertices), dtype=complex)
@@ -399,7 +410,12 @@ def beta_k(module: GraphBimodule, k: int) -> AlgebraElement:
 
 
 def phi_k(module: GraphBimodule, k: int, T: np.ndarray) -> AlgebraElement:
-    """Weighted diagonal sum of a level-k operator, grouped by path range."""
+    """Weighted diagonal sum of a level-k operator, grouped by path range.
+
+    Phi_k(T)(v) sums weight(p) T[p, p] over the length-k paths p with
+    r(p) = v, in `paths` order.  At k = 1 this is Watatani's trace on the
+    edge operators, and phi_k(module, k, Id) is the k-step index.
+    """
     plist = paths(module, k)
     T = np.asarray(T, dtype=complex)
     if T.shape != (len(plist), len(plist)):
@@ -425,4 +441,104 @@ def rank_one_phi(
     if k < n:
         raise ValueError("k must be at least the degree")
     growth = beta_k(module, k - n)
-    return left_inner_fock(xi, eta.right_action(growth))
+    return left_inner(xi, right_action(eta, growth))
+
+
+# -- structural checks on the edge module ----------------------------------
+
+
+@dataclass
+class AxiomReport:
+    trials: int
+    seed: int
+    residuals: dict[str, float]
+    passed: bool
+
+    def worst(self) -> float:
+        return max(self.residuals.values())
+
+
+def _random_edge_vector(module: GraphBimodule, rng: np.random.Generator) -> FockVector:
+    n = len(module.edges)
+    return FockVector.from_edges(module, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def check_bimodule_axioms(
+    module: GraphBimodule,
+    trials: int = 100,
+    seed: int = 42,
+    tol: float = 1e-12,
+) -> AxiomReport:
+    """Randomized check of the two-sided inner-product module axioms on E.
+
+    Covers linearity of both inner products in their linear slots, the
+    adjoint relations between the two actions, positivity of both inner
+    products, and the frame reconstruction identity, on random degree-1
+    vectors.
+    """
+    rng = np.random.default_rng(seed)
+    res = dict.fromkeys(
+        ("right_linearity", "left_linearity", "right_adjoint", "left_adjoint",
+         "right_positivity", "left_positivity", "hermitian_symmetry", "frame_reconstruction"),
+        0.0,
+    )
+    # the edge point masses, which reconstruct every degree-1 vector exactly
+    frame = [FockVector.delta(module, p) for p in paths(module, 1)]
+    for _ in range(trials):
+        x = _random_edge_vector(module, rng)
+        y = _random_edge_vector(module, rng)
+        a = module.random_algebra_element(rng)
+        sides = {
+            "right_linearity": (right_inner(x, right_action(y, a)), right_inner(x, y) * a),
+            "left_linearity": (left_inner(left_action(a, x), y), a * left_inner(x, y)),
+            "right_adjoint": (
+                right_inner(left_action(a, x), y), right_inner(x, left_action(a.adjoint(), y))
+            ),
+            "left_adjoint": (
+                left_inner(right_action(x, a), y), left_inner(x, right_action(y, a.adjoint()))
+            ),
+            "hermitian_symmetry": (right_inner(x, y), right_inner(y, x).adjoint()),
+        }
+        for name, (lhs, rhs) in sides.items():
+            res[name] = max(res[name], (lhs - rhs).norm())
+        for name, inner in (("right_positivity", right_inner), ("left_positivity", left_inner)):
+            vals = inner(x, x).values
+            res[name] = max(
+                res[name], float(np.max(np.abs(vals.imag))), -float(np.min(vals.real))
+            )
+        rebuilt = FockVector(module)
+        for g in frame:
+            rebuilt = rebuilt + right_action(g, right_inner(g, x))
+        res["frame_reconstruction"] = max(
+            res["frame_reconstruction"], (rebuilt - x).sup_coefficient()
+        )
+    return AxiomReport(trials, seed, res, all(v <= tol for v in res.values()))
+
+
+@dataclass
+class SmebResult:
+    holds: bool
+    witness: tuple[str, str, str] | None
+    defect: float
+
+
+def smeb_check(module: GraphBimodule, tol: float = 1e-10) -> SmebResult:
+    """Test <g|h>_L . k = g . <h|k>_R on all edge-basis triples.
+
+    Holds exactly when both endpoint maps are injective and the weights are
+    all 1, i.e. for unit-weight permutation graphs.  Returns the first
+    failing triple as a witness.
+    """
+    worst = 0.0
+    witness = None
+    frame = [FockVector.delta(module, p) for p in paths(module, 1)]
+    for g, dg in zip(module.edges, frame):
+        for h, dh in zip(module.edges, frame):
+            for k, dk in zip(module.edges, frame):
+                lhs = left_action(left_inner(dg, dh), dk)
+                rhs = right_action(dg, right_inner(dh, dk))
+                defect = (lhs - rhs).sup_coefficient()
+                worst = max(worst, defect)
+                if defect > tol and witness is None:
+                    witness = (g.id, h.id, k.id)
+    return SmebResult(worst <= tol, witness, worst)

@@ -19,9 +19,9 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .algebra import AlgebraElement
-from .bimodule import GraphBimodule, ModuleVector, right_inner
+from .bimodule import GraphBimodule
 from .cuntz_pimsner import SpanningElement, _check_pair, _compose_symbol
-from .fock import Path, PathPool
+from .fock import FockVector, Path, PathPool, right_inner
 
 
 def d_weight(module: GraphBimodule, path: Path) -> float:
@@ -71,9 +71,6 @@ class TraceState:
     def mass(self) -> Fraction:
         return sum(self.weights[v] for v in self.module.vertices)
 
-    def algebra_element(self) -> AlgebraElement:
-        return AlgebraElement.from_dict(self.module.vertices, self.float_weights())
-
     def evaluate_algebra(self, a: AlgebraElement) -> complex:
         return sum(a[v] * float(self.weights[v]) for v in self.module.vertices)
 
@@ -89,8 +86,8 @@ class TraceState:
         return total
 
 
-def tr_phi(trace: TraceState, xi: ModuleVector, eta: ModuleVector) -> complex:
-    """Pairing of two module vectors through the state on the vertex algebra."""
+def tr_phi(trace: TraceState, xi: FockVector, eta: FockVector) -> complex:
+    """Pairing of two Fock vectors through the state on the vertex algebra."""
     return trace.evaluate_algebra(right_inner(eta, xi))
 
 

@@ -18,6 +18,7 @@ from dense_kasparov import (
 from graphbimod import (
     ConditionalExpectation,
     Edge,
+    FockVector,
     GraphBimodule,
     SpanningElement,
     beta_is_central,
@@ -312,11 +313,12 @@ def test_acceptance_7_structural_checks():
     try:
         rng = np.random.default_rng(11)
         for m in (_golden(), _o2()):
-            x = m.random_vector(rng)
-            rebuilt = m.zero_vector()
-            for e in m.frame():
+            n = len(m.edges)
+            x = FockVector.from_edges(m, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            rebuilt = FockVector(m)
+            for e in (FockVector.delta(m, p) for p in paths(m, 1)):
                 rebuilt = rebuilt + right_action(e, right_inner(e, x))
-            gap = max(abs(rebuilt[g.id] - x[g.id]) for g in m.edges)
+            gap = max(abs(rebuilt.coefficient(p) - x.coefficient(p)) for p in paths(m, 1))
             if gap != 0:
                 problems.append(f"frame reconstruction off by {gap}")
         for m in (_golden(), _triangular(), _lopsided()):

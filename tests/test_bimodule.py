@@ -15,19 +15,19 @@ from conftest import graphs
 from graphbimod import (
     AlgebraElement,
     Edge,
+    FockVector,
     GraphBimodule,
     GraphStructureError,
     beta_is_central,
     check_bimodule_axioms,
     index_element,
-    left_inner,
-    right_inner,
     left_action,
     left_inner,
+    paths,
+    phi_k,
     right_action,
     right_inner,
     smeb_check,
-    watatani_phi,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -101,8 +101,8 @@ def test_beta_central_only_when_index_constant_on_edges(full_shift2, golden, cyc
 
 
 def test_inner_products_against_hand_sums(golden):
-    x = golden.vector([1 + 1j, 2, 0])
-    y = golden.vector([1, 1j, 3])
+    x = FockVector.from_edges(golden, [1 + 1j, 2, 0])
+    y = FockVector.from_edges(golden, [1, 1j, 3])
     # edges ordered a, b, c with sources u, v, u
     r = right_inner(x, y)
     assert r["u"] == pytest.approx((1 - 1j) * 1 + 0 * 3)
@@ -115,45 +115,48 @@ def test_inner_products_against_hand_sums(golden):
 
 def test_left_inner_carries_edge_weight():
     m = GraphBimodule(["z"], [Edge("l", "z", "z", weight=2.0)])
-    x = m.vector([3])
+    x = FockVector.from_edges(m, [3])
     assert left_inner(x, x)["z"] == pytest.approx(18)
     assert right_inner(x, x)["z"] == pytest.approx(9)
 
 
 def test_actions_scale_by_the_right_vertex(golden):
     a = AlgebraElement.from_dict(golden.vertices, {"u": 2, "v": 5})
-    x = golden.vector([1, 1, 1])
+    x = FockVector.from_edges(golden, [1, 1, 1])
     lx = left_action(a, x)
-    assert [lx[e] for e in ("a", "b", "c")] == [2, 2, 5]
+    assert [lx.coefficient(p) for p in paths(golden, 1)] == [2, 2, 5]
     rx = right_action(x, a)
-    assert [rx[e] for e in ("a", "b", "c")] == [2, 5, 2]
+    assert [rx.coefficient(p) for p in paths(golden, 1)] == [2, 5, 2]
 
 
 def test_frame_reconstruction_is_exact(golden):
     rng = np.random.default_rng(3)
-    x = golden.random_vector(rng)
-    rebuilt = golden.zero_vector()
-    for e in golden.frame():
+    n = len(golden.edges)
+    x = FockVector.from_edges(golden, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    frame = [FockVector.delta(golden, p) for p in paths(golden, 1)]
+    rebuilt = FockVector(golden)
+    for e in frame:
         rebuilt = rebuilt + left_action(right_inner(e, x), e)
     # careful: reconstruction multiplies each frame vector by the inner
     # product on the right
-    rebuilt2 = golden.zero_vector()
-    for e in golden.frame():
+    rebuilt2 = FockVector(golden)
+    for e in frame:
         rebuilt2 = rebuilt2 + right_action(e, right_inner(e, x))
-    assert max(abs(rebuilt2[g.id] - x[g.id]) for g in golden.edges) == 0
+    assert max(abs(rebuilt2.coefficient(p) - x.coefficient(p)) for p in paths(golden, 1)) == 0
 
 
-def test_watatani_phi_reproduces_index(golden):
+def test_phi_one_reproduces_index(golden):
+    # Watatani's trace on the edge operators is phi_k at level 1
     n = len(golden.edges)
-    beta = watatani_phi(golden, np.eye(n))
+    beta = phi_k(golden, 1, np.eye(n))
     assert beta.isclose(index_element(golden), tol=0)
 
 
 @given(graphs(weights=(0.25, 0.5, 1.0, 1.5, 3.0)))
 @settings(max_examples=40, deadline=None)
-def test_exact_index_is_watatani_phi_of_the_identity(module):
+def test_exact_index_is_phi_one_of_the_identity(module):
     # dyadic weights keep every float sum exact, so the routes agree bit for bit
-    phi = watatani_phi(module, np.eye(len(module.edges)))
+    phi = phi_k(module, 1, np.eye(len(module.edges)))
     assert {v: Fraction(phi[v].real) for v in module.vertices} == module.index_exact
     assert phi.isclose(index_element(module), tol=0)
 
@@ -163,6 +166,27 @@ def test_axiom_report_all_graphs(golden, triangular, lopsided, oscillating):
         report = check_bimodule_axioms(m, trials=60, seed=11)
         assert report.passed, report.residuals
         assert report.worst() < 1e-12
+
+
+@given(graphs(weights=(0.5, 1.0, 2.0)))
+@settings(max_examples=40, deadline=None)
+def test_structural_checks_on_generated_graphs(module):
+    report = check_bimodule_axioms(module, trials=10, seed=7)
+    assert report.passed, report.residuals
+    rng = np.random.default_rng(5)
+    n = len(module.edges)
+    x = FockVector.from_edges(module, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    rebuilt = FockVector(module)
+    for p in paths(module, 1):
+        e = FockVector.delta(module, p)
+        rebuilt = rebuilt + right_action(e, right_inner(e, x))
+    assert all(rebuilt.coefficient(p) == x.coefficient(p) for p in paths(module, 1))
+    # the docstring's claim: exactly the unit-weight permutation graphs
+    permutation = all(
+        len(module.edges_with_range(v)) == len(module.edges_with_source(v)) == 1
+        for v in module.vertices
+    ) and all(e.weight == 1.0 for e in module.edges)
+    assert smeb_check(module).holds == permutation
 
 
 def test_smeb_permutation_graph_true(cycle3):

@@ -505,6 +505,16 @@ def test_index_collapse_error_is_exact(capsys, tmp_path):
         (["index", "--seed", "3"], "--seed"),
         (["residue", "--target", "1", "--seed", "3"], "--seed"),
         (["kasparov", "--seed", "3"], "--seed"),
+        (["kms", "--seed", "-1"], "--seed"),
+        # a tolerance that no residual can exceed, or that every residual
+        # exceeds, would decide each check by itself
+        (["index", "--tol", "inf"], "--tol"),
+        (["index", "--tol", "nan"], "--tol"),
+        (["index", "--tol", "-1"], "--tol"),
+        (["kasparov", "--tol", "inf"], "--tol"),
+        (["residue", "--target", "1", "--tol", "nan"], "--tol"),
+        (["kms", "--tol", "-0.5"], "--tol"),
+        (["kms", "--tol", "small"], "--tol"),
     ],
 )
 def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag):
@@ -512,9 +522,11 @@ def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag)
         main([argv[0], golden_file, *argv[1:]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    if flag == "--seed":
+    if flag == "--seed" and argv[0] != "kms":
         # only kms draws random pairs, so only kms takes a seed
         assert "unrecognized arguments: --seed 3" in err
+    elif flag == "--tol":
+        assert "argument --tol: expected a finite nonnegative number" in err
     else:
         assert f"argument {flag}: expected a nonnegative integer" in err
 

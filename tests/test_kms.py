@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import graphs
 from graphbimod import (
     Edge,
+    FockVector,
     GraphBimodule,
     SpanningElement,
     d_weight,
@@ -453,8 +454,9 @@ def test_only_invariant_traces_kill_the_covariance_ideal(golden):
 def test_tr_phi_agrees_with_frame_expansion(golden):
     tr = invariant_traces(golden).canonical
     rng = np.random.default_rng(23)
-    xi = golden.random_vector(rng)
-    eta = golden.random_vector(rng)
+    n = len(golden.edges)
+    xi = FockVector.from_edges(golden, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    eta = FockVector.from_edges(golden, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     got = tr_phi(tr, xi, eta)
     expect = tr.evaluate_algebra(right_inner(eta, xi))
     assert got == pytest.approx(expect, abs=1e-12)
@@ -463,6 +465,7 @@ def test_tr_phi_agrees_with_frame_expansion(golden):
 def test_tr_phi_positive_diagonal(golden):
     tr = invariant_traces(golden).canonical
     rng = np.random.default_rng(29)
+    n = len(golden.edges)
     for _ in range(10):
-        xi = golden.random_vector(rng)
+        xi = FockVector.from_edges(golden, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         assert tr_phi(tr, xi, xi).real >= 0
