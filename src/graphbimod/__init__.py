@@ -5,7 +5,13 @@ sources or sinks, carried as a bimodule over the function algebra on the
 vertices.  Everything downstream (path spaces, index vectors, the residue
 expectation, the quotient module with its Fock projection, and the gauge
 dynamics with its equilibrium states) is computed from that one structure.
+
+Only the KMS layer needs numpy, so its names load on first use: importing
+the package, or running the index, residue and kasparov routes, leaves
+numpy unloaded.
 """
+
+import importlib
 
 from .algebra import AlgebraElement, VertexSet
 from .bimodule import (
@@ -38,7 +44,6 @@ from .spectral import (
     eta_tilde,
     pf_data,
     phi_s_partial,
-    verify_rate_certificate,
 )
 from .cuntz_pimsner import (
     CommutatorReport,
@@ -52,16 +57,28 @@ from .cuntz_pimsner import (
     gauge_scaled,
     gram,
 )
-from .kms import (
-    TraceFamily,
-    TraceState,
-    d_weight,
-    gamma,
-    gamma_minus_i,
-    invariant_traces,
-    kms_check,
-    tr_phi,
+
+_KMS_NAMES = frozenset(
+    {
+        "TraceFamily",
+        "TraceState",
+        "d_weight",
+        "gamma",
+        "gamma_minus_i",
+        "invariant_traces",
+        "kms_check",
+        "tr_phi",
+    }
 )
+
+
+def __getattr__(name: str):
+    """The kms submodule and its public names, imported on first access."""
+    if name == "kms" or name in _KMS_NAMES:
+        kms = importlib.import_module(".kms", __name__)
+        return kms if name == "kms" else getattr(kms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -111,5 +128,4 @@ __all__ = [
     "right_inner",
     "smeb_check",
     "tr_phi",
-    "verify_rate_certificate",
 ]

@@ -7,9 +7,10 @@ by label) and shared by every array in the package.
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 
 class VertexSet:
@@ -52,39 +53,37 @@ class VertexSet:
 
 
 class AlgebraElement:
-    """Complex function on a vertex set, pointwise algebra, sup norm."""
+    """Complex function on a vertex set, pointwise algebra, sup norm.
+
+    `values` is a tuple of Python complex numbers in vertex order.
+    """
 
     __slots__ = ("vertices", "values")
 
-    def __init__(self, vertices: VertexSet, values):
-        arr = np.asarray(values, dtype=complex).reshape(-1).copy()
-        if arr.shape != (len(vertices),):
-            raise ValueError(
-                f"expected {len(vertices)} values, got shape {arr.shape}"
-            )
-        arr.flags.writeable = False
+    def __init__(self, vertices: VertexSet, values: Iterable[complex]):
+        vals = tuple(complex(x) for x in values)
+        if len(vals) != len(vertices):
+            raise ValueError(f"expected {len(vertices)} values, got {len(vals)}")
         self.vertices = vertices
-        self.values = arr
+        self.values = vals
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, vertices: VertexSet) -> "AlgebraElement":
-        return cls(vertices, np.zeros(len(vertices)))
+        return cls(vertices, [0j] * len(vertices))
 
     @classmethod
     def one(cls, vertices: VertexSet) -> "AlgebraElement":
-        return cls(vertices, np.ones(len(vertices)))
+        return cls(vertices, [1 + 0j] * len(vertices))
 
     @classmethod
     def point_mass(cls, vertices: VertexSet, label: str) -> "AlgebraElement":
-        vals = np.zeros(len(vertices))
-        vals[vertices.index(label)] = 1.0
-        return cls(vertices, vals)
+        return cls.from_dict(vertices, {label: 1.0})
 
     @classmethod
     def from_dict(cls, vertices: VertexSet, data: Mapping[str, complex]) -> "AlgebraElement":
-        vals = np.zeros(len(vertices), dtype=complex)
+        vals = [0j] * len(vertices)
         for label, value in data.items():
             vals[vertices.index(label)] = value
         return cls(vertices, vals)
@@ -92,75 +91,80 @@ class AlgebraElement:
     # -- access ---------------------------------------------------------
 
     def __getitem__(self, label: str) -> complex:
-        return complex(self.values[self.vertices.index(label)])
+        return self.values[self.vertices.index(label)]
 
     def as_dict(self) -> dict[str, complex]:
-        return {v: complex(x) for v, x in zip(self.vertices, self.values)}
+        return dict(zip(self.vertices, self.values))
 
     # -- pointwise algebra ----------------------------------------------
 
-    def _coerce(self, other) -> np.ndarray:
+    def _coerce(self, other) -> tuple[complex, ...]:
         if isinstance(other, AlgebraElement):
             if other.vertices != self.vertices:
                 raise ValueError("mismatched vertex sets")
             return other.values
-        return np.full(len(self.vertices), complex(other))
+        return (complex(other),) * len(self.vertices)
+
+    def _map(self, fn) -> "AlgebraElement":
+        return AlgebraElement(self.vertices, map(fn, self.values))
+
+    def _zip(self, other, fn) -> "AlgebraElement":
+        return AlgebraElement(self.vertices, map(fn, self.values, self._coerce(other)))
 
     def __add__(self, other) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, self.values + self._coerce(other))
+        return self._zip(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, self.values - self._coerce(other))
+        return self._zip(other, operator.sub)
 
     def __rsub__(self, other) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, self._coerce(other) - self.values)
+        return self._zip(other, lambda a, b: b - a)
 
     def __mul__(self, other) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, self.values * self._coerce(other))
+        return self._zip(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, self.values / self._coerce(other))
+        return self._zip(other, operator.truediv)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, -self.values)
+        return self._map(operator.neg)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, np.conj(self.values))
+        return self._map(complex.conjugate)
 
     def exp(self) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, np.exp(self.values))
+        return self._map(cmath.exp)
 
     def log(self) -> "AlgebraElement":
         """Pointwise log, defined for strictly positive real elements."""
-        vals = self.values
-        if np.any(np.abs(vals.imag) > 0) or np.any(vals.real <= 0):
+        if any(abs(x.imag) > 0 or x.real <= 0 for x in self.values):
             raise ValueError("log requires a strictly positive element")
-        return AlgebraElement(self.vertices, np.log(vals.real))
+        return self._map(lambda a: math.log(a.real))
 
     def power(self, n: int) -> "AlgebraElement":
-        return AlgebraElement(self.vertices, self.values**n)
+        return self._map(lambda a: a**n)
 
     def inv(self) -> "AlgebraElement":
-        if np.any(self.values == 0):
+        if any(x == 0 for x in self.values):
             raise ZeroDivisionError("element is not invertible")
-        return AlgebraElement(self.vertices, 1.0 / self.values)
+        return self._map(lambda a: 1.0 / a)
 
     # -- order and size -------------------------------------------------
 
     def norm(self) -> float:
         """Sup norm over vertices."""
-        return float(np.max(np.abs(self.values)))
+        return max(map(abs, self.values))
 
     def is_real(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.values.imag) <= tol))
+        return all(abs(x.imag) <= tol for x in self.values)
 
     def is_positive(self, tol: float = 0.0) -> bool:
         """Positivity in the pointwise sense: real with values >= -tol."""
-        return self.is_real(tol) and bool(np.all(self.values.real >= -tol))
+        return self.is_real(tol) and all(x.real >= -tol for x in self.values)
 
     def isclose(self, other, tol: float = 1e-10) -> bool:
         return (self - other).norm() <= tol

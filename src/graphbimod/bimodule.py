@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .algebra import AlgebraElement, VertexSet
 
 
@@ -127,8 +125,8 @@ class GraphBimodule:
     in the package uses these orders.  The exact data is built here once:
     B = A / D with A integral (`integer_adjacency`, per range vertex the
     sorted (source column, entry) pairs) and D (`denominator`) the common
-    denominator of the binary weights; B itself, read-only, as
-    `adjacency()`; the index (`index_exact`) and its floats (`index_float`).
+    denominator of the binary weights; the index (`index_exact`) and its
+    floats (`index_float`).
     The condensation of the range-to-source graph is built here too:
     `component` labels each vertex with its strongly connected component,
     in topological order (an edge r <- s across components has
@@ -172,11 +170,6 @@ class GraphBimodule:
             row[j] = row.get(j, 0) + int(w * D)
         self.integer_adjacency = tuple(tuple(sorted(row.items())) for row in rows)
         self.denominator = D
-        self._adjacency = np.zeros((len(rows), len(rows)))
-        for i, row in enumerate(rows):
-            for j, a in row.items():
-                self._adjacency[i, j] = a / D
-        self._adjacency.flags.writeable = False
         self.index_exact = {
             v: Fraction(sum(row.values()), D) for v, row in zip(self.vertices, rows)
         }
@@ -201,17 +194,14 @@ class GraphBimodule:
     def edges_with_source(self, v: str) -> tuple[Edge, ...]:
         return self._by_source[v]
 
-    def adjacency(self) -> np.ndarray:
-        """Read-only B, B[r(g), s(g)] the correctly rounded sum of the weights c_g."""
-        return self._adjacency
-
     def __repr__(self) -> str:
         return (
             f"GraphBimodule({len(self.vertices)} vertices, "
             f"{len(self.edges)} edges)"
         )
 
-    def random_algebra_element(self, rng: np.random.Generator) -> AlgebraElement:
+    def random_algebra_element(self, rng) -> AlgebraElement:
+        """A complex element with standard normal parts, from a numpy Generator."""
         n = len(self.vertices)
         return AlgebraElement(
             self.vertices, rng.standard_normal(n) + 1j * rng.standard_normal(n)

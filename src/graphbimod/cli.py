@@ -19,8 +19,6 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from .bimodule import Edge, GraphBimodule, GraphStructureError, beta_is_central, index_element
 from .cuntz_pimsner import (
     ConditionalExpectation,
@@ -30,8 +28,7 @@ from .cuntz_pimsner import (
     commutator_check,
     gram,
 )
-from .fock import index_levels, make_path, path_counts, path_pool, paths
-from .kms import exchange_sweep, invariant_traces
+from .fock import index_levels, make_path, path_counts, paths
 from .spectral import GrowthTable, eta_tilde
 
 SCHEMA_VERSION = 1
@@ -102,8 +99,6 @@ def _clean(obj):
         return [_clean(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
     if isinstance(obj, complex):
         return {"re": _clean(obj.real), "im": _clean(obj.imag)}
     if isinstance(obj, float):
@@ -230,7 +225,6 @@ def _residue_entry(table, target, args) -> dict:
         "method": rep.method,
         "delta": rep.delta,
         "r_squared": rep.r_squared,
-        "rate_alpha": rep.rate_alpha,
         "k_max": rep.k_max,
         "sample_stride": stride,
         "samples": samples,
@@ -392,6 +386,12 @@ def cmd_kasparov(args) -> int:
 
 
 def cmd_kms(args) -> int:
+    # the kms layer brings numpy; it loads before the graph, with start-up,
+    # as only this subcommand needs it
+    import numpy as np
+
+    from .kms import exchange_sweep, invariant_traces, path_pool
+
     module = load_graph(args.graph)
     start = time.perf_counter()
     failures: list[str] = []

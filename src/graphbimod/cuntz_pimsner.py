@@ -11,12 +11,11 @@ diagonal by the path weight times the residue coefficient of its class.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
@@ -138,7 +137,7 @@ class SpanningElement:
     def adjoint(self) -> "SpanningElement":
         return SpanningElement(
             self.module,
-            {(nu, mu): np.conj(c) for (mu, nu), c in self.terms.items()},
+            {(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()},
         )
 
     def _same(self, other: "SpanningElement") -> None:
@@ -161,12 +160,14 @@ class SpanningElement:
             for k in keys
         )
 
-    def as_fock_matrix(self, k: int) -> np.ndarray:
-        """Level-k compression over the length-k path basis.
+    def as_fock_matrix(self, k: int):
+        """Level-k compression over the length-k path basis, a dense numpy matrix.
 
         Unbalanced symbols shift the level and are cut off by the
         compression, so only terms with equal path lengths contribute.
         """
+        import numpy as np
+
         plist = paths(self.module, k)
         idx = {p: i for i, p in enumerate(plist)}
         M = np.zeros((len(plist), len(plist)), dtype=complex)
@@ -199,7 +200,7 @@ def gauge_scaled(x: SpanningElement, theta: float) -> SpanningElement:
     return SpanningElement(
         x.module,
         {
-            (mu, nu): c * complex(np.exp(1j * theta * (len(mu) - len(nu))))
+            (mu, nu): c * cmath.exp(1j * theta * (len(mu) - len(nu)))
             for (mu, nu), c in x.terms.items()
         },
     )
@@ -262,7 +263,7 @@ class ConditionalExpectation:
         return mu.weight * self.limit(mu.r, mu.s, len(mu))
 
     def phi(self, x: SpanningElement) -> AlgebraElement:
-        vals = np.zeros(len(self.module.vertices), dtype=complex)
+        vals = [0j] * len(self.module.vertices)
         for (mu, nu), c in x.terms.items():
             if mu == nu:
                 vals[self.module.vertices.index(mu.r)] += c * self.coeff(mu)
@@ -277,7 +278,7 @@ class ConditionalExpectation:
         """
         if k > self.table.k_max:
             raise ValueError(f"level {k} above k_max {self.table.k_max}")
-        vals = np.zeros(len(self.module.vertices), dtype=complex)
+        vals = [0j] * len(self.module.vertices)
         for (mu, nu), c in x.terms.items():
             if mu != nu:
                 continue
@@ -514,18 +515,23 @@ def gram(
 
     # (r(nu_0), s(rho), |nu_0 rho|) -> the weighted residues one edge on
     outflow: dict[tuple[str, str, int], float] = {}
+    # (r(nu_0), |nu_0|, u) -> the residues of the rho levels, by level and
+    # s(rho); a row is read only as deep as its signatures need
+    rows: dict[tuple[str, int, str], list[dict[str, float]]] = {}
     edges_in = module.edges_with_range
     V = len(vertices)
     low = [math.inf] * V
     ranks = [0] * V
     for (r0, n, w0, u, L), mult in signatures.items():
         walk = walks[u][: L + 1]
-        # the groups of a level come in the order of their first rho, so
-        # the classes are read in the order of the rho themselves
-        res = [
-            {s: expectation.limit(r0, s, n + j) for s, _ in level}
-            for j, level in enumerate(walk)
-        ]
+        # a row grows level by level, each level in the order of its
+        # groups, that of their first rho, before any pivot: so the classes
+        # are first read signature by signature in the order of the rho
+        # themselves, the order that decides which uncertified class a
+        # failing run names
+        res = rows.setdefault((r0, n, u), [])
+        for j in range(len(res), L + 1):
+            res.append({s: expectation.limit(r0, s, n + j) for s, _ in walk[j]})
         lowest, rank = math.inf, 0
         for j, level in enumerate(walk):
             for (s, w), k in level.items():

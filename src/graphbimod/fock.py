@@ -13,11 +13,10 @@ the edge id sequence, vertex paths in vertex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .algebra import AlgebraElement
 from .bimodule import Edge, GraphBimodule
@@ -174,108 +173,6 @@ def path_totals(counts: list[dict[str, int]]) -> dict[str, int]:
     return {v: sum(level[v] for level in counts) for v in counts[0]}
 
 
-@dataclass(frozen=True, eq=False)
-class PathPool:
-    """The paths of length 0..max_length as integer ids.
-
-    Ids follow [p for k in range(max_length + 1) for p in paths(module, k)],
-    so the vertices come first, at their vertex positions.  Per id:
-    `length`, `source` (the vertex position of s(p)), `parent` (the id of p
-    without its last edge), `drop_first` (the id of p without its first
-    edge) and `last` (the position of its last edge in module.edges); the
-    last three are -1 on vertices.  heads[a, p] and tails[a, p] are the
-    ids of p.head(a) and p.tail(a) for a <= |p|, and -1 for a > |p|.
-    """
-
-    module: GraphBimodule = field(repr=False)
-    length: np.ndarray
-    source: np.ndarray
-    parent: np.ndarray
-    drop_first: np.ndarray
-    last: np.ndarray
-    heads: np.ndarray
-    tails: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.length)
-
-    def path(self, i: int) -> Path:
-        """The path of id i, from the last edges of its heads."""
-        n = self.length[i]
-        if n == 0:
-            return Path((), self.module.vertices.labels[i])
-        edges = tuple(self.module.edges[e] for e in self.last[self.heads[1 : n + 1, i]])
-        return Path(edges, edges[0].r)
-
-
-def path_pool(module: GraphBimodule, max_length: int) -> PathPool:
-    """The paths of length at most max_length as a `PathPool`, level by level.
-
-    Level 1 is module.edges.  From level 2 on, each path of the previous
-    level is followed by its children, the edges with range at its source
-    in id order, as `paths` builds them.  The child of a path q of length
-    >= 1 by the edge e is the first child of q plus the place of e among
-    the edges with range r(e), which gives drop_first without a lookup.
-    """
-    if max_length < 0:
-        raise ValueError("path length must be nonnegative")
-    vidx = {v: i for i, v in enumerate(module.vertices)}
-    V, E = len(vidx), len(module.edges)
-    edge_r = np.array([vidx[e.r] for e in module.edges], dtype=np.intp)
-    edge_s = np.array([vidx[e.s] for e in module.edges], dtype=np.intp)
-    # edges grouped by range vertex, id order within a group
-    by_range = np.argsort(edge_r, kind="stable")
-    into = np.bincount(edge_r, minlength=V)
-    into_start = np.cumsum(into) - into
-    slot = np.empty(E, dtype=np.intp)
-    slot[by_range] = np.arange(E) - into_start[edge_r[by_range]]
-
-    none = np.full(V, -1, dtype=np.intp)
-    source = [np.arange(V)]
-    parent, drop_first, last = [none], [none], [none]
-    starts = [0, V]
-    first_child: list[np.ndarray] = []  # per level >= 1, in the next level
-    for k in range(1, max_length + 1):
-        if k == 1:
-            edges = np.arange(E)
-            up, drop = edge_r, edge_s
-        else:
-            n = into[source[-1]]
-            begin = np.cumsum(n) - n
-            first_child.append(starts[-1] + begin)
-            up = np.repeat(np.arange(starts[-2], starts[-1]), n)
-            edges = by_range[np.repeat(into_start[source[-1]] - begin, n) + np.arange(n.sum())]
-            if k == 2:
-                drop = V + edges
-            else:
-                q = np.repeat(drop_first[-1], n)
-                drop = first_child[-2][q - starts[-3]] + slot[edges]
-        source.append(edge_s[edges])
-        parent.append(up)
-        drop_first.append(drop)
-        last.append(edges)
-        starts.append(starts[-1] + len(edges))
-
-    N = starts[-1]
-    heads = np.full((max_length + 1, N), -1, dtype=np.intp)
-    tails = np.full((max_length + 1, N), -1, dtype=np.intp)
-    for k in range(max_length + 1):
-        lo, hi = starts[k], starts[k + 1]
-        heads[:k, lo:hi] = heads[:k, parent[k]]
-        tails[:k, lo:hi] = tails[:k, drop_first[k]]
-        heads[k, lo:hi] = tails[k, lo:hi] = np.arange(lo, hi)
-    return PathPool(
-        module,
-        length=np.repeat(np.arange(max_length + 1), np.diff(starts)),
-        source=np.concatenate(source),
-        parent=np.concatenate(parent),
-        drop_first=np.concatenate(drop_first),
-        last=np.concatenate(last),
-        heads=heads,
-        tails=tails,
-    )
-
-
 class FockVector:
     """Finitely supported complex combination of paths.
 
@@ -336,7 +233,7 @@ class FockVector:
 
     def norm(self) -> float:
         """Module norm via the right inner product."""
-        return float(np.sqrt(right_inner(self, self).norm()))
+        return math.sqrt(right_inner(self, self).norm())
 
     def sup_coefficient(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -360,22 +257,22 @@ def right_action(x: FockVector, a: AlgebraElement) -> FockVector:
 def right_inner(x: FockVector, y: FockVector) -> AlgebraElement:
     """<x|y>_R(v) over paths with source v; distinct paths are orthogonal."""
     m = x.module
-    vals = np.zeros(len(m.vertices), dtype=complex)
+    vals = [0j] * len(m.vertices)
     for p, c in x.terms.items():
         d = y.terms.get(p)
         if d is not None:
-            vals[m.vertices.index(p.s)] += np.conj(c) * d
+            vals[m.vertices.index(p.s)] += c.conjugate() * d
     return AlgebraElement(m.vertices, vals)
 
 
 def left_inner(x: FockVector, y: FockVector) -> AlgebraElement:
     """<x|y>_L(v) over paths with range v, weighted by the path weight."""
     m = x.module
-    vals = np.zeros(len(m.vertices), dtype=complex)
+    vals = [0j] * len(m.vertices)
     for p, c in x.terms.items():
         d = y.terms.get(p)
         if d is not None:
-            vals[m.vertices.index(p.r)] += p.weight * c * np.conj(d)
+            vals[m.vertices.index(p.r)] += p.weight * c * d.conjugate()
     return AlgebraElement(m.vertices, vals)
 
 
@@ -409,20 +306,21 @@ def beta_k(module: GraphBimodule, k: int) -> AlgebraElement:
     return AlgebraElement(module.vertices, [x / den for x in level])
 
 
-def phi_k(module: GraphBimodule, k: int, T: np.ndarray) -> AlgebraElement:
+def phi_k(module: GraphBimodule, k: int, T) -> AlgebraElement:
     """Weighted diagonal sum of a level-k operator, grouped by path range.
 
-    Phi_k(T)(v) sums weight(p) T[p, p] over the length-k paths p with
-    r(p) = v, in `paths` order.  At k = 1 this is Watatani's trace on the
-    edge operators, and phi_k(module, k, Id) is the k-step index.
+    T is a square matrix over the length-k paths in `paths` order, as rows
+    (a nested sequence or a 2-d array).  Phi_k(T)(v) sums
+    weight(p) T[p, p] over the length-k paths p with r(p) = v.  At k = 1
+    this is Watatani's trace on the edge operators, and
+    phi_k(module, k, Id) is the k-step index.
     """
     plist = paths(module, k)
-    T = np.asarray(T, dtype=complex)
-    if T.shape != (len(plist), len(plist)):
+    if len(T) != len(plist) or any(len(row) != len(plist) for row in T):
         raise ValueError(f"operator must be {len(plist)}x{len(plist)}")
-    vals = np.zeros(len(module.vertices), dtype=complex)
+    vals = [0j] * len(module.vertices)
     for i, p in enumerate(plist):
-        vals[module.vertices.index(p.r)] += p.weight * T[i, i]
+        vals[module.vertices.index(p.r)] += p.weight * complex(T[i][i])
     return AlgebraElement(module.vertices, vals)
 
 
@@ -458,7 +356,7 @@ class AxiomReport:
         return max(self.residuals.values())
 
 
-def _random_edge_vector(module: GraphBimodule, rng: np.random.Generator) -> FockVector:
+def _random_edge_vector(module: GraphBimodule, rng) -> FockVector:
     n = len(module.edges)
     return FockVector.from_edges(module, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
@@ -474,8 +372,10 @@ def check_bimodule_axioms(
     Covers linearity of both inner products in their linear slots, the
     adjoint relations between the two actions, positivity of both inner
     products, and the frame reconstruction identity, on random degree-1
-    vectors.
+    vectors, drawn from numpy's `default_rng(seed)`.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     res = dict.fromkeys(
         ("right_linearity", "left_linearity", "right_adjoint", "left_adjoint",
@@ -504,7 +404,7 @@ def check_bimodule_axioms(
         for name, inner in (("right_positivity", right_inner), ("left_positivity", left_inner)):
             vals = inner(x, x).values
             res[name] = max(
-                res[name], float(np.max(np.abs(vals.imag))), -float(np.min(vals.real))
+                res[name], max(abs(v.imag) for v in vals), -min(v.real for v in vals)
             )
         rebuilt = FockVector(module)
         for g in frame:

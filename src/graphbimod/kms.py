@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
 from .cuntz_pimsner import SpanningElement, _check_pair, _compose_symbol
-from .fock import FockVector, Path, PathPool, right_inner
+from .fock import FockVector, Path, right_inner
 
 
 def d_weight(module: GraphBimodule, path: Path) -> float:
@@ -135,7 +135,111 @@ def kms_check(
     return _exchange(module, trace, x.terms.items(), y.terms.items())[0]
 
 
-# -- random symbol pairs in bulk -------------------------------------------
+# -- the paths as integer ids, and random symbol pairs in bulk -----------
+
+
+@dataclass(frozen=True, eq=False)
+class PathPool:
+    """The paths of length 0..max_length as integer ids.
+
+    Ids follow [p for k in range(max_length + 1) for p in paths(module, k)],
+    so the vertices come first, at their vertex positions.  Per id:
+    `length`, `source` (the vertex position of s(p)), `parent` (the id of p
+    without its last edge), `drop_first` (the id of p without its first
+    edge) and `last` (the position of its last edge in module.edges); the
+    last three are -1 on vertices.  heads[a, p] and tails[a, p] are the
+    ids of p.head(a) and p.tail(a) for a <= |p|, and -1 for a > |p|.
+    """
+
+    module: GraphBimodule = field(repr=False)
+    length: np.ndarray
+    source: np.ndarray
+    parent: np.ndarray
+    drop_first: np.ndarray
+    last: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def path(self, i: int) -> Path:
+        """The path of id i, from the last edges of its heads."""
+        n = self.length[i]
+        if n == 0:
+            return Path((), self.module.vertices.labels[i])
+        edges = tuple(self.module.edges[e] for e in self.last[self.heads[1 : n + 1, i]])
+        return Path(edges, edges[0].r)
+
+
+def path_pool(module: GraphBimodule, max_length: int) -> PathPool:
+    """The paths of length at most max_length as a `PathPool`, level by level.
+
+    Level 1 is module.edges.  From level 2 on, each path of the previous
+    level is followed by its children, the edges with range at its source
+    in id order, as `paths` builds them.  The child of a path q of length
+    >= 1 by the edge e is the first child of q plus the place of e among
+    the edges with range r(e), which gives drop_first without a lookup.
+    """
+    if max_length < 0:
+        raise ValueError("path length must be nonnegative")
+    vidx = {v: i for i, v in enumerate(module.vertices)}
+    V, E = len(vidx), len(module.edges)
+    edge_r = np.array([vidx[e.r] for e in module.edges], dtype=np.intp)
+    edge_s = np.array([vidx[e.s] for e in module.edges], dtype=np.intp)
+    # edges grouped by range vertex, id order within a group
+    by_range = np.argsort(edge_r, kind="stable")
+    into = np.bincount(edge_r, minlength=V)
+    into_start = np.cumsum(into) - into
+    slot = np.empty(E, dtype=np.intp)
+    slot[by_range] = np.arange(E) - into_start[edge_r[by_range]]
+
+    none = np.full(V, -1, dtype=np.intp)
+    source = [np.arange(V)]
+    parent, drop_first, last = [none], [none], [none]
+    starts = [0, V]
+    first_child: list[np.ndarray] = []  # per level >= 1, in the next level
+    for k in range(1, max_length + 1):
+        if k == 1:
+            edges = np.arange(E)
+            up, drop = edge_r, edge_s
+        else:
+            n = into[source[-1]]
+            begin = np.cumsum(n) - n
+            first_child.append(starts[-1] + begin)
+            up = np.repeat(np.arange(starts[-2], starts[-1]), n)
+            edges = by_range[np.repeat(into_start[source[-1]] - begin, n) + np.arange(n.sum())]
+            if k == 2:
+                drop = V + edges
+            else:
+                q = np.repeat(drop_first[-1], n)
+                drop = first_child[-2][q - starts[-3]] + slot[edges]
+        source.append(edge_s[edges])
+        parent.append(up)
+        drop_first.append(drop)
+        last.append(edges)
+        starts.append(starts[-1] + len(edges))
+
+    N = starts[-1]
+    heads = np.full((max_length + 1, N), -1, dtype=np.intp)
+    tails = np.full((max_length + 1, N), -1, dtype=np.intp)
+    for k in range(max_length + 1):
+        lo, hi = starts[k], starts[k + 1]
+        heads[:k, lo:hi] = heads[:k, parent[k]]
+        tails[:k, lo:hi] = tails[:k, drop_first[k]]
+        heads[k, lo:hi] = tails[k, lo:hi] = np.arange(lo, hi)
+    return PathPool(
+        module,
+        length=np.repeat(np.arange(max_length + 1), np.diff(starts)),
+        source=np.concatenate(source),
+        parent=np.concatenate(parent),
+        drop_first=np.concatenate(drop_first),
+        last=np.concatenate(last),
+        heads=heads,
+        tails=tails,
+    )
+
+
 
 # Words per bulk draw.  Each pair takes about four, so a chunk holds about
 # a thousand pairs and the buffers stay under 1 MiB whatever the pair

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from dense_spectral import adjacency
 from hypothesis import assume, strategies as st
 
 from graphbimod import Edge, GraphBimodule
@@ -10,7 +11,7 @@ from graphbimod import Edge, GraphBimodule
 def is_primitive(module: GraphBimodule) -> bool:
     """Some power of B is positive; the Wielandt exponent bounds which one."""
     n = len(module.vertices)
-    power = np.linalg.matrix_power(module.adjacency(), n * n - 2 * n + 2)
+    power = np.linalg.matrix_power(adjacency(module), n * n - 2 * n + 2)
     return bool(np.all(power > 0))
 
 

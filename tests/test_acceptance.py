@@ -14,6 +14,7 @@ from dense_kasparov import (
     dense_projection_defects,
     dense_projection_matrix,
 )
+from dense_spectral import verify_rate_certificate
 
 from graphbimod import (
     ConditionalExpectation,
@@ -36,7 +37,6 @@ from graphbimod import (
     right_action,
     right_inner,
     smeb_check,
-    verify_rate_certificate,
 )
 from graphbimod.spectral import GrowthTable
 

@@ -38,7 +38,8 @@ def test_from_dict_missing_entries_default_to_zero():
 
 def test_values_are_read_only():
     a = AlgebraElement.one(VERTS)
-    with pytest.raises(ValueError):
+    # a tuple of Python complex numbers
+    with pytest.raises(TypeError):
         a.values[0] = 7
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
+from dense_spectral import adjacency
 from graphbimod import (
     AlgebraElement,
     Edge,
@@ -62,7 +63,7 @@ def test_rejects_non_finite_weight():
 
 
 def test_adjacency_counts_parallel_edges(lopsided):
-    B = lopsided.adjacency()
+    B = adjacency(lopsided)
     assert np.array_equal(B, np.array([[1.0, 2.0], [1.0, 0.0]]))
 
 
@@ -79,7 +80,7 @@ def test_integer_adjacency_is_exact_and_read_only():
     assert A == {(0, 0): (Fraction(0.1) + Fraction(0.5)) * D, (0, 1): Fraction(0.3) * D,
                  (1, 0): 2 * D}
     assert m.index_exact == {"u": Fraction(0.1) + Fraction(0.3) + Fraction(0.5), "v": Fraction(2)}
-    B = m.adjacency()
+    B = adjacency(m)
     assert B[0, 0] == float(Fraction(0.1) + Fraction(0.5)) and B[1, 1] == 0.0
     with pytest.raises(ValueError):
         B[0, 0] = 1.0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -7,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import exact_ratio, fraction_levels
+from dense_spectral import rate_constants, verify_rate_certificate
 
 from graphbimod import bimodule, cli, cuntz_pimsner, spectral
 from graphbimod.cli import main
@@ -158,7 +162,8 @@ def test_residue_row_limit_exits_before_listing(capsys, tmp_path):
 
 # a primitive graph whose adjacency is not normal: its normalized powers
 # tend to an oblique Perron projection, not to the orthogonal one that the
-# rate constants bound, and the certificate failed at k = 1 by 2.6e12
+# rate constants bound, and the certificate failed at k = 1 by 2.6e12;
+# no report prints a rate constant, and the test oracle gives none here
 NON_NORMAL = {
     "vertices": ["u", "v", "w"],
     "edges": [
@@ -176,11 +181,11 @@ def test_residue_prints_no_rate_for_a_non_normal_graph(capsys, tmp_path):
     assert code == 0
     classes = json.loads(out)["classes"]
     assert len(classes) == 6
-    assert all(c["method"] == "closed_form" and c["rate_alpha"] is None for c in classes)
+    assert all(c["method"] == "closed_form" and "rate_alpha" not in c for c in classes)
     module = cli.load_graph(str(p))
-    assert spectral.pf_data(module).rate_C is None
+    assert rate_constants(module) is None
     with pytest.raises(ValueError, match="not normal"):
-        spectral.verify_rate_certificate(module)
+        verify_rate_certificate(module)
 
 
 def test_kasparov_clean_run(capsys, golden_file):
@@ -661,3 +666,42 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     assert calls["growth_profile"] == 1
     for module, before in loaded_states:
         assert state(module) == before
+
+
+# runs each subcommand in one fresh interpreter and prints, after each
+# step, whether numpy has been imported
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from graphbimod import cli
+
+seen = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen[" ".join(argv)] = ("numpy" in sys.modules, code)
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_kms():
+    graphs = [str(GRAPHS / f"{name}.json") for name in BUNDLED]
+    graphs += [str(DATA / f"{name}.json") for name in ("reducible_weighted", "underflow")]
+    runs = []
+    for g in graphs:
+        runs += [
+            ["index", g, "--depth", "30"],
+            ["residue", g, "--target", "2", "--timings"],
+            ["kasparov", g, "--depth", "2", "--timings"],
+        ]
+    runs.append(["kms", graphs[0]])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import") is False
+    kms = seen.pop(" ".join(runs[-1]))
+    assert seen == {" ".join(argv): [False, 0] for argv in runs[:-1]}
+    assert kms == [True, 0]

@@ -26,9 +26,9 @@ from graphbimod import (
 from graphbimod.fock import (
     Path,
     make_path,
-    path_pool,
     vertex_path,
 )
+from graphbimod.kms import path_pool
 
 
 def rank_one_tensor_matrix(module, k, xi, eta):

@@ -29,7 +29,12 @@ from graphbimod import (
     paths,
 )
 from graphbimod.cli import main
-from graphbimod.cuntz_pimsner import GRAM_MAX_PIVOTS, _second_legs, spanning_basis_size
+from graphbimod.cuntz_pimsner import (
+    GRAM_MAX_PIVOTS,
+    _rho_levels,
+    _second_legs,
+    spanning_basis_size,
+)
 from graphbimod.fock import make_path, path_counts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -276,3 +281,45 @@ def test_kasparov_size_guard_exits_before_enumerating(capsys, monkeypatch):
         assert f"the Gram at depth {depth} passes the limit of {GRAM_MAX_PIVOTS} pivots" in err
         assert "(about 10 s)" in err
         assert elapsed < 1.0
+
+
+def _row_per_signature_reads(module, depth):
+    """The classes a Gram reads when each block signature reads its own
+    residue row, in first-read order, and the number of reads."""
+    counts = path_counts(module, depth)
+    walks = _rho_levels(module, depth)
+    signatures, first, reads = set(), {}, 0
+    for (r0, n, w0, u, shared), _ in _second_legs(module, depth).items():
+        for a in range(depth + 1):
+            mult = counts[a][u] - (counts[a - 1][shared] if shared is not None and a else 0)
+            L = depth - max(a, n)
+            if mult and (r0, n, w0, u, L) not in signatures:
+                signatures.add((r0, n, w0, u, L))
+                for j, level in enumerate(walks[u][: L + 1]):
+                    for s, _ in level:
+                        first.setdefault((r0, s, n + j))
+                        reads += 1
+    return list(first), reads
+
+
+@pytest.mark.parametrize("name, depth", [("reducible_weighted", 6), ("underflow", 5)])
+def test_gram_reads_each_residue_row_once_in_the_same_order(monkeypatch, name, depth):
+    # the row of residues depends on (r(nu_0), |nu_0|, s(nu_0)) only; the
+    # first-read order decides which uncertified class a failing run names
+    with open(DATA / f"{name}.json") as fh:
+        doc = json.load(fh)
+    edges = [Edge(e["id"], e["r"], e["s"], e.get("weight", 1.0)) for e in doc["edges"]]
+    m = GraphBimodule(doc["vertices"], edges)
+    exp_ = ConditionalExpectation(m)
+    read = []
+    limit = ConditionalExpectation.limit
+
+    def logged(self, r, s, n):
+        read.append((r, s, n))
+        return limit(self, r, s, n)
+
+    monkeypatch.setattr(ConditionalExpectation, "limit", logged)
+    gram(m, depth, exp_)
+    want, reads = _row_per_signature_reads(m, depth)
+    assert list(dict.fromkeys(read)) == want
+    assert len(read) < reads

@@ -20,8 +20,8 @@ from graphbimod import (
     tr_phi,
 )
 from graphbimod.cuntz_pimsner import _compose_symbol
-from graphbimod.fock import make_path, path_pool, paths, vertex_path
-from graphbimod.kms import TraceState, diagonal_screen, draw_pairs, exchange_sweep
+from graphbimod.fock import make_path, paths, vertex_path
+from graphbimod.kms import TraceState, diagonal_screen, draw_pairs, exchange_sweep, path_pool
 
 
 def materialised_defect(module, trace, x, y):
