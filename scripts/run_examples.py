@@ -51,7 +51,7 @@ def summarize(command: str, doc: dict) -> str:
         if not doc["feasible"]:
             return "no invariant trace"
         masses = ", ".join(f"{v}={w}" for v, w in sorted(doc["canonical"].items()))
-        return f"canonical {masses}, residual {doc['residual_max']:.1e}"
+        return f"canonical {masses}, descent residual {doc['descent_residual']}"
     return "?"
 
 

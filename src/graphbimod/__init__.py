@@ -6,12 +6,9 @@ vertices.  Everything downstream (path spaces, index vectors, the residue
 expectation, the quotient module with its Fock projection, and the gauge
 dynamics with its equilibrium states) is computed from that one structure.
 
-Only the KMS layer needs numpy, so its names load on first use: importing
-the package, or running the index, residue and kasparov routes, leaves
-numpy unloaded.
+Importing the package and running any CLI route needs only the standard
+library.
 """
-
-import importlib
 
 from .algebra import AlgebraElement, VertexSet
 from .bimodule import (
@@ -57,28 +54,17 @@ from .cuntz_pimsner import (
     gauge_scaled,
     gram,
 )
-
-_KMS_NAMES = frozenset(
-    {
-        "TraceFamily",
-        "TraceState",
-        "d_weight",
-        "gamma",
-        "gamma_minus_i",
-        "invariant_traces",
-        "kms_check",
-        "tr_phi",
-    }
+from .kms import (
+    TraceFamily,
+    TraceState,
+    d_weight,
+    descent_residual,
+    gamma,
+    gamma_minus_i,
+    invariant_traces,
+    kms_check,
+    tr_phi,
 )
-
-
-def __getattr__(name: str):
-    """The kms submodule and its public names, imported on first access."""
-    if name == "kms" or name in _KMS_NAMES:
-        kms = importlib.import_module(".kms", __name__)
-        return kms if name == "kms" else getattr(kms, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __version__ = "0.1.0"
 
@@ -108,6 +94,7 @@ __all__ = [
     "commutator_check",
     "covariance_substitute",
     "d_weight",
+    "descent_residual",
     "eta_tilde",
     "gamma",
     "gamma_minus_i",

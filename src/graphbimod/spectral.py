@@ -86,8 +86,9 @@ def _perron(
     number of steps and the exact bracket of x, (Ax)_i / (D x_i) in
     Fractions, which holds the root; the root is the float nearest the
     middle of that bracket.  A step costs O(V^3) float operations in
-    Python; both vectors of a graph took about 1 ms at 6 vertices and
-    40 ms at 60 (2-CPU machine, random graphs, 12-21 steps).
+    Python; the vector of a graph took about 0.25 ms at 6 vertices and
+    9-14 ms at 60 (2-CPU machine, random graphs with two edges per
+    source, 6-11 steps).
     """
     n = len(rows)
     M = [[0.0] * n for _ in range(n)]
@@ -135,9 +136,8 @@ class PFData:
     component), where the Perron root is simple and its eigenvectors are
     positive; on a reducible graph every field but `primitive` (False) is
     None, 0 or False.  `right_eigenvector` w is the unit Perron vector of
-    B, `eigenvector` that of its transpose (the functional that picks out
-    the growth direction), both from `_perron`, whose steps `iterations`
-    counts.  `radius_bounds` is the Collatz-Wielandt bracket
+    B from `_perron`, whose steps `iterations` counts.  `radius_bounds`
+    is the Collatz-Wielandt bracket
     min_i (Bw)_i / w_i <= r <= max_i of the same, computed exactly in
     Fractions from the integer adjacency, the denominator and the binary
     values of w, and `spectral_radius` the float nearest its middle.
@@ -146,7 +146,6 @@ class PFData:
     """
 
     spectral_radius: float | None
-    eigenvector: tuple[float, ...] | None
     right_eigenvector: tuple[float, ...] | None
     primitive: bool
     iterations: int
@@ -154,24 +153,12 @@ class PFData:
     radius_bounds: tuple[Fraction, Fraction] | None
 
 
-def _transpose(rows) -> list[list[tuple[int, int]]]:
-    cols: list[list[tuple[int, int]]] = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, a in row:
-            cols[j].append((i, a))
-    return cols
-
-
 def pf_data(module: GraphBimodule) -> PFData:
     if len(module.period) > 1:
-        return PFData(None, None, None, False, 0, False, None)
-    rows, D = module.integer_adjacency, module.denominator
-    radius, w, steps, bounds = _perron(rows, D)
-    _, x, left_steps, _ = _perron(_transpose(rows), D)
+        return PFData(None, None, False, 0, False, None)
+    radius, w, steps, bounds = _perron(module.integer_adjacency, module.denominator)
     converged = bounds[1] - bounds[0] <= _CERTIFIED_WIDTH * bounds[1]
-    return PFData(
-        radius, x, w, module.period == (1,), steps + left_steps, converged, bounds
-    )
+    return PFData(radius, w, module.period == (1,), steps, converged, bounds)
 
 
 class GrowthTable:

@@ -28,7 +28,6 @@ from graphbimod.fock import (
     make_path,
     vertex_path,
 )
-from graphbimod.kms import path_pool
 
 
 def rank_one_tensor_matrix(module, k, xi, eta):
@@ -85,25 +84,6 @@ def test_paths_sorted_and_indexed(golden):
 def test_paths_come_out_in_canonical_order(module, k):
     got = paths(module, k)
     assert got == sorted(got, key=Path.sort_key)
-
-
-@given(graphs(weights=(0.5, 1.0, 3.0)), st.integers(0, 4))
-@settings(max_examples=60, deadline=None)
-def test_path_pool_tables_match_paths(module, length):
-    pool = path_pool(module, length)
-    want = [p for k in range(length + 1) for p in paths(module, k)]
-    at = {p: i for i, p in enumerate(want)}
-    assert [pool.path(i) for i in range(len(pool))] == want
-    assert pool.length.tolist() == [len(p) for p in want]
-    assert pool.source.tolist() == [module.vertices.index(p.s) for p in want]
-    for i, p in enumerate(want):
-        n = len(p)
-        assert pool.parent[i] == (at[p.head(n - 1)] if n else -1)
-        assert pool.drop_first[i] == (at[p.tail(n - 1)] if n else -1)
-        assert pool.last[i] == (module.edge_position(p.edges[-1].id) if n else -1)
-        for a in range(length + 1):
-            assert pool.heads[a, i] == (at[p.head(a)] if a <= n else -1)
-            assert pool.tails[a, i] == (at[p.tail(a)] if a <= n else -1)
 
 
 def test_path_hash_is_the_dataclass_hash_computed_once(golden, monkeypatch):

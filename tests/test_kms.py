@@ -12,6 +12,7 @@ from graphbimod import (
     GraphBimodule,
     SpanningElement,
     d_weight,
+    descent_residual,
     gamma,
     gamma_minus_i,
     invariant_traces,
@@ -21,7 +22,7 @@ from graphbimod import (
 )
 from graphbimod.cuntz_pimsner import _compose_symbol
 from graphbimod.fock import make_path, paths, vertex_path
-from graphbimod.kms import TraceState, diagonal_screen, draw_pairs, exchange_sweep, path_pool
+from graphbimod.kms import TraceState
 
 
 def materialised_defect(module, trace, x, y):
@@ -149,6 +150,33 @@ def test_invariant_traces_infeasible_with_bad_weights(weighted_loop):
     assert fam.dimension == -1
 
 
+@given(m=st.one_of(graphs(), graphs(weights=(0.5, 0.75, 2.0, 3.0))), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_descent_residual_is_zero_exactly_on_invariant_weights(m, data):
+    # weighted graphs are almost never feasible, so unit weights supply the
+    # generators, whose residual is exactly 0; on any weights it is 0
+    # exactly when w * index = N w, with index(v) the weight into v and
+    # N[v][u] = #{e : r(e) = v, s(e) = u}
+    fam = invariant_traces(m)
+    for g in fam.basis:
+        assert descent_residual(m, g) == 0
+    verts = list(m.vertices)
+    index = [sum(Fraction(e.weight) for e in m.edges if e.r == v) for v in verts]
+    N = [[sum(1 for e in m.edges if e.r == v and e.s == u) for u in verts] for v in verts]
+    positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    if fam.feasible and data.draw(st.booleans()):
+        scale = data.draw(positive)
+        w = {v: scale * fam.canonical.weight(v) for v in verts}
+    else:
+        w = {v: data.draw(positive) for v in verts}
+    lhs = [w[v] * x for v, x in zip(verts, index)]
+    rhs = [sum(n * w[u] for n, u in zip(row, verts)) for row in N]
+    residual = descent_residual(m, w)
+    assert isinstance(residual, Fraction)
+    assert (residual == 0) == (lhs == rhs)
+    assert residual == max(abs(a - b) for a, b in zip(lhs, rhs))
+
+
 def test_trace_state_mass_and_evaluation(golden):
     fam = invariant_traces(golden)
     tr = fam.canonical
@@ -233,146 +261,6 @@ def test_kms_check_agrees_with_the_materialised_route_on_sums(case):
     )
     got = kms_check(m, tr, x, y)
     assert abs(got - materialised_defect(m, tr, x, y)) <= 1e-12 * scale
-
-
-def scalar_pairs(seed, count, high, child_high):
-    """The draws of draw_pairs made one Generator.integers call at a time."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        quad = []
-        for _ in range(2):
-            a = int(rng.integers(high))
-            quad += [a, int(rng.integers(int(child_high(np.array([a]))[0])))]
-        out.append(tuple(quad))
-    return out
-
-
-# highs of 1 take no word; past 2**31 about half the words are rejected
-HIGHS = st.one_of(
-    st.just(1), st.integers(2, 9), st.integers(2**31 + 1, 2**32)
-)
-
-
-@given(
-    seed=st.integers(0, 2**63),
-    high=HIGHS,
-    child_highs=st.lists(HIGHS, min_size=1, max_size=5),
-    count=st.integers(0, 60),
-    chunk=st.integers(1, 48),
-)
-@settings(max_examples=200, deadline=None)
-def test_bulk_draws_equal_the_scalar_calls(seed, high, child_highs, count, chunk):
-    # small chunks put pairs, and runs of rejected words, across chunk
-    # boundaries
-    sizes = np.array(child_highs, dtype=np.uint64)
-
-    def child_high(a):
-        return sizes[a % len(sizes)]
-
-    blocks = draw_pairs(np.random.default_rng(seed), count, high, child_high, chunk)
-    got = [quad for block in blocks for quad in zip(*(q.tolist() for q in block))]
-    assert got == scalar_pairs(seed, count, high, child_high)
-
-
-def scalar_sweep(m, trace, pool, pairs, seed):
-    """Scalar draws, one kms_check per pair and the built products:
-    exchange_sweep's oracle."""
-    by_src = {}
-    for p in pool:
-        by_src.setdefault(p.s, []).append(p)
-    rng = np.random.default_rng(seed)
-    worst, degree_zero, diagonal = 0.0, 0, 0
-    for _ in range(pairs):
-        mu = pool[int(rng.integers(len(pool)))]
-        nu = by_src[mu.s][int(rng.integers(len(by_src[mu.s])))]
-        sg = pool[int(rng.integers(len(pool)))]
-        rho = by_src[sg.s][int(rng.integers(len(by_src[sg.s])))]
-        x = SpanningElement.symbol(m, mu, nu)
-        y = SpanningElement.symbol(m, sg, rho)
-        worst = max(worst, kms_check(m, trace, x, y))
-        degree_zero += len(mu) - len(nu) + len(sg) - len(rho) == 0
-        products = (x * y, gamma_minus_i(m, y) * x)
-        diagonal += any(a == b for prod in products for a, b in prod.terms)
-    return worst, degree_zero, diagonal
-
-
-@given(
-    m=graphs(weights=(0.5, 0.75, 2.0, 3.0)),
-    length=st.integers(0, 3),
-    pairs=st.integers(0, 300),
-    seed=st.integers(0, 2**32),
-    data=st.data(),
-)
-@settings(max_examples=80, deadline=None)
-def test_exchange_sweep_equals_one_check_per_pair(m, length, pairs, seed, data):
-    # weights that need not be invariant make defects nonzero, so the
-    # maximum pins the arithmetic as well as the pairs drawn
-    weights = {
-        v: Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
-        for v in m.vertices
-    }
-    trace = TraceState(m, weights)
-    pool = [p for k in range(length + 1) for p in paths(m, k)]
-    sweep = exchange_sweep(m, trace, path_pool(m, length), pairs, np.random.default_rng(seed))
-    got = (sweep.worst, sweep.degree_zero, sweep.diagonal)
-    assert got == scalar_sweep(m, trace, pool, pairs, seed)
-
-
-def reaches_diagonal(x, y):
-    """Whether xy and gamma_{-i}(y) x reduce to diagonal symbols, by
-    `_compose_symbol`: diagonal_screen's oracle."""
-    out = []
-    for product in (_compose_symbol(*x, *y), _compose_symbol(*y, *x)):
-        out.append(product is not None and product[0] == product[1])
-    return tuple(out)
-
-
-@given(
-    m=graphs(weights=(0.5, 0.75, 2.0, 3.0)),
-    length=st.integers(0, 4),
-    data=st.data(),
-)
-@settings(max_examples=100, deadline=None)
-def test_diagonal_screen_agrees_with_the_symbol_products(m, length, data):
-    # random degree-0 pairs almost never reach the diagonal, so half of
-    # the pairs are built to: y = (nu alpha, mu alpha) for x = (mu, nu),
-    # and x = (rho alpha, sigma alpha) for y = (sigma, rho)
-    pool = path_pool(m, length)
-    plist = [p for k in range(length + 1) for p in paths(m, k)]
-    at = {p: i for i, p in enumerate(plist)}
-    by_src, by_range = {}, {}
-    for p in plist:
-        by_src.setdefault(p.s, []).append(p)
-        by_range.setdefault(p.r, []).append(p)
-
-    def symbol():
-        mu = data.draw(st.sampled_from(plist))
-        return mu, data.draw(st.sampled_from(by_src[mu.s]))
-
-    def extended(mu, nu):
-        room = length - max(len(mu), len(nu))
-        alpha = data.draw(st.sampled_from([a for a in by_range[mu.s] if len(a) <= room]))
-        return mu.concat(alpha), nu.concat(alpha)
-
-    pairs, built = [], []
-    for _ in range(10):
-        x = symbol()
-        sigma = data.draw(st.sampled_from(plist))
-        size = len(x[0]) - len(x[1]) + len(sigma)
-        rhos = [p for p in by_src[sigma.s] if len(p) == size]
-        if rhos:
-            pairs.append((x, (sigma, data.draw(st.sampled_from(rhos)))))
-        mu, nu = symbol()
-        built.append(((mu, nu), extended(nu, mu)))
-        sigma, rho = symbol()
-        built.append((extended(rho, sigma), (sigma, rho)))
-    pairs += built
-    quad = [np.array([at[p] for p in ps], dtype=np.intp) for ps in zip(*(x + y for x, y in pairs))]
-    screen = diagonal_screen(pool, *quad).tolist()
-    for (x, y), passed in zip(pairs, screen):
-        assert reaches_diagonal(x, y) == (passed, passed)
-    assert screen[len(screen) - len(built) :] == [True] * len(built)
 
 
 def exact_scale(m, path):
