@@ -49,7 +49,6 @@ from .cuntz_pimsner import (
     ResidueConfig,
     ResidueUncertifiedError,
     SpanningElement,
-    commutator_check,
     covariance_substitute,
     gauge_scaled,
     gram,
@@ -91,7 +90,6 @@ __all__ = [
     "beta_is_central",
     "beta_k",
     "check_bimodule_axioms",
-    "commutator_check",
     "covariance_substitute",
     "d_weight",
     "descent_residual",

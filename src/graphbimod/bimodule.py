@@ -185,9 +185,6 @@ class GraphBimodule:
         except KeyError:
             raise KeyError(f"unknown edge {edge_id!r}") from None
 
-    def edge_position(self, edge_id: str) -> int:
-        return self._edge_index[edge_id]
-
     def edges_with_range(self, v: str) -> tuple[Edge, ...]:
         return self._by_range[v]
 

@@ -24,7 +24,6 @@ from .cuntz_pimsner import (
     ConditionalExpectation,
     ResidueConfig,
     ResidueUncertifiedError,
-    commutator_check,
     gram,
 )
 from .fock import index_levels, make_path, path_counts, paths
@@ -309,39 +308,25 @@ def cmd_kasparov(args) -> int:
     failures: list[str] = []
     cfg = ResidueConfig(k_max=args.kmax, tol=args.tol)
     expectation = ConditionalExpectation(module, cfg)
-    stages = {}
-    mark = start
-
-    def stage(name: str) -> None:
-        nonlocal mark
-        now = time.perf_counter()
-        stages[name] = now - mark
-        mark = now
-
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "kasparov",
+        "graph": args.graph,
+        "parameters": {"depth": args.depth, "kmax": args.kmax, "tol": args.tol},
+    }
     try:
         gdata = gram(module, args.depth, expectation)
-        stage("gram")
-        commutator_reports = commutator_check(module, args.depth, expectation, gdata)
-        stage("commutators")
     except ResidueUncertifiedError as exc:
-        emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "kasparov",
-                "graph": args.graph,
-                "parameters": {"depth": args.depth, "kmax": args.kmax, "tol": args.tol},
-                "failures": [str(exc)],
-            },
-            args.format,
-        )
+        emit({**header, "failures": [str(exc)]}, args.format)
         return 1
+    stages = {"gram": time.perf_counter() - start}
     iso_defect = gdata.isometry_defect()
     if min(gdata.psd_min) < -args.tol:
         failures.append(f"gram not positive: min pivot {min(gdata.psd_min)}")
     if iso_defect > args.tol:
         failures.append(f"path block not isometric: defect {iso_defect}")
     commutators = []
-    for rep in commutator_reports:
+    for rep in gdata.commutators:
         commutators.append(
             {
                 "edge": rep.edge,
@@ -357,10 +342,7 @@ def cmd_kasparov(args) -> int:
                 f"commutator {rep.edge}: rank {rep.total_rank} != predicted {rep.predicted_total}"
             )
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "kasparov",
-        "graph": args.graph,
-        "parameters": {"depth": args.depth, "kmax": args.kmax, "tol": args.tol},
+        **header,
         "basis_size": gdata.basis_size,
         "gram": {
             "psd_min": {v: m for v, m in zip(gdata.vertex_names, gdata.psd_min)},
@@ -395,7 +377,7 @@ def cmd_kms(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "kms",
         "graph": args.graph,
-        "parameters": {"tol": args.tol},
+        "parameters": {},
         "feasible": family.feasible,
         "dimension": family.dimension,
         "generators": [dict(t) for t in family.basis],
@@ -469,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("graph", help="path to a graph JSON file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=_tolerance, default=1e-10)
         p.add_argument(
             "--timings",
             action="store_true",
@@ -497,6 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kas.add_argument("--depth", type=_count, default=3)
     p_kas.add_argument("--kmax", type=_count, default=200)
     p_kas.set_defaults(func=cmd_kasparov)
+    # not on kms: its certificate is exact, so no tolerance decides it
+    for p in (p_index, p_res, p_kas):
+        p.add_argument("--tol", type=_tolerance, default=1e-10)
 
     p_kms = sub.add_parser("kms", help="invariant traces and their descent certificate")
     common(p_kms)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .algebra import AlgebraElement
-from .bimodule import GraphBimodule
+from .bimodule import Edge, GraphBimodule
 from .fock import Path, path_counts, path_totals, paths
 from .spectral import GrowthTable, ResidueReport, eta_tilde
 
@@ -320,10 +320,10 @@ class ConditionalExpectation:
 # the number of positive pivots.  A pivot is weight(nu_0) weight(rho) times
 # a harmonic defect of the residues, which depends on rho only through
 # s(rho) and |rho|; the block as a whole depends only on its signature
-# (r(nu_0), |nu_0|, weight(nu_0), u, L).  The second legs nu_0 and the
-# rho, which the commutators read too, are counted by key, no path is
-# built, and nothing is eigensolved.  A run costs one pivot per signature
-# and rho group.
+# (r(nu_0), |nu_0|, weight(nu_0), u, L).  One counted walk groups the rho,
+# which the commutators read too, and one edge on gives the second legs
+# nu_0; no path is built, and nothing is eigensolved.  A run costs one
+# pivot per signature and rho group.
 
 # Gram pivots above this count towards the rank, and so do operators whose
 # quotient norm exceeds it
@@ -349,6 +349,19 @@ def _symbol_count(counts: list[dict[str, int]]) -> int:
 
 
 @dataclass(frozen=True)
+class CommutatorReport:
+    """Commutator of the projection with one edge isometry."""
+
+    edge: str
+    ranks: dict[str, int]
+    total_rank: int
+    predicted: dict[str, int]
+    predicted_total: int
+    surviving: int
+    matches: bool
+
+
+@dataclass(frozen=True)
 class GramData:
     """Inertia of the vertex-sliced Gram of the depth-limited spanning family.
 
@@ -358,7 +371,8 @@ class GramData:
     this one.  `basis_size` counts the spanning symbols, `blocks` the
     suffix-reduced symbols and `signatures` the distinct blocks, each
     solved once.  `vacuum` holds c(v), the Gram entry of the vacuum symbol
-    (v, v), the rho = () member of the vacuum block of v.
+    (v, v), the rho = () member of the vacuum block of v.  `commutators`
+    holds the report of [P, S_g] for each edge g, in edge order.
     """
 
     vertex_names: tuple[str, ...]
@@ -368,6 +382,7 @@ class GramData:
     blocks: int
     signatures: int
     vacuum: tuple[float, ...]
+    commutators: tuple[CommutatorReport, ...]
 
     def operator_rank(
         self, row_norms: Mapping[str, float]
@@ -398,107 +413,121 @@ class GramData:
         return max(abs(c - 1.0) for c in self.vacuum)
 
 
-def _second_legs(
-    module: GraphBimodule, depth: int
-) -> dict[tuple[str, int, float, str, str | None], int]:
-    """Count the paths nu of length <= depth by their leg key.
-
-    The key is (r(nu), |nu|, weight(nu), s(nu), r of the last edge of nu),
-    with None for the last range of a vertex.  The paths are walked level
-    by level as counted keys, so none is built.  Level 1 is module.edges;
-    from there each key is followed by the edges with range at its source,
-    in id order, and the weight is multiplied left to right from 1.0, as
-    Path.weight does.  The keys therefore come in the order of their first
-    path in [nu for n in range(depth + 1) for nu in paths(module, n)].
-    """
-    legs = {(v, 0, 1.0, v, None): 1 for v in module.vertices}
-    # (r(nu), weight(nu), s(nu), r of the last edge) -> count, one length
-    level: dict[tuple[str, float, str, str], int] = {}
-    for e in module.edges:
-        key = (e.r, 1.0 * e.weight, e.s, e.r)
-        level[key] = level.get(key, 0) + 1
-    for n in range(1, depth + 1):
-        for (r0, w, s, last), k in level.items():
-            legs[(r0, n, w, s, last)] = k
-        if n < depth:
-            nxt: dict[tuple[str, float, str, str], int] = {}
-            for (r0, w, s, _), k in level.items():
-                for e in module.edges_with_range(s):
-                    key = (r0, w * e.weight, e.s, s)
-                    nxt[key] = nxt.get(key, 0) + k
-            level = nxt
-    return legs
-
-
 def _pivot_limit(depth: int) -> ValueError:
     return ValueError(
         f"the Gram at depth {depth} passes the limit of {GRAM_MAX_PIVOTS} pivots (about 10 s)"
     )
 
 
-def _rho_levels(module: GraphBimodule, depth: int) -> dict[str, list[dict[tuple[str, float], int]]]:
-    """u -> the paths rho with range u of length 0..depth, level by level.
+def _extensions(module: GraphBimodule, level: dict, j: int):
+    """The keys of paths of length j, each with the edges that extend it.
 
-    Level j maps (s(rho), weight(rho)) to the number of rho of length j
-    with that key, in the order of their first rho in paths(module, j);
-    the weight is multiplied left to right from 1.0, as Path.weight does.
+    Yields (r(rho), s(rho), weight(rho), count, edges e) for the keys of
+    `level` in order, where rho e is a path one edge longer.  At length 0
+    each vertex r(e) is extended by e alone, for e in module.edges in
+    order; from there each key by the edges with range s(rho), in id
+    order.
+    """
+    if j == 0:
+        return ((e.r, e.r, 1.0, 1, (e,)) for e in module.edges)
+    edges_in = module.edges_with_range
+    return ((r0, s, w, k, edges_in(s)) for (r0, s, w), k in level.items())
+
+
+def _rho_levels(module: GraphBimodule, depth: int) -> list[dict[tuple[str, str, float], int]]:
+    """Count the paths rho of length <= depth by (r(rho), s(rho), weight(rho)).
+
+    Level j maps a key to the number of rho of length j with it.  The paths
+    are walked level by level as counted keys, by `_extensions`, so none is
+    built, and the weight is multiplied left to right from 1.0, as
+    Path.weight does.  The keys of a level therefore come in the order of
+    their first path in paths(module, j).
+
     It raises past `GRAM_MAX_PIVOTS` pivots of the vacuum blocks as it
     walks: every vertex is the source of paths of every length, so the
     block of u has a signature with L = depth - a for each a <= depth, and
-    each has a pivot per key of length <= L.
+    each has a pivot per key with range u of length <= L.
     """
-    walks = {}
+    levels = [{(v, v, 1.0): 1 for v in module.vertices}]
     pivots = 0
-    for u in module.vertices:
-        level = {(u, 1.0): 1}
-        walks[u] = [level]
-        for j in range(1, depth + 1):
-            uses = depth - j + 1
-            nxt: dict[tuple[str, float], int] = {}
-            for (s, w), k in level.items():
-                for e in module.edges_with_range(s):
-                    key = (e.s, w * e.weight)
-                    nxt[key] = nxt.get(key, 0) + k
-                if pivots + len(nxt) * uses > GRAM_MAX_PIVOTS:
-                    raise _pivot_limit(depth)
-            pivots += len(nxt) * uses
-            level = nxt
-            walks[u].append(level)
-    return walks
+    for j in range(1, depth + 1):
+        uses = depth - j + 1
+        level: dict[tuple[str, str, float], int] = {}
+        for r0, s, w, k, out in _extensions(module, levels[-1], j - 1):
+            for e in out:
+                key = (r0, e.s, w * e.weight)
+                level[key] = level.get(key, 0) + k
+            if pivots + len(level) * uses > GRAM_MAX_PIVOTS:
+                raise _pivot_limit(depth)
+        pivots += len(level) * uses
+        levels.append(level)
+    return levels
 
 
 def gram(
     module: GraphBimodule, depth: int, expectation: ConditionalExpectation
 ) -> GramData:
-    """Ranks and positivity of the Gram of the depth-limited spanning family.
+    """Ranks, positivity and commutators of the depth-limited spanning family.
 
-    The second legs nu_0, the paths of length <= depth, are counted by
-    `_second_legs` without building a path.  The first legs mu_0 of each
-    length a with source s(nu_0) are counted: all of them, less those
-    ending in the last edge e of nu_0, which would share it, counted as
-    the length-(a-1) paths with source r(e).  Each signature
-    (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), L) is solved once: its rho
-    are walked level by level, grouped by (s(rho), weight(rho)) with
-    multiplicities (`_rho_levels`), and each group has one pivot.  Residues
-    are read through `ConditionalExpectation.limit`, in (|rho|, rho) order,
-    so an uncertified class raises `ResidueUncertifiedError`; only classes
-    of length <= depth are read.  More than `GRAM_MAX_PIVOTS` pivots raise
-    `ValueError` while the keys are counted, before any residue is read.
+    One walk, `_rho_levels`, counts the paths of length <= depth by key
+    without building one: by range, they are the rho groups of the blocks,
+    and one edge on, the second legs nu_0.  The first legs mu_0 of each
+    length a with source s(nu_0) are
+    counted: all of them, less those ending in the last edge e of nu_0,
+    which would share it, counted as the length-(a-1) paths with source
+    r(e).  Each signature (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), L) is
+    solved once, with one pivot per rho group of length <= L.  Residues
+    are read through `ConditionalExpectation.limit`, in (|rho|, rho)
+    order, so an uncertified class raises `ResidueUncertifiedError`; only
+    classes of length <= depth are read.  More than `GRAM_MAX_PIVOTS`
+    pivots raise `ValueError` while the keys are counted, before any
+    residue is read.
+
+    P is the projection onto the plain path symbols: it sends (mu, nu) to
+    the path symbol of the head of mu, scaled by c(nu), when the tail of
+    mu is nu, and to zero otherwise.  Take a column (rho, sigma) of
+    [P, S_g] with r(rho) = s(g).  When |sigma| <= |rho|, the two terms of
+    the commutator land on the same plain symbol with the same coefficient
+    and cancel; when |sigma| = |rho| + 1, only sigma = g rho survives, in
+    the vacuum row (r(g), r(g)), with the residue coefficient of g rho.  So
+    the commutator is that one row, over the rho groups of s(g) shorter
+    than the depth, with the residues of the row (r(g), 1, s(g)) that the
+    signatures of nu_0 = g have read, and `GramData.operator_rank` ranks
+    its squared norm.  The prediction is one at r(g) when a surviving
+    coefficient exceeds the rank tolerance, zero elsewhere; the vacuum
+    coefficient is one, so the two agree.
     """
     counts = path_counts(module, depth)
     vertices = module.vertices
     vidx = {v: i for i, v in enumerate(vertices)}
-
-    # walked first, as the second legs are the same walks refined by their
-    # last range: a Gram past the limit stops before they are built
-    walks = _rho_levels(module, depth)
+    levels = _rho_levels(module, depth)
+    # u -> the rho with range u by length, grouped by (s(rho), weight(rho))
+    rhos: dict[str, list[dict[tuple[str, float], int]]] = {
+        u: [{} for _ in levels] for u in vertices
+    }
+    for j, level in enumerate(levels):
+        for (u, s, w), k in level.items():
+            rhos[u][j][(s, w)] = k
     # u -> number of rho groups of length <= L, by L
-    groups = {u: list(itertools.accumulate(map(len, walk))) for u, walk in walks.items()}
+    groups = {u: list(itertools.accumulate(map(len, walk))) for u, walk in rhos.items()}
 
+    # the second legs: each vertex, and each rho of length < depth extended
+    # by an edge e, so that the range of the last edge is s(rho).  A leg key
+    # that two (rho, e) reach comes twice, first in the order of its first
+    # path, and the second only adds blocks to the signatures of the first
+    legs = itertools.chain(
+        ((v, 0, 1.0, v, None, 1) for v in vertices),
+        (
+            (r0, j + 1, w * e.weight, e.s, s, k)
+            for j in range(depth)
+            for r0, s, w, k, out in _extensions(module, levels[j], j)
+            for e in out
+        ),
+    )
     # signature -> number of blocks that have it
     signatures: dict[tuple[str, int, float, str, int], int] = {}
     pivots = 0
-    for (r0, n, w0, u, shared), count in _second_legs(module, depth).items():
+    for r0, n, w0, u, shared, count in legs:
         for a in range(depth + 1):
             mult = counts[a][u]
             if shared is not None and a:
@@ -523,7 +552,7 @@ def gram(
     low = [math.inf] * V
     ranks = [0] * V
     for (r0, n, w0, u, L), mult in signatures.items():
-        walk = walks[u][: L + 1]
+        walk = rhos[u][: L + 1]
         # a row grows level by level, each level in the order of its
         # groups, that of their first rho, before any pivot: so the classes
         # are first read signature by signature in the order of the rho
@@ -548,7 +577,7 @@ def gram(
         vi = vidx[r0]
         low[vi] = min(low[vi], lowest)
         ranks[vi] += mult * rank
-    return GramData(
+    data = GramData(
         vertex_names=tuple(vertices),
         psd_min=tuple(min(lo, 0.0) if V > 1 else lo for lo in low),
         gram_ranks=tuple(ranks),
@@ -556,73 +585,36 @@ def gram(
         blocks=sum(signatures.values()),
         signatures=len(signatures),
         vacuum=tuple(expectation.limit(v, v, 0) for v in vertices),
+        commutators=(),
     )
+    # the signature (r(g), 1, weight(g), s(g), depth - 1) has read the row
+    # of g to the depth; at depth 0 there is none, and no rho to read
+    reports = tuple(
+        _commutator(data, g, rhos[g.s][:depth], rows.get((g.r, 1, g.s), ()))
+        for g in module.edges
+    )
+    return replace(data, commutators=reports)
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    """Commutator of the projection with one edge isometry."""
-
-    edge: str
-    ranks: dict[str, int]
-    total_rank: int
-    predicted: dict[str, int]
-    predicted_total: int
-    surviving: int
-    matches: bool
-
-
-def commutator_check(
-    module: GraphBimodule,
-    depth: int,
-    expectation: ConditionalExpectation,
-    gram_data: GramData,
-) -> tuple[CommutatorReport, ...]:
-    """Rank of [P, S_g] in the Gram quotient against its prediction, edge by edge.
-
-    P is the projection onto the plain path symbols: it sends (mu, nu) to
-    the path symbol of the head of mu, scaled by c(nu), when the tail of mu
-    is nu, and to zero otherwise.  Take a column (rho, sigma) with
-    r(rho) = s(g).  When |sigma| <= |rho|, the two terms of the commutator
-    land on the same plain symbol with the same coefficient and cancel;
-    when |sigma| = |rho| + 1, only sigma = g rho survives, in the vacuum
-    row (r(g), r(g)), with the residue coefficient of g rho.  So the
-    commutator is that one row, over the rho of length < depth, read as
-    the counted keys of `_rho_levels`, and `GramData.operator_rank` of
-    `gram_data`, which is gram(module, depth, expectation), ranks its
-    squared norm.  The prediction is one at
-    r(g) when a surviving coefficient exceeds the rank tolerance, zero
-    elsewhere; the vacuum coefficient is one, so the two agree.
-    """
-    # one level shorter than the walk of `gram`, so it counts fewer pivots
-    # and stays within the bound that walk has passed
-    walks = _rho_levels(module, max(depth - 1, 0))
-    reports = []
-    for g in module.edges:
-        norm2, surviving = 0.0, 0
-        # the rho of length < depth with r(rho) = s(g)
-        for k, level in enumerate(walks[g.s][:depth]):
-            sources = dict.fromkeys(s for s, _ in level)
-            limits = {s: expectation.limit(g.r, s, k + 1) for s in sources}
-            for (s, w), m in level.items():
-                coef = g.weight * w * limits[s]
-                # a count past the double range would not convert
-                norm2 += coef * coef * min(m, 1e300)
-                surviving += m * (abs(coef) > _TOL)
-        ranks, total = gram_data.operator_rank({g.r: norm2})
-        predicted = {v: 0 for v in module.vertices}
-        predicted[g.r] = 1 if surviving else 0
-        predicted_total = sum(predicted.values())
-        matches = ranks == predicted and total == predicted_total
-        reports.append(
-            CommutatorReport(
-                edge=g.id,
-                ranks=ranks,
-                total_rank=total,
-                predicted=predicted,
-                predicted_total=predicted_total,
-                surviving=surviving,
-                matches=matches,
-            )
-        )
-    return tuple(reports)
+def _commutator(data: GramData, g: Edge, walk, res) -> CommutatorReport:
+    """[P, S_g] from the rho groups `walk` of s(g) and their residues `res`."""
+    norm2, surviving = 0.0, 0
+    for level, limits in zip(walk, res):
+        for (s, w), m in level.items():
+            coef = g.weight * w * limits[s]
+            # a count past the double range would not convert
+            norm2 += coef * coef * min(m, 1e300)
+            surviving += m * (abs(coef) > _TOL)
+    ranks, total = data.operator_rank({g.r: norm2})
+    predicted = {v: 0 for v in data.vertex_names}
+    predicted[g.r] = 1 if surviving else 0
+    predicted_total = sum(predicted.values())
+    return CommutatorReport(
+        edge=g.id,
+        ranks=ranks,
+        total_rank=total,
+        predicted=predicted,
+        predicted_total=predicted_total,
+        surviving=surviving,
+        matches=ranks == predicted and total == predicted_total,
+    )

@@ -48,13 +48,26 @@ def path_legs(module, depth):
     """The second-leg counts of the Gram, one Path per leg.
 
     Keys (r(nu), |nu|, weight(nu), s(nu), r of the last edge of nu) in the
-    order of their first path: the reference for `_second_legs`.
+    order of their first path: the reference for the second legs of `gram`.
     """
     legs = Counter()
     for n in range(depth + 1):
         for nu in paths(module, n):
             legs[(nu.r, n, nu.weight, nu.s, nu.edges[-1].r if nu.edges else None)] += 1
     return legs
+
+
+def path_rhos(module, depth):
+    """The paths of each length, one Path per rho.
+
+    One Counter per length j <= depth of the keys (r(rho), s(rho),
+    weight(rho)) in the order of their first path: the reference for
+    `_rho_levels`.
+    """
+    return [
+        Counter((rho.r, rho.s, rho.weight) for rho in paths(module, j))
+        for j in range(depth + 1)
+    ]
 
 
 def _reduced(mu, nu):

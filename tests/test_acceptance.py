@@ -25,7 +25,6 @@ from graphbimod import (
     beta_is_central,
     beta_k,
     check_bimodule_axioms,
-    commutator_check,
     covariance_substitute,
     eta_tilde,
     gauge_scaled,
@@ -254,7 +253,7 @@ def test_acceptance_5_kasparov_suite():
                 problems.append(f"{name}: P^2 - P = {idempotency}")
             if adjoint > 1e-10:
                 problems.append(f"{name}: P not gram-adjoint: {adjoint}")
-            reports = commutator_check(m, 3, exp_, gdata)
+            reports = gdata.commutators
             dense_reports, discrepancies = dense_commutator_check(m, 3, exp_)
             if reports != dense_reports:
                 problems.append(f"{name}: commutator reports differ from the dense route")

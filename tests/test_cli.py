@@ -281,14 +281,37 @@ def test_growth_table_past_its_limits_exits_2(capsys, tmp_path):
     assert err == "error: class ('c', 'a', 2): growth ratio past the double range\n"
 
 
-def test_kasparov_strict_tolerance_trips_psd(capsys, golden_file):
-    # pivot round-off sits around 1e-16, so an absurd tolerance may fail
-    code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2", "--tol", "1e-18")
+def test_kasparov_negative_pivot_exits_1(capsys, monkeypatch, golden_file):
+    # with every residue 1, the vacuum block of u has the pivot
+    # c(u) - c(a) - c(b) = -1 at rho = (), and that of v the pivot -1 one
+    # edge further on
+    monkeypatch.setattr(
+        cuntz_pimsner.ConditionalExpectation, "limit", lambda self, r, s, n: 1.0
+    )
+    code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2")
+    assert code == 1
     doc = json.loads(out)
-    if doc["failures"]:
-        assert code == 1
-    else:
-        assert code == 0
+    assert doc["gram"]["psd_min"] == {"u": -1.0, "v": -1.0}
+    assert doc["failures"] == ["gram not positive: min pivot -1.0"]
+
+
+def test_kasparov_commutator_off_its_prediction_exits_1(capsys, monkeypatch, golden_file):
+    # residues of 9e-11 past the vacuum: no entry of a commutator row
+    # passes the rank tolerance 1e-10, so rank 0 is predicted, but at
+    # depth 2 each row has two or three entries, whose norm passes it.  The
+    # lowest pivot, -9e-11, stays within --tol
+    monkeypatch.setattr(
+        cuntz_pimsner.ConditionalExpectation,
+        "limit",
+        lambda self, r, s, n: 1.0 if n == 0 else 9e-11,
+    )
+    code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert [(c["edge"], c["total_rank"], c["predicted_total"]) for c in doc["commutators"]] == [
+        ("a", 1, 0), ("b", 1, 0), ("c", 1, 0)
+    ]
+    assert doc["failures"] == [f"commutator {g}: rank 1 != predicted 0" for g in "abc"]
 
 
 def test_kms_report(capsys, golden_file):
@@ -403,7 +426,7 @@ def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):
     timings = doc.pop("timings")
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
     assert set(timings) == {"seconds", "stages", "counters"}
-    assert set(timings["stages"]) == {"gram", "commutators"}
+    assert set(timings["stages"]) == {"gram"}
     assert all(t >= 0 for t in timings["stages"].values())
     # paths of length at most 2 by source: 6 at u and 4 at v, so 6² + 4²
     # symbols; they fall in 30 blocks, which have 15 signatures.  The
@@ -531,8 +554,6 @@ def test_index_collapse_error_is_exact(capsys, tmp_path):
         (["index", "--tol", "-1"], "--tol"),
         (["kasparov", "--tol", "inf"], "--tol"),
         (["residue", "--target", "1", "--tol", "nan"], "--tol"),
-        (["kms", "--tol", "-0.5"], "--tol"),
-        (["kms", "--tol", "small"], "--tol"),
     ],
 )
 def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag):
@@ -547,6 +568,14 @@ def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag)
         assert "argument --tol: expected a finite nonnegative number" in err
     else:
         assert f"argument {flag}: expected a nonnegative integer" in err
+
+
+def test_kms_takes_no_tolerance(capsys, golden_file):
+    # its certificate is exact, so a tolerance would decide nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["kms", golden_file, "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 STORED_RUNS = [
@@ -679,6 +708,25 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     assert calls["growth_profile"] == 1
     for module, before in loaded_states:
         assert state(module) == before
+
+
+def test_kasparov_walks_the_path_space_once(capsys, monkeypatch):
+    # the Gram's rho groups, its second legs and the commutator rows all
+    # come from one counted walk
+    calls = []
+    walk = cuntz_pimsner._rho_levels
+
+    def counted(module, depth):
+        calls.append(depth)
+        return walk(module, depth)
+
+    monkeypatch.setattr(cuntz_pimsner, "_rho_levels", counted)
+    for name in BUNDLED:
+        for depth in range(4):
+            calls.clear()
+            assert main(["kasparov", str(GRAPHS / f"{name}.json"), "--depth", str(depth)]) == 0
+            assert calls == [depth]
+    capsys.readouterr()
 
 
 # runs each subcommand in one fresh interpreter and prints, after each

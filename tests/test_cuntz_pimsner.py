@@ -18,7 +18,6 @@ from graphbimod import (
     ResidueConfig,
     ResidueUncertifiedError,
     SpanningElement,
-    commutator_check,
     covariance_substitute,
     gauge_scaled,
     gram,
@@ -303,7 +302,7 @@ def _commutators(m, depth):
     shift; that operator equals the one-row closed form exactly.
     """
     exp_ = ConditionalExpectation(m)
-    reports = commutator_check(m, depth, exp_, gram(m, depth, exp_))
+    reports = gram(m, depth, exp_).commutators
     dense_reports, discrepancies = dense_commutator_check(m, depth, exp_)
     assert reports == dense_reports
     assert set(discrepancies.values()) == {0.0}

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from dense_kasparov import (
     dense_projection_defects,
     dense_projection_matrix,
     path_legs,
+    path_rhos,
     reduced_keys,
 )
 from hypothesis import example, given, settings, strategies as st
@@ -22,17 +24,17 @@ from hypothesis import example, given, settings, strategies as st
 from graphbimod import (
     ConditionalExpectation,
     Edge,
+    GramData,
     GraphBimodule,
     ResidueUncertifiedError,
-    commutator_check,
     gram,
     paths,
 )
 from graphbimod.cli import main
 from graphbimod.cuntz_pimsner import (
     GRAM_MAX_PIVOTS,
+    _extensions,
     _rho_levels,
-    _second_legs,
     spanning_basis_size,
 )
 from graphbimod.fock import make_path, path_counts
@@ -77,7 +79,6 @@ def _check_block_route(module, depth):
     exp_ = ConditionalExpectation(module)
     try:
         gd = gram(module, depth, exp_)
-        reports = commutator_check(module, depth, exp_, gd)
     except ResidueUncertifiedError:
         with pytest.raises(ResidueUncertifiedError):
             dense_gram(module, depth, ConditionalExpectation(module))
@@ -92,7 +93,7 @@ def _check_block_route(module, depth):
         dense_reports, discrepancies = dense_commutator_check(module, depth, exp_)
     except ResidueUncertifiedError:
         return
-    assert reports == dense_reports
+    assert gd.commutators == dense_reports
     assert set(discrepancies.values()) <= {0.0}
 
 
@@ -143,33 +144,31 @@ def test_pivots_match_dense_blocks_for_any_coefficients(module, depth, seed):
     _check_gram(gram(module, depth, exp_), module, depth, exp_)
 
 
-class _NormRecorder:
-    """Stands in for the Gram data: keeps the squared row norms commutator_check ranks."""
-
-    def __init__(self):
-        self.norms = []
-
-    def operator_rank(self, row_norms):
-        self.norms.append(row_norms)
-        return {}, 0
-
-
 @given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 4), st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
 def test_commutator_rows_are_the_path_coefficients(module, depth, seed):
     # each edge's vacuum row is coeff(g rho) over the rho of length < depth
-    # with r(rho) = s(g).  The counted walk never lists it, but its squared
-    # norm and its surviving count are those of the listed row; the weight
+    # with r(rho) = s(g).  The Gram never lists it, but the squared norm it
+    # ranks and the surviving count are those of the listed row; the weight
     # of g rho is taken in another order, so they agree to round-off
     exp_ = _ArbitraryCoefficients(module, seed)
-    recorder = _NormRecorder()
-    reports = commutator_check(module, depth, exp_, recorder)
+    norms = []
+    rank = GramData.operator_rank
+
+    def recorded(self, row_norms):
+        norms.append(row_norms)
+        return rank(self, row_norms)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GramData, "operator_rank", recorded)
+        reports = gram(module, depth, exp_).commutators
     shorter = [rho for k in range(depth) for rho in paths(module, k)]
-    assert len(recorder.norms) == len(reports) == len(module.edges)
-    for g, norms, rep in zip(module.edges, recorder.norms, reports):
+    assert len(norms) == len(reports) == len(module.edges)
+    for g, row_norms, rep in zip(module.edges, norms, reports):
         row = [exp_.coeff(make_path(module, (g.id,) + rho.ids)) for rho in shorter if rho.r == g.s]
-        assert norms.keys() == {g.r}
-        assert norms[g.r] == pytest.approx(sum(c * c for c in row), rel=1e-12, abs=0)
+        assert rep.edge == g.id
+        assert row_norms.keys() == {g.r}
+        assert row_norms[g.r] == pytest.approx(sum(c * c for c in row), rel=1e-12, abs=0)
         assert rep.surviving == sum(abs(c) > 1e-10 for c in row)
 
 
@@ -177,10 +176,18 @@ def test_commutator_rows_are_the_path_coefficients(module, depth, seed):
 @settings(max_examples=40, deadline=None)
 def test_second_legs_walk_matches_path_oracle(module, depth):
     # equal keys, counts and first-occurrence order: the order of the
-    # signatures, and so the first uncertified class, rests on it
-    assert list(_second_legs(module, depth).items()) == list(
-        path_legs(module, depth).items()
-    )
+    # signatures, and so the first uncertified class, rests on it.  The
+    # second legs are the walk's keys one edge on
+    levels = _rho_levels(module, depth)
+    assert [list(level.items()) for level in levels] == [
+        list(c.items()) for c in path_rhos(module, depth)
+    ]
+    legs = Counter({(v, 0, 1.0, v, None): 1 for v in module.vertices})
+    for j in range(depth):
+        for r0, s, w, k, out in _extensions(module, levels[j], j):
+            for e in out:
+                legs[(r0, j + 1, w * e.weight, e.s, s)] += k
+    assert list(legs.items()) == list(path_legs(module, depth).items())
 
 
 @given(graphs(), st.integers(0, 3))
@@ -285,11 +292,15 @@ def test_kasparov_size_guard_exits_before_enumerating(capsys, monkeypatch):
 
 def _row_per_signature_reads(module, depth):
     """The classes a Gram reads when each block signature reads its own
-    residue row, in first-read order, and the number of reads."""
+    residue row, in first-read order, and the number of reads, from the
+    Path oracles of the second legs and the rho groups."""
     counts = path_counts(module, depth)
-    walks = _rho_levels(module, depth)
+    walks = {v: [[] for _ in range(depth + 1)] for v in module.vertices}
+    for j, level in enumerate(path_rhos(module, depth)):
+        for r, s, w in level:
+            walks[r][j].append((s, w))
     signatures, first, reads = set(), {}, 0
-    for (r0, n, w0, u, shared), _ in _second_legs(module, depth).items():
+    for r0, n, w0, u, shared in path_legs(module, depth):
         for a in range(depth + 1):
             mult = counts[a][u] - (counts[a - 1][shared] if shared is not None and a else 0)
             L = depth - max(a, n)
