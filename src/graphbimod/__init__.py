@@ -46,7 +46,6 @@ from .cuntz_pimsner import (
     CommutatorReport,
     ConditionalExpectation,
     GramData,
-    ResidueConfig,
     ResidueUncertifiedError,
     SpanningElement,
     covariance_substitute,
@@ -80,7 +79,6 @@ __all__ = [
     "PFData",
     "PartialSumReport",
     "Path",
-    "ResidueConfig",
     "ResidueReport",
     "ResidueUncertifiedError",
     "SpanningElement",

@@ -22,7 +22,6 @@ from fractions import Fraction
 from .bimodule import Edge, GraphBimodule, GraphStructureError, beta_is_central, index_element
 from .cuntz_pimsner import (
     ConditionalExpectation,
-    ResidueConfig,
     ResidueUncertifiedError,
     gram,
 )
@@ -306,8 +305,7 @@ def cmd_kasparov(args) -> int:
     module = load_graph(args.graph)
     start = time.perf_counter()
     failures: list[str] = []
-    cfg = ResidueConfig(k_max=args.kmax, tol=args.tol)
-    expectation = ConditionalExpectation(module, cfg)
+    expectation = ConditionalExpectation(module, args.kmax, args.tol)
     header = {
         "schema_version": SCHEMA_VERSION,
         "command": "kasparov",
@@ -359,7 +357,7 @@ def cmd_kasparov(args) -> int:
             "counters": {
                 "basis": gdata.basis_size,
                 "blocks": gdata.blocks,
-                "signatures": gdata.signatures,
+                "classes": gdata.classes,
                 "level_bits": expectation.table.level_bits,
             },
         }

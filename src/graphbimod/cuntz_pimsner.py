@@ -12,7 +12,6 @@ diagonal by the path weight times the residue coefficient of its class.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -25,12 +24,6 @@ from .spectral import GrowthTable, ResidueReport, eta_tilde
 
 class ResidueUncertifiedError(RuntimeError):
     """A residue limit needed by the expectation did not certify."""
-
-
-@dataclass(frozen=True)
-class ResidueConfig:
-    k_max: int = 200
-    tol: float = 1e-10
 
 
 def _check_pair(mu: Path, nu: Path) -> None:
@@ -232,21 +225,21 @@ class ConditionalExpectation:
     Symbols with mu != nu are sent to zero.  A diagonal symbol (mu, mu)
     contributes its path weight times the residue limit of the class
     (range, source, length) of mu, placed at the range vertex.  One growth
-    table, `table`, up to the configured k_max serves every class, and
-    residue reports are kept per class; an unconverged limit raises
+    table, `table`, up to k_max serves every class, each solved to `tol`,
+    and residue reports are kept per class; an unconverged limit raises
     `ResidueUncertifiedError`.
     """
 
-    def __init__(self, module: GraphBimodule, config: ResidueConfig | None = None):
+    def __init__(self, module: GraphBimodule, k_max: int = 200, tol: float = 1e-10):
         self.module = module
-        self.config = config or ResidueConfig()
+        self.tol = tol
         self._reports: dict[tuple[str, str, int], ResidueReport] = {}
-        self.table = GrowthTable(module, self.config.k_max)
+        self.table = GrowthTable(module, k_max)
 
     def residue(self, r: str, s: str, n: int) -> ResidueReport:
         key = (r, s, n)
         if key not in self._reports:
-            self._reports[key] = eta_tilde(self.table, key, tol=self.config.tol)
+            self._reports[key] = eta_tilde(self.table, key, tol=self.tol)
         return self._reports[key]
 
     def limit(self, r: str, s: str, n: int) -> float:
@@ -274,7 +267,7 @@ class ConditionalExpectation:
 
         Equals the diagonal sum of the level-k compression of x divided by
         the k-step index, computed without forming the level matrix.  The
-        level must not exceed the configured k_max.
+        level must not exceed k_max.
         """
         if k > self.table.k_max:
             raise ValueError(f"level {k} above k_max {self.table.k_max}")
@@ -318,21 +311,23 @@ class ConditionalExpectation:
 # X is unitriangular, so by Sylvester's law of inertia a block is positive
 # semidefinite exactly when its pivots are nonnegative, and its rank is
 # the number of positive pivots.  A pivot is weight(nu_0) weight(rho) times
-# a harmonic defect of the residues, which depends on rho only through
-# s(rho) and |rho|; the block as a whole depends only on its signature
-# (r(nu_0), |nu_0|, weight(nu_0), u, L).  One counted walk groups the rho,
-# which the commutators read too, and one edge on gives the second legs
-# nu_0; no path is built, and nothing is eigensolved.  A run costs one
-# pivot per signature and rho group.
+# a harmonic defect h of the residues, which depends on rho only through
+# s(rho), |rho| and whether |rho| = L.  Path weights are positive, so a
+# pivot has the sign of h: the rank is a sum over the residue classes
+# (r(nu_0), |nu_0|, u, L) of integer path counts, and the weights enter
+# only the lowest pivot, through their extremes.  One recursion counts the
+# rho by (range, source), and one edge on the second legs nu_0; no path is
+# built, and nothing is eigensolved.
 
-# Gram pivots above this count towards the rank, and so do operators whose
-# quotient norm exceeds it
+# Harmonic defects above this count towards the rank, and so do operators
+# whose quotient norm exceeds it: the zero test for residue round-off
 _TOL = 1e-10
-# On a 2-CPU machine, one run each, a pivot took 1.8-2.4 us, residues
-# included: 4 vertices with weights 0.1 to 3 at depth 13, 2.68 million
-# pivots, 5.5 s; O2 with weights 0.1 and 3 at depth 30, 2.58 million,
-# 4.5 s; golden mean at depth 100, 0.72 million, 1.7 s.  So this many keep
-# a run under about 10 s
+# A run takes a step per second-leg group and first-leg length, and one per
+# rho cell of each class row.  On a 2-CPU machine a step took 1.7-2.9 us
+# with closed-form residues: golden mean at depth 120, 0.14 million steps,
+# 0.34 s; a 20-vertex graph with 3 edges per source at depth 20, 1.5
+# million, 4.3 s.  So this many keep a run under about 10 s.  Extrapolated
+# residues are not counted (that graph with weights 0.1 to 3: 12 s)
 GRAM_MAX_PIVOTS = 4_000_000
 
 
@@ -357,7 +352,6 @@ class CommutatorReport:
     total_rank: int
     predicted: dict[str, int]
     predicted_total: int
-    surviving: int
     matches: bool
 
 
@@ -369,10 +363,11 @@ class GramData:
     order: the number of positive pivots, and the lowest pivot, capped at
     0 when other slices exist, since the symbols of those are zero rows of
     this one.  `basis_size` counts the spanning symbols, `blocks` the
-    suffix-reduced symbols and `signatures` the distinct blocks, each
-    solved once.  `vacuum` holds c(v), the Gram entry of the vacuum symbol
-    (v, v), the rho = () member of the vacuum block of v.  `commutators`
-    holds the report of [P, S_g] for each edge g, in edge order.
+    suffix-reduced symbols and `classes` the residue classes
+    (r(nu_0), |nu_0|, s(nu_0), L) of the blocks, each solved once.
+    `vacuum` holds c(v), the Gram entry of the vacuum symbol (v, v), the
+    rho = () member of the vacuum block of v.  `commutators` holds the
+    report of [P, S_g] for each edge g, in edge order.
     """
 
     vertex_names: tuple[str, ...]
@@ -380,7 +375,7 @@ class GramData:
     gram_ranks: tuple[int, ...]
     basis_size: int
     blocks: int
-    signatures: int
+    classes: int
     vacuum: tuple[float, ...]
     commutators: tuple[CommutatorReport, ...]
 
@@ -415,53 +410,69 @@ class GramData:
 
 def _pivot_limit(depth: int) -> ValueError:
     return ValueError(
-        f"the Gram at depth {depth} passes the limit of {GRAM_MAX_PIVOTS} pivots (about 10 s)"
+        f"the Gram at depth {depth} passes the limit of {GRAM_MAX_PIVOTS} steps (about 10 s)"
     )
 
 
-def _extensions(module: GraphBimodule, level: dict, j: int):
-    """The keys of paths of length j, each with the edges that extend it.
+def _fold(cell: list, other: list) -> None:
+    """Add `other` into `cell`: [count, least weight, greatest weight], and
+    for a rho cell the sum of squared weights."""
+    cell[0] += other[0]
+    if other[1] < cell[1]:
+        cell[1] = other[1]
+    if other[2] > cell[2]:
+        cell[2] = other[2]
+    if len(cell) > 3:
+        cell[3] += other[3]
 
-    Yields (r(rho), s(rho), weight(rho), count, edges e) for the keys of
-    `level` in order, where rho e is a path one edge longer.  At length 0
-    each vertex r(e) is extended by e alone, for e in module.edges in
-    order; from there each key by the edges with range s(rho), in id
-    order.
+
+def _merge(table: dict, key, cell: list) -> None:
+    old = table.setdefault(key, cell)
+    if old is not cell:
+        _fold(old, cell)
+
+
+def _class_levels(module: GraphBimodule, depth: int) -> tuple[list[dict], dict]:
+    """Count the paths of length <= depth by residue class, level by level.
+
+    Returns (levels, legs).  Level j maps (r(rho), s(rho)) to the cell
+    [count, least weight, greatest weight, sum of squared weights] of the
+    rho of length j.  `legs` maps (r(nu), |nu|, s(nu), r of the last edge
+    of nu or None) to [count, least weight, greatest weight] of the paths
+    nu of length <= depth: the second legs of the Gram, the cells one edge
+    on.  No path is built.  Weights are multiplied left to right from 1.0,
+    as Path.weight does, and rounding is monotone, so the extremes are
+    those of the rounded path weights.  Keys come in the order of their
+    first path in paths(module, j).
+
+    Each leg group costs `gram` depth + 1 steps, so it raises once the
+    groups pass `GRAM_MAX_PIVOTS` steps, as it counts them.
     """
-    if j == 0:
-        return ((e.r, e.r, 1.0, 1, (e,)) for e in module.edges)
+    levels = [{(v, v): [1, 1.0, 1.0, 1.0] for v in module.vertices}]
+    legs = {(v, 0, v, None): [1, 1.0, 1.0] for v in module.vertices}
     edges_in = module.edges_with_range
-    return ((r0, s, w, k, edges_in(s)) for (r0, s, w), k in level.items())
-
-
-def _rho_levels(module: GraphBimodule, depth: int) -> list[dict[tuple[str, str, float], int]]:
-    """Count the paths rho of length <= depth by (r(rho), s(rho), weight(rho)).
-
-    Level j maps a key to the number of rho of length j with it.  The paths
-    are walked level by level as counted keys, by `_extensions`, so none is
-    built, and the weight is multiplied left to right from 1.0, as
-    Path.weight does.  The keys of a level therefore come in the order of
-    their first path in paths(module, j).
-
-    It raises past `GRAM_MAX_PIVOTS` pivots of the vacuum blocks as it
-    walks: every vertex is the source of paths of every length, so the
-    block of u has a signature with L = depth - a for each a <= depth, and
-    each has a pivot per key with range u of length <= L.
-    """
-    levels = [{(v, v, 1.0): 1 for v in module.vertices}]
-    pivots = 0
-    for j in range(1, depth + 1):
-        uses = depth - j + 1
-        level: dict[tuple[str, str, float], int] = {}
-        for r0, s, w, k, out in _extensions(module, levels[-1], j - 1):
+    for n in range(1, depth + 1):
+        prev, level = levels[-1], {}
+        if n == 1:  # paths(module, 1) lists the edges in module order
+            steps = [((e.r, e.r), (e,)) for e in module.edges]
+        else:
+            steps = [(key, edges_in(key[1])) for key in prev]
+        for (r0, s), out in steps:
+            k, lo, hi, squares = prev[r0, s]
             for e in out:
-                key = (r0, e.s, w * e.weight)
-                level[key] = level.get(key, 0) + k
-            if pivots + len(level) * uses > GRAM_MAX_PIVOTS:
+                x = e.weight
+                _merge(level, (r0, e.s), [k, lo * x, hi * x, squares * x * x])
+                _merge(legs, (r0, n, e.s, s), [k, lo * x, hi * x])
+            if len(legs) * (depth + 1) > GRAM_MAX_PIVOTS:
                 raise _pivot_limit(depth)
-        pivots += len(level) * uses
         levels.append(level)
-    return levels
+    return levels, legs
+
+
+def _lowest(blocks: list, lo: float, hi: float, h: float) -> float:
+    """The lowest pivot weight(nu_0) weight(rho) h over the weight(nu_0)
+    extremes of `blocks` and the extremes lo, hi of a rho cell."""
+    return blocks[1] * lo * h if h >= 0 else blocks[2] * hi * h
 
 
 def gram(
@@ -469,19 +480,20 @@ def gram(
 ) -> GramData:
     """Ranks, positivity and commutators of the depth-limited spanning family.
 
-    One walk, `_rho_levels`, counts the paths of length <= depth by key
-    without building one: by range, they are the rho groups of the blocks,
-    and one edge on, the second legs nu_0.  The first legs mu_0 of each
-    length a with source s(nu_0) are
-    counted: all of them, less those ending in the last edge e of nu_0,
-    which would share it, counted as the length-(a-1) paths with source
-    r(e).  Each signature (r(nu_0), |nu_0|, weight(nu_0), s(nu_0), L) is
-    solved once, with one pivot per rho group of length <= L.  Residues
-    are read through `ConditionalExpectation.limit`, in (|rho|, rho)
-    order, so an uncertified class raises `ResidueUncertifiedError`; only
-    classes of length <= depth are read.  More than `GRAM_MAX_PIVOTS`
-    pivots raise `ValueError` while the keys are counted, before any
-    residue is read.
+    One recursion, `_class_levels`, counts the paths of length <= depth by
+    (range, source) without building one: by range, they are the rho cells
+    of the blocks, and one edge on, the second legs nu_0.  The first legs
+    mu_0 of each length a with source s(nu_0) are counted: all of them,
+    less those ending in the last edge e of nu_0, which would share it,
+    counted as the length-(a-1) paths with source r(e).  Each residue
+    class (r(nu_0), |nu_0|, s(nu_0)) reads its row of residues once, in
+    (|rho|, rho) order, through `ConditionalExpectation.limit`, so an
+    uncertified class raises `ResidueUncertifiedError`; only classes of
+    length <= depth are read.  A pivot counts towards the rank when its
+    harmonic defect h exceeds the tolerance; the lowest pivot is
+    weight(nu_0) weight(rho) h at the least weights when h >= 0 and at the
+    greatest when h < 0.  More than `GRAM_MAX_PIVOTS` steps raise
+    `ValueError` while the classes are counted, before any residue is read.
 
     P is the projection onto the plain path symbols: it sends (mu, nu) to
     the path symbol of the head of mu, scaled by c(nu), when the tail of
@@ -490,105 +502,92 @@ def gram(
     the commutator land on the same plain symbol with the same coefficient
     and cancel; when |sigma| = |rho| + 1, only sigma = g rho survives, in
     the vacuum row (r(g), r(g)), with the residue coefficient of g rho.  So
-    the commutator is that one row, over the rho groups of s(g) shorter
+    the commutator is that one row, over the rho cells of s(g) shorter
     than the depth, with the residues of the row (r(g), 1, s(g)) that the
-    signatures of nu_0 = g have read, and `GramData.operator_rank` ranks
-    its squared norm.  The prediction is one at r(g) when a surviving
-    coefficient exceeds the rank tolerance, zero elsewhere; the vacuum
-    coefficient is one, so the two agree.
+    class of nu_0 = g has read, and `GramData.operator_rank` ranks its
+    squared norm.  The prediction is one at r(g) when a coefficient
+    exceeds the rank tolerance, zero elsewhere; the vacuum coefficient is
+    one, so the two agree.
     """
     counts = path_counts(module, depth)
     vertices = module.vertices
     vidx = {v: i for i, v in enumerate(vertices)}
-    levels = _rho_levels(module, depth)
-    # u -> the rho with range u by length, grouped by (s(rho), weight(rho))
-    rhos: dict[str, list[dict[tuple[str, float], int]]] = {
-        u: [{} for _ in levels] for u in vertices
-    }
+    levels, legs = _class_levels(module, depth)
+    # u -> the cells (s(rho), cell) of the rho with range u, by length
+    rhos: dict[str, list[list[tuple[str, list]]]] = {u: [[] for _ in levels] for u in vertices}
     for j, level in enumerate(levels):
-        for (u, s, w), k in level.items():
-            rhos[u][j][(s, w)] = k
-    # u -> number of rho groups of length <= L, by L
-    groups = {u: list(itertools.accumulate(map(len, walk))) for u, walk in rhos.items()}
+        for (u, s), cell in level.items():
+            rhos[u][j].append((s, cell))
 
-    # the second legs: each vertex, and each rho of length < depth extended
-    # by an edge e, so that the range of the last edge is s(rho).  A leg key
-    # that two (rho, e) reach comes twice, first in the order of its first
-    # path, and the second only adds blocks to the signatures of the first
-    legs = itertools.chain(
-        ((v, 0, 1.0, v, None, 1) for v in vertices),
-        (
-            (r0, j + 1, w * e.weight, e.s, s, k)
-            for j in range(depth)
-            for r0, s, w, k, out in _extensions(module, levels[j], j)
-            for e in out
-        ),
-    )
-    # signature -> number of blocks that have it
-    signatures: dict[tuple[str, int, float, str, int], int] = {}
-    pivots = 0
-    for r0, n, w0, u, shared, count in legs:
+    # (r(nu_0), |nu_0|, s(nu_0)) -> L -> [blocks, least and greatest
+    # weight(nu_0)].  Every leg has a block with a = 0, so every class
+    # reads its row to L = depth - |nu_0|
+    classes: dict[tuple[str, int, str], dict[int, list]] = {leg[:3]: {} for leg in legs}
+    steps = len(legs) * (depth + 1)
+    steps += sum(len(level) for _, n, u in classes for level in rhos[u][: depth - n + 1])
+    if steps > GRAM_MAX_PIVOTS:
+        raise _pivot_limit(depth)
+    for (r0, n, u, shared), (count, lo, hi) in legs.items():
         for a in range(depth + 1):
             mult = counts[a][u]
             if shared is not None and a:
                 mult -= counts[a - 1][shared]
             if mult:
-                L = depth - max(a, n)
-                key = (r0, n, w0, u, L)
-                if key not in signatures:
-                    signatures[key] = 0
-                    pivots += groups[u][L]
-                    if pivots > GRAM_MAX_PIVOTS:
-                        raise _pivot_limit(depth)
-                signatures[key] += count * mult
+                _merge(classes[r0, n, u], depth - max(a, n), [count * mult, lo, hi])
 
     # (r(nu_0), s(rho), |nu_0 rho|) -> the weighted residues one edge on
     outflow: dict[tuple[str, str, int], float] = {}
-    # (r(nu_0), |nu_0|, u) -> the residues of the rho levels, by level and
-    # s(rho); a row is read only as deep as its signatures need
+    # (r(nu_0), |nu_0|, u) -> the residues of the rho levels, by level and s(rho)
     rows: dict[tuple[str, int, str], list[dict[str, float]]] = {}
     edges_in = module.edges_with_range
     V = len(vertices)
     low = [math.inf] * V
     ranks = [0] * V
-    for (r0, n, w0, u, L), mult in signatures.items():
-        walk = rhos[u][: L + 1]
-        # a row grows level by level, each level in the order of its
-        # groups, that of their first rho, before any pivot: so the classes
-        # are first read signature by signature in the order of the rho
-        # themselves, the order that decides which uncertified class a
-        # failing run names
-        res = rows.setdefault((r0, n, u), [])
-        for j in range(len(res), L + 1):
-            res.append({s: expectation.limit(r0, s, n + j) for s, _ in walk[j]})
-        lowest, rank = math.inf, 0
-        for j, level in enumerate(walk):
-            for (s, w), k in level.items():
-                h = res[j][s]
-                if j < L:
+    for (r0, n, u), by_depth in classes.items():
+        top = depth - n
+        walk = rhos[u][: top + 1]
+        # the row is read level by level, each level in the order of its
+        # cells, that of their first rho: so the classes are first read in
+        # the order of the rho themselves, the order that decides which
+        # uncertified class a failing run names
+        res = rows[r0, n, u] = [
+            {s: expectation.limit(r0, s, n + j) for s, _ in level}
+            for j, level in enumerate(walk)
+        ]
+        rank, lowest = 0, math.inf
+        # the blocks with L above level j, for which its pivots are inner
+        deeper = [0, math.inf, -math.inf]
+        for j in range(top, -1, -1):
+            here = by_depth.get(j)
+            for s, (k, lo, hi, _) in walk[j]:
+                c = res[j][s]
+                if here:
+                    rank += here[0] * k * (c > _TOL)
+                    lowest = min(lowest, _lowest(here, lo, hi, c))
+                if j < top:
                     key = (r0, s, n + j)
                     if key not in outflow:
                         outflow[key] = sum(e.weight * res[j + 1][e.s] for e in edges_in(s))
-                    h -= outflow[key]
-                d = w0 * w * h
-                lowest = min(lowest, d)
-                if d > _TOL:
-                    rank += k
+                    h = c - outflow[key]
+                    rank += deeper[0] * k * (h > _TOL)
+                    lowest = min(lowest, _lowest(deeper, lo, hi, h))
+            if here:
+                _fold(deeper, here)
         vi = vidx[r0]
         low[vi] = min(low[vi], lowest)
-        ranks[vi] += mult * rank
+        ranks[vi] += rank
     data = GramData(
         vertex_names=tuple(vertices),
         psd_min=tuple(min(lo, 0.0) if V > 1 else lo for lo in low),
         gram_ranks=tuple(ranks),
         basis_size=_symbol_count(counts),
-        blocks=sum(signatures.values()),
-        signatures=len(signatures),
+        blocks=sum(b[0] for by_depth in classes.values() for b in by_depth.values()),
+        classes=sum(map(len, classes.values())),
         vacuum=tuple(expectation.limit(v, v, 0) for v in vertices),
         commutators=(),
     )
-    # the signature (r(g), 1, weight(g), s(g), depth - 1) has read the row
-    # of g to the depth; at depth 0 there is none, and no rho to read
+    # the class (r(g), 1, s(g)) has read the row of g to the depth; at
+    # depth 0 there is none, and no rho to read
     reports = tuple(
         _commutator(data, g, rhos[g.s][:depth], rows.get((g.r, 1, g.s), ()))
         for g in module.edges
@@ -597,24 +596,27 @@ def gram(
 
 
 def _commutator(data: GramData, g: Edge, walk, res) -> CommutatorReport:
-    """[P, S_g] from the rho groups `walk` of s(g) and their residues `res`."""
-    norm2, surviving = 0.0, 0
+    """[P, S_g] from the rho cells `walk` of s(g) and their residues `res`.
+
+    A cell adds (weight(g) c)^2 times its sum of squared weights to the
+    squared norm of the row, and its entries survive when the one of its
+    greatest weight does.
+    """
+    norm2, survives = 0.0, False
     for level, limits in zip(walk, res):
-        for (s, w), m in level.items():
-            coef = g.weight * w * limits[s]
-            # a count past the double range would not convert
-            norm2 += coef * coef * min(m, 1e300)
-            surviving += m * (abs(coef) > _TOL)
+        for s, (_, _, hi, squares) in level:
+            c = limits[s]
+            # a sum of squares past the double range is inf, and inf * 0 nan
+            if c:
+                norm2 += (g.weight * c) ** 2 * squares
+                survives = survives or abs(g.weight * hi * c) > _TOL
     ranks, total = data.operator_rank({g.r: norm2})
-    predicted = {v: 0 for v in data.vertex_names}
-    predicted[g.r] = 1 if surviving else 0
-    predicted_total = sum(predicted.values())
+    predicted = {v: int(v == g.r and survives) for v in data.vertex_names}
     return CommutatorReport(
         edge=g.id,
         ranks=ranks,
         total_rank=total,
         predicted=predicted,
-        predicted_total=predicted_total,
-        surviving=surviving,
-        matches=ranks == predicted and total == predicted_total,
+        predicted_total=int(survives),
+        matches=ranks == predicted and total == survives,
     )

@@ -48,7 +48,8 @@ def path_legs(module, depth):
     """The second-leg counts of the Gram, one Path per leg.
 
     Keys (r(nu), |nu|, weight(nu), s(nu), r of the last edge of nu) in the
-    order of their first path: the reference for the second legs of `gram`.
+    order of their first path: aggregated by weight, the reference for the
+    leg groups of `gram`.
     """
     legs = Counter()
     for n in range(depth + 1):
@@ -61,8 +62,8 @@ def path_rhos(module, depth):
     """The paths of each length, one Path per rho.
 
     One Counter per length j <= depth of the keys (r(rho), s(rho),
-    weight(rho)) in the order of their first path: the reference for
-    `_rho_levels`.
+    weight(rho)) in the order of their first path: aggregated by weight,
+    the reference for the class cells of `gram`.
     """
     return [
         Counter((rho.r, rho.s, rho.weight) for rho in paths(module, j))
@@ -289,7 +290,6 @@ def dense_commutator_check(
                 total_rank=total,
                 predicted=predicted,
                 predicted_total=predicted_total,
-                surviving=surviving,
                 matches=ranks == predicted and total == predicted_total,
             )
         )

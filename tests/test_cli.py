@@ -429,10 +429,10 @@ def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):
     assert set(timings["stages"]) == {"gram"}
     assert all(t >= 0 for t in timings["stages"].values())
     # paths of length at most 2 by source: 6 at u and 4 at v, so 6² + 4²
-    # symbols; they fall in 30 blocks, which have 15 signatures.  The
+    # symbols; they fall in 30 blocks, which have 15 residue classes.  The
     # levels to k_max 200 are the Fibonacci pairs (F(k+2), F(k+1))
     assert timings["counters"] == {
-        "basis": 52, "blocks": 30, "signatures": 15, "level_bits": 28065
+        "basis": 52, "blocks": 30, "classes": 15, "level_bits": 28065
     }
 
 
@@ -692,9 +692,9 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     assert main(["kasparov", str(GRAPHS / "golden_mean.json"), "--depth", "2"]) == 0
     assert (calls["pf_data"], calls["GrowthTable"]) == (1, 1)
     # one Gram, at the report's depth, whose ranks and positivity come
-    # from pivots: 15 signatures for 30 blocks, and no eigensolve
+    # from pivots: 15 residue classes for 30 blocks, and no eigensolve
     assert calls["eigh"] == 0
-    assert [(g.blocks, g.signatures) for g in grams] == [(30, 15)]
+    assert [(g.blocks, g.classes) for g in grams] == [(30, 15)]
     argv = ["residue", str(GRAPHS / "triangular.json"), "--target", "2", "--kmax", "2000"]
     assert main(argv) == 0
     assert calls["GrowthTable"] == 2
@@ -711,16 +711,16 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
 
 
 def test_kasparov_walks_the_path_space_once(capsys, monkeypatch):
-    # the Gram's rho groups, its second legs and the commutator rows all
-    # come from one counted walk
+    # the Gram's rho cells, its second legs and the commutator rows all
+    # come from one recursion over the residue classes
     calls = []
-    walk = cuntz_pimsner._rho_levels
+    walk = cuntz_pimsner._class_levels
 
     def counted(module, depth):
         calls.append(depth)
         return walk(module, depth)
 
-    monkeypatch.setattr(cuntz_pimsner, "_rho_levels", counted)
+    monkeypatch.setattr(cuntz_pimsner, "_class_levels", counted)
     for name in BUNDLED:
         for depth in range(4):
             calls.clear()

@@ -15,7 +15,6 @@ from graphbimod import (
     ConditionalExpectation,
     Edge,
     GraphBimodule,
-    ResidueConfig,
     ResidueUncertifiedError,
     SpanningElement,
     covariance_substitute,
@@ -226,7 +225,7 @@ def test_finite_level_matches_dense_compression(triangular, oscillating):
 
 
 def test_finite_level_converges_to_phi_infty(triangular):
-    exp_ = ConditionalExpectation(triangular, ResidueConfig(k_max=2000))
+    exp_ = ConditionalExpectation(triangular, k_max=2000)
     x = sym(triangular, ["g"], ["g"])
     limit = exp_.phi(x)
     far = exp_.finite_level(x, 1500)
@@ -236,7 +235,7 @@ def test_finite_level_converges_to_phi_infty(triangular):
 
 
 def test_finite_level_stops_at_k_max(triangular):
-    exp_ = ConditionalExpectation(triangular, ResidueConfig(k_max=50))
+    exp_ = ConditionalExpectation(triangular, k_max=50)
     x = sym(triangular, ["g"], ["g"])
     assert exp_.finite_level(x, 50).norm() > 0
     with pytest.raises(ValueError, match="above k_max 50"):
@@ -334,6 +333,7 @@ def test_commutator_ranks_triangular(triangular):
 
 
 def test_commutator_surviving_columns_listed(triangular):
+    # no column of f survives, so none is predicted; those of e do, at r(e)
     by_edge = {rep.edge: rep for rep in _commutators(triangular, 3)}
-    assert by_edge["f"].surviving == 0
-    assert by_edge["e"].surviving > 0
+    assert by_edge["f"].predicted_total == 0
+    assert by_edge["e"].predicted == {v: int(v == triangular.edge("e").r) for v in triangular.vertices}

@@ -31,12 +31,7 @@ from graphbimod import (
     paths,
 )
 from graphbimod.cli import main
-from graphbimod.cuntz_pimsner import (
-    GRAM_MAX_PIVOTS,
-    _extensions,
-    _rho_levels,
-    spanning_basis_size,
-)
+from graphbimod.cuntz_pimsner import GRAM_MAX_PIVOTS, _class_levels, spanning_basis_size
 from graphbimod.fock import make_path, path_counts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,8 +122,8 @@ def test_block_route_matches_dense_oracle(module, depth):
 )
 @settings(max_examples=30, deadline=None)
 def test_block_route_matches_dense_oracle_on_weighted_graphs(module, depth):
-    # a signature that took the pivots of another weight(nu_0) or w(rho)
-    # would scale them, and move its lowest pivot off the dense one
+    # a class that took its lowest pivot at the wrong weight extremes of
+    # nu_0 or rho would scale it off the dense one
     _check_block_route(module, depth)
 
 
@@ -137,8 +132,8 @@ def test_block_route_matches_dense_oracle_on_weighted_graphs(module, depth):
 def test_pivots_match_dense_blocks_for_any_coefficients(module, depth, seed):
     # G = X diag(d) X^T holds for any class coefficients, not only harmonic
     # ones.  With these the pivots are of order one and of both signs, so
-    # a signature solved with the wrong weight(nu_0) or w(rho), or the
-    # wrong inner sum, moves the lowest pivot or a rank.
+    # a class read at the wrong weight extremes of nu_0 or rho, or with
+    # the wrong inner sum, moves the lowest pivot or a rank.
     depth = _dense_depth(module, depth)
     exp_ = _ArbitraryCoefficients(module, seed)
     _check_gram(gram(module, depth, exp_), module, depth, exp_)
@@ -149,8 +144,8 @@ def test_pivots_match_dense_blocks_for_any_coefficients(module, depth, seed):
 def test_commutator_rows_are_the_path_coefficients(module, depth, seed):
     # each edge's vacuum row is coeff(g rho) over the rho of length < depth
     # with r(rho) = s(g).  The Gram never lists it, but the squared norm it
-    # ranks and the surviving count are those of the listed row; the weight
-    # of g rho is taken in another order, so they agree to round-off
+    # ranks and the prediction are those of the listed row; the weight of
+    # g rho is taken in another order, so they agree to round-off
     exp_ = _ArbitraryCoefficients(module, seed)
     norms = []
     rank = GramData.operator_rank
@@ -169,25 +164,41 @@ def test_commutator_rows_are_the_path_coefficients(module, depth, seed):
         assert rep.edge == g.id
         assert row_norms.keys() == {g.r}
         assert row_norms[g.r] == pytest.approx(sum(c * c for c in row), rel=1e-12, abs=0)
-        assert rep.surviving == sum(abs(c) > 1e-10 for c in row)
+        assert rep.predicted[g.r] == any(abs(c) > 1e-10 for c in row)
+
+
+def _by_class(oracle: Counter, weight_at: int) -> dict:
+    """A Path-oracle Counter summed over the weight in its keys: the rest of
+    the key -> [count, least weight, greatest weight, sum of squared
+    weights], in first-occurrence order."""
+    cells: dict = {}
+    for key, k in oracle.items():
+        w = key[weight_at]
+        cell = cells.setdefault(key[:weight_at] + key[weight_at + 1 :], [0, w, w, 0.0])
+        cell[0] += k
+        cell[1] = min(cell[1], w)
+        cell[2] = max(cell[2], w)
+        cell[3] += k * w * w
+    return cells
 
 
 @given(graphs(weights=(0.1, 0.5, 1.0, 3.0)), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_second_legs_walk_matches_path_oracle(module, depth):
-    # equal keys, counts and first-occurrence order: the order of the
-    # signatures, and so the first uncertified class, rests on it.  The
-    # second legs are the walk's keys one edge on
-    levels = _rho_levels(module, depth)
-    assert [list(level.items()) for level in levels] == [
-        list(c.items()) for c in path_rhos(module, depth)
-    ]
-    legs = Counter({(v, 0, 1.0, v, None): 1 for v in module.vertices})
-    for j in range(depth):
-        for r0, s, w, k, out in _extensions(module, levels[j], j):
-            for e in out:
-                legs[(r0, j + 1, w * e.weight, e.s, s)] += k
-    assert list(legs.items()) == list(path_legs(module, depth).items())
+    # the class cells and the leg groups are the Path oracles summed over
+    # the weight: equal keys, counts and extremes, and first-occurrence
+    # order, on which the order of the classes, and so the first
+    # uncertified class, rests.  The sums of squares are taken in another
+    # order, so they agree to round-off
+    levels, legs = _class_levels(module, depth)
+    want = [_by_class(c, 2) for c in path_rhos(module, depth)]
+    assert [list(level) for level in levels] == [list(cells) for cells in want]
+    for level, cells in zip(levels, want):
+        for key, (k, lo, hi, squares) in cells.items():
+            assert level[key][:3] == [k, lo, hi]
+            assert level[key][3] == pytest.approx(squares, rel=1e-12)
+    want = _by_class(path_legs(module, depth), 2)
+    assert list(legs.items()) == [(key, cell[:3]) for key, cell in want.items()]
 
 
 @given(graphs(), st.integers(0, 3))
@@ -271,21 +282,30 @@ def test_kasparov_counts_bases_it_could_not_enumerate(capsys, tmp_path, name, de
     assert all(c["matches"] and c["total_rank"] == 1 for c in doc["commutators"])
 
 
-def test_kasparov_size_guard_exits_before_enumerating(capsys, monkeypatch):
-    # reducible_weighted has 4.87 million pivots at depth 14.  At depth 40
-    # the walks of its vacuum blocks alone pass the bound, before a second
-    # leg is built; listing them all first takes 30 s and 2 GiB
+K20 = {
+    "vertices": [f"v{i}" for i in range(20)],
+    "edges": [{"id": f"e{i}_{j}", "r": f"v{i}", "s": f"v{j}"} for i in range(20) for j in range(20)],
+}
+
+
+def test_kasparov_size_guard_exits_before_enumerating(capsys, monkeypatch, tmp_path):
+    # the complete graph on 20 vertices has 8,000 second-leg groups of each
+    # length from 2 on.  At depth 20 their steps and those of the class
+    # rows come to 4.74 million; at depth 40 the leg groups alone pass the
+    # bound, before the levels are counted to the depth
     def unread(*args):
         raise AssertionError(f"residue {args[1:]} read")
 
+    graph = tmp_path / "k20.json"
+    graph.write_text(json.dumps(K20))
     monkeypatch.setattr(ConditionalExpectation, "residue", unread)
-    for depth in (14, 40):
+    for depth in (20, 40):
         t0 = time.perf_counter()
-        code = main(["kasparov", str(DATA / "reducible_weighted.json"), "--depth", str(depth)])
+        code = main(["kasparov", str(graph), "--depth", str(depth)])
         elapsed = time.perf_counter() - t0
         err = capsys.readouterr().err
         assert code == 2
-        assert f"the Gram at depth {depth} passes the limit of {GRAM_MAX_PIVOTS} pivots" in err
+        assert f"the Gram at depth {depth} passes the limit of {GRAM_MAX_PIVOTS} steps" in err
         assert "(about 10 s)" in err
         assert elapsed < 1.0
 
@@ -334,3 +354,44 @@ def test_gram_reads_each_residue_row_once_in_the_same_order(monkeypatch, name, d
     want, reads = _row_per_signature_reads(m, depth)
     assert list(dict.fromkeys(read)) == want
     assert len(read) < reads
+
+
+_LOOP_WEIGHTS = random.Random(37)
+LOOPS30 = {
+    "vertices": ["z"],
+    "edges": [
+        {"id": f"l{i}", "r": "z", "s": "z", "weight": round(_LOOP_WEIGHTS.uniform(0.1, 2.0), 6)}
+        for i in range(30)
+    ],
+}
+
+
+@pytest.mark.parametrize("name, depth", [("reducible_weighted", 14), ("reducible_weighted", 40), ("loops30", 5)])
+def test_kasparov_runs_past_the_old_pivot_wall(capsys, tmp_path, name, depth):
+    # a walk keyed by path weight passed its pivot bound on these: at depth
+    # 14 on reducible_weighted, and at depth 5 on 30 loops of distinct
+    # weights, after 433 MiB.  The classes drop the weight
+    graph = DATA / f"{name}.json"
+    if name == "loops30":
+        graph = tmp_path / "loops30.json"
+        graph.write_text(json.dumps(LOOPS30))
+    code = main(["kasparov", str(graph), "--depth", str(depth)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["failures"] == []
+
+
+FAINT = GraphBimodule(["z"], [Edge("a", "z", "z"), Edge("b", "z", "z", 1e-6)])
+
+
+@pytest.mark.parametrize("depth, rank", [(2, 40), (3, 176)])
+def test_rank_counts_harmonic_defects_not_weighted_pivots(full_shift2, depth, rank):
+    # FAINT has the paths of O2, and its harmonic defects have the signs of
+    # O2's: zero below a block's depth, up to round-off, and the residue at
+    # it.  So the ranks are O2's.  A pivot weight(nu_0) weight(rho) h with
+    # a path through b is 1e-6 h or less, and a threshold on it, not on h,
+    # dropped such pivots from the rank (33 and 108)
+    gd = gram(FAINT, depth, ConditionalExpectation(FAINT))
+    assert gd.gram_ranks == gram(full_shift2, depth, ConditionalExpectation(full_shift2)).gram_ranks
+    assert gd.gram_ranks == (rank,)
+    assert gd.psd_min == (-1.1102230246251565e-16,)
