@@ -20,7 +20,6 @@ incoming and one outgoing edge); this is validated at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -31,29 +30,53 @@ class GraphStructureError(ValueError):
     """Raised when a graph fails the structural requirements."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class _Frozen:
+    """Refuses assignment and deletion, so that a stored hash stays valid;
+    `__init__` sets the slots through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Edge(_Frozen):
     """An edge with its id, range, source and weight.
 
-    The hash is the dataclass one, hash((id, r, s, weight)), computed at
-    construction and kept on the instance: paths and grouping keys hash
-    the same edges many times.
+    Immutable, and equal to an edge with the same four fields.  The hash,
+    hash((id, r, s, weight)), is computed at construction and kept on the
+    instance: paths and grouping keys hash the same edges many times.
     """
 
-    id: str
-    r: str
-    s: str
-    weight: float = 1.0
+    __slots__ = ("id", "r", "s", "weight", "_hash")
 
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise GraphStructureError(f"edge {self.id!r} has nonpositive weight")
-        if not math.isfinite(self.weight):
-            raise GraphStructureError(f"edge {self.id!r} has non-finite weight")
-        object.__setattr__(self, "_hash", hash((self.id, self.r, self.s, self.weight)))
+    def __init__(self, id: str, r: str, s: str, weight: float = 1.0):
+        if weight <= 0:
+            raise GraphStructureError(f"edge {id!r} has nonpositive weight")
+        if not math.isfinite(weight):
+            raise GraphStructureError(f"edge {id!r} has non-finite weight")
+        put = object.__setattr__
+        put(self, "id", id)
+        put(self, "r", r)
+        put(self, "s", s)
+        put(self, "weight", weight)
+        put(self, "_hash", hash((id, r, s, weight)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.r, self.s, self.weight) == (
+            other.id, other.r, other.s, other.weight
+        )
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Edge(id={self.id!r}, r={self.r!r}, s={self.s!r}, weight={self.weight!r})"
 
     def __reduce__(self):
         # string hashes differ between processes, so a copy rehashes

@@ -9,8 +9,6 @@ across runs with the same inputs; timing data is added only on request.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -19,15 +17,9 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+# the other modules are imported by the subcommands that use them, before
+# the graph is read, so that each route compiles and runs only its own code
 from .bimodule import Edge, GraphBimodule, GraphStructureError, beta_is_central, index_element
-from .cuntz_pimsner import (
-    ConditionalExpectation,
-    ResidueUncertifiedError,
-    gram,
-)
-from .fock import index_levels, make_path, path_counts, paths
-from .kms import descent_residual, invariant_traces
-from .spectral import GrowthTable, eta_tilde
 
 SCHEMA_VERSION = 1
 
@@ -37,6 +29,13 @@ SCHEMA_VERSION = 1
 # at --target 22, 75,025 rows of 22 edges, 8.5 s and 413 MiB), so this many
 # keep a run under about 6 s and 350 MiB
 RESIDUE_MAX_ROWS = 2**16
+
+# index writes a level past the double range as its exact digits, and
+# CPython turns no int of more than 4300 digits into a string (the default
+# of sys.get_int_max_str_digits); one vertex with ten loops passes that at
+# --depth 4300
+INDEX_MAX_DIGITS = 4300
+_DIGITS_CAP = 10**INDEX_MAX_DIGITS
 
 
 class CliError(Exception):
@@ -125,6 +124,9 @@ def emit(report: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         sys.stdout.write("\n")
     else:
+        import csv
+        import io
+
         rows: list[tuple[str, object]] = []
         _flatten(report, "", rows)
         buf = io.StringIO()
@@ -142,19 +144,29 @@ def _algebra_dict(a) -> dict:
     return out
 
 
-def _level_value(num: int, den: int) -> float | dict[str, str]:
-    """num / den as the nearest float while that is finite.
+def _level_value(num: int, den: int, k: int) -> float | dict[str, str]:
+    """num / den, an entry of level k, as the nearest float while that is finite.
 
     Past the double range a JSON number is not portable, so the entry is
-    an object holding the exact value as an integer or "p/q" string.
+    an object holding the exact value as an integer or "p/q" string; there
+    the numerator is the longer of the two, and one of more than
+    INDEX_MAX_DIGITS digits is refused.
     """
     try:
         return num / den
     except OverflowError:
-        return {"exact": str(Fraction(num, den))}
+        exact = Fraction(num, den)
+    if abs(exact.numerator) >= _DIGITS_CAP:
+        raise CliError(
+            f"level {k} needs more than {INDEX_MAX_DIGITS} digits, above the limit of "
+            f"{INDEX_MAX_DIGITS} digits of an exact level"
+        )
+    return {"exact": str(exact)}
 
 
 def cmd_index(args) -> int:
+    from .fock import index_levels
+
     module = load_graph(args.graph)
     start = time.perf_counter()
     failures: list[str] = []
@@ -166,7 +178,7 @@ def cmd_index(args) -> int:
     kept = []  # the integer levels, for the collapse check
     den = 1
     for k, vec in zip(range(args.depth + 1), index_levels(module)):
-        levels[str(k)] = {v: _level_value(x, den) for v, x in zip(module.vertices, vec)}
+        levels[str(k)] = {v: _level_value(x, den, k) for v, x in zip(module.vertices, vec)}
         if central:
             kept.append(vec)
         den *= D
@@ -211,8 +223,7 @@ def cmd_index(args) -> int:
     return 1 if failures else 0
 
 
-def _residue_entry(table, target, args) -> dict:
-    rep = eta_tilde(table, target, tol=args.tol, force_iterative=args.force_iterative)
+def _residue_entry(rep) -> dict:
     stride = max(1, len(rep.samples) // 64)
     samples = [list(p) for p in rep.samples[::stride]]
     r, s, n = rep.target
@@ -230,6 +241,9 @@ def _residue_entry(table, target, args) -> dict:
 
 
 def cmd_residue(args) -> int:
+    from .fock import make_path, path_counts, paths
+    from .spectral import GrowthTable, eta_tilde
+
     module = load_graph(args.graph)
     start = time.perf_counter()
     if re.fullmatch(r"\d+", args.target):
@@ -255,7 +269,8 @@ def cmd_residue(args) -> int:
     mark = time.perf_counter()
     entries = {}
     for r, s in sorted({(p.r, p.s) for p in pool}):
-        entries[(r, s)] = _residue_entry(table, (r, s, n), args)
+        rep = eta_tilde(table, (r, s, n), tol=args.tol, force_iterative=args.force_iterative)
+        entries[(r, s)] = _residue_entry(rep)
     stages["classes"] = time.perf_counter() - mark
     rows = []
     for p in sorted(pool, key=lambda q: q.sort_key()):
@@ -302,6 +317,8 @@ def cmd_residue(args) -> int:
 
 
 def cmd_kasparov(args) -> int:
+    from .cuntz_pimsner import ConditionalExpectation, ResidueUncertifiedError, gram
+
     module = load_graph(args.graph)
     start = time.perf_counter()
     failures: list[str] = []
@@ -366,6 +383,9 @@ def cmd_kasparov(args) -> int:
 
 
 def cmd_kms(args) -> int:
+    from .fock import paths
+    from .kms import descent_residual, invariant_traces
+
     module = load_graph(args.graph)
     start = time.perf_counter()
     failures: list[str] = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Mapping
 
 from .algebra import AlgebraElement
@@ -343,20 +343,27 @@ def _symbol_count(counts: list[dict[str, int]]) -> int:
     return sum(t * t for t in path_totals(counts).values())
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    """Commutator of the projection with one edge isometry."""
+class CommutatorReport(
+    namedtuple(
+        "CommutatorReport", "edge ranks total_rank predicted predicted_total matches"
+    )
+):
+    """Commutator of the projection with one edge isometry.
 
-    edge: str
-    ranks: dict[str, int]
-    total_rank: int
-    predicted: dict[str, int]
-    predicted_total: int
-    matches: bool
+    `ranks` and `predicted` are the measured and predicted ranks by vertex,
+    `total_rank` and `predicted_total` their sums, and `matches` whether
+    the two agree.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GramData:
+class GramData(
+    namedtuple(
+        "GramData",
+        "vertex_names psd_min gram_ranks basis_size blocks classes vacuum commutators",
+    )
+):
     """Inertia of the vertex-sliced Gram of the depth-limited spanning family.
 
     `gram_ranks` and `psd_min` are per vertex slice, in `vertex_names`
@@ -370,14 +377,7 @@ class GramData:
     report of [P, S_g] for each edge g, in edge order.
     """
 
-    vertex_names: tuple[str, ...]
-    psd_min: tuple[float, ...]
-    gram_ranks: tuple[int, ...]
-    basis_size: int
-    blocks: int
-    classes: int
-    vacuum: tuple[float, ...]
-    commutators: tuple[CommutatorReport, ...]
+    __slots__ = ()
 
     def operator_rank(
         self, row_norms: Mapping[str, float]
@@ -576,7 +576,7 @@ def gram(
         vi = vidx[r0]
         low[vi] = min(low[vi], lowest)
         ranks[vi] += rank
-    data = GramData(
+    fields = dict(
         vertex_names=tuple(vertices),
         psd_min=tuple(min(lo, 0.0) if V > 1 else lo for lo in low),
         gram_ranks=tuple(ranks),
@@ -584,15 +584,15 @@ def gram(
         blocks=sum(b[0] for by_depth in classes.values() for b in by_depth.values()),
         classes=sum(map(len, classes.values())),
         vacuum=tuple(expectation.limit(v, v, 0) for v in vertices),
-        commutators=(),
     )
+    data = GramData(**fields, commutators=())
     # the class (r(g), 1, s(g)) has read the row of g to the depth; at
     # depth 0 there is none, and no rho to read
     reports = tuple(
         _commutator(data, g, rhos[g.s][:depth], rows.get((g.r, 1, g.s), ()))
         for g in module.edges
     )
-    return replace(data, commutators=reports)
+    return GramData(**fields, commutators=reports)
 
 
 def _commutator(data: GramData, g: Edge, walk, res) -> CommutatorReport:

@@ -14,37 +14,43 @@ the edge id sequence, vertex paths in vertex order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import AlgebraElement
-from .bimodule import Edge, GraphBimodule
+from .bimodule import Edge, GraphBimodule, _Frozen
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Frozen):
     """A path as its edge tuple and range vertex.
 
-    The hash is the dataclass one, hash((edges, base)), computed on first
-    use and kept on the instance: symbol dicts hash the same path many
-    times, and each time would otherwise hash every edge again.
+    Immutable, and equal to a path with the same edges and base.  The
+    hash, hash((edges, base)), is computed on first use and kept on the
+    instance: symbol dicts hash the same path many times, and each time
+    would otherwise hash every edge again.
     """
 
-    edges: tuple[Edge, ...]
-    base: str  # equals r(edges[0]) when nonempty; the vertex itself when empty
+    __slots__ = ("edges", "base", "_hash")
 
-    def __post_init__(self):
-        if self.edges:
-            if self.base != self.edges[0].r:
+    def __init__(self, edges: tuple[Edge, ...], base: str):
+        # base equals r(edges[0]) when nonempty; the vertex itself when empty
+        if edges:
+            if base != edges[0].r:
                 raise ValueError("base vertex must equal the range of the first edge")
-            for a, b in zip(self.edges, self.edges[1:]):
+            for a, b in zip(edges, edges[1:]):
                 if a.s != b.r:
                     raise ValueError(
                         f"edges {a.id!r} and {b.id!r} do not compose (s != r)"
                     )
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_hash", None)
 
-    _hash = None  # not a field: no annotation
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edges, self.base) == (other.edges, other.base)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -345,12 +351,11 @@ def rank_one_phi(
 # -- structural checks on the edge module ----------------------------------
 
 
-@dataclass
-class AxiomReport:
-    trials: int
-    seed: int
-    residuals: dict[str, float]
-    passed: bool
+class AxiomReport(namedtuple("AxiomReport", "trials seed residuals passed")):
+    """Worst residual of each axiom over `trials` draws from `seed`
+    (residuals: name -> float), and whether all are within tolerance."""
+
+    __slots__ = ()
 
     def worst(self) -> float:
         return max(self.residuals.values())
@@ -415,11 +420,11 @@ def check_bimodule_axioms(
     return AxiomReport(trials, seed, res, all(v <= tol for v in res.values()))
 
 
-@dataclass
-class SmebResult:
-    holds: bool
-    witness: tuple[str, str, str] | None
-    defect: float
+class SmebResult(namedtuple("SmebResult", "holds witness defect")):
+    """Whether the exchange identity holds (bool), the first failing edge
+    triple or None, and the worst defect (float)."""
+
+    __slots__ = ()
 
 
 def smeb_check(module: GraphBimodule, tol: float = 1e-10) -> SmebResult:

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
-from .cuntz_pimsner import SpanningElement, _check_pair, _compose_symbol
 from .fock import FockVector, Path, right_inner
+
+if TYPE_CHECKING:
+    # imported where used: the kms route never loads the Kasparov module
+    from .cuntz_pimsner import SpanningElement
 
 
 def d_weight(module: GraphBimodule, path: Path) -> float:
@@ -34,6 +37,8 @@ def d_weight(module: GraphBimodule, path: Path) -> float:
 
 def gamma(module: GraphBimodule, x: SpanningElement, t: float) -> SpanningElement:
     """Flow at time t: symbol (mu, nu) rotates by the scale ratio to the power it."""
+    from .cuntz_pimsner import SpanningElement
+
     out = {}
     for (mu, nu), c in x.terms.items():
         angle = math.log(d_weight(module, mu)) - math.log(d_weight(module, nu))
@@ -43,23 +48,23 @@ def gamma(module: GraphBimodule, x: SpanningElement, t: float) -> SpanningElemen
 
 def gamma_minus_i(module: GraphBimodule, x: SpanningElement) -> SpanningElement:
     """Analytic continuation of the flow to -i: scales by the ratio itself."""
+    from .cuntz_pimsner import SpanningElement
+
     out = {}
     for (mu, nu), c in x.terms.items():
         out[(mu, nu)] = c * d_weight(module, mu) / d_weight(module, nu)
     return SpanningElement(module, out)
 
 
-@dataclass(frozen=True)
-class TraceState:
+class TraceState(namedtuple("TraceState", "module weights")):
     """Vertex weights defining a state on the symbol algebra.
 
     The value of a diagonal symbol (mu, mu) is the weight of the source of
     mu divided by the flow scale of mu; off-diagonal symbols get zero.
-    Weights are kept as exact fractions.
+    Weights are kept as exact fractions, in a mapping by vertex name.
     """
 
-    module: GraphBimodule = field(repr=False)
-    weights: Mapping[str, Fraction]
+    __slots__ = ()
 
     def weight(self, v: str) -> Fraction:
         return self.weights[v]
@@ -104,6 +109,8 @@ def kms_check(
     the built products: the coefficient product, gamma's scale ratio
     d(sigma) / d(rho) on y's coefficient, then the weight over d(mu).
     """
+    from .cuntz_pimsner import _check_pair, _compose_symbol
+
     lhs = rhs = 0.0 + 0.0j
     for (mu, nu), c in x.terms.items():
         for (sigma, rho), b in y.terms.items():
@@ -176,21 +183,23 @@ def _rational_nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fractio
     return basis
 
 
-@dataclass(frozen=True)
-class TraceFamily:
+class TraceFamily(
+    namedtuple(
+        "TraceFamily",
+        "module dimension basis canonical feasible",
+        defaults=(-1, (), None, False),
+    )
+):
     """All states whose weights survive the quotient descent.
 
     basis holds one normalized weight vector per independent direction;
     canonical is their average (the uniform state on a connected graph
     with unit weights).  feasible is False when no nonnegative nonzero
     solution was found, in which case canonical is None and dimension -1.
+    Each basis vector is a dict of Fractions by vertex name.
     """
 
-    module: GraphBimodule = field(repr=False)
-    dimension: int = -1
-    basis: tuple[dict[str, Fraction], ...] = ()
-    canonical: TraceState | None = None
-    feasible: bool = False
+    __slots__ = ()
 
 
 def invariant_traces(module: GraphBimodule) -> TraceFamily:

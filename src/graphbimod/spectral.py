@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -128,8 +128,12 @@ def _perron(
     return float((bounds[0] + bounds[1]) / 2), tuple(best), steps, bounds
 
 
-@dataclass(frozen=True)
-class PFData:
+class PFData(
+    namedtuple(
+        "PFData",
+        "spectral_radius right_eigenvector primitive iterations converged radius_bounds",
+    )
+):
     """Perron data of the weighted adjacency matrix.
 
     Computed only on an irreducible graph (one strongly connected
@@ -145,12 +149,7 @@ class PFData:
     upper end.
     """
 
-    spectral_radius: float | None
-    right_eigenvector: tuple[float, ...] | None
-    primitive: bool
-    iterations: int
-    converged: bool
-    radius_bounds: tuple[Fraction, Fraction] | None
+    __slots__ = ()
 
 
 def pf_data(module: GraphBimodule) -> PFData:
@@ -222,18 +221,16 @@ class GrowthTable:
 # -- condensation growth profile ------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(namedtuple("GrowthProfile", "radius degree")):
     """Per-vertex growth exponents of (B^k 1)_v ~ k^degree * radius^k.
 
     radius is the largest spectral radius among strongly connected
     components reachable from the vertex (walking range to source), and
     degree counts the longest reachable chain of components attaining that
-    radius, minus one.
+    radius, minus one.  Both are dicts by vertex name.
     """
 
-    radius: dict[str, float]
-    degree: dict[str, int]
+    __slots__ = ()
 
 
 def growth_profile(module: GraphBimodule) -> GrowthProfile:
@@ -281,18 +278,19 @@ def _same_radius(a: float, b: float) -> bool:
 # -- residue limits --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueReport:
-    """Limit of the growth ratio for one (range, source, length) class."""
+class ResidueReport(
+    namedtuple(
+        "ResidueReport", "target value converged method delta r_squared samples k_max"
+    )
+):
+    """Limit of the growth ratio for one (range, source, length) class.
 
-    target: tuple[str, str, int]
-    value: float
-    converged: bool
-    method: str
-    delta: float | None
-    r_squared: float | None
-    samples: tuple[tuple[int, float], ...]
-    k_max: int
+    `target` is the class, `value` the limit and `method` the branch that
+    found it; `delta` and `r_squared` (float or None) are the fitted decay,
+    and `samples` the (k, ratio) pairs read up to `k_max`.
+    """
+
+    __slots__ = ()
 
 
 def _resolve_target(module: GraphBimodule, target) -> tuple[str, str, int]:
@@ -434,17 +432,20 @@ def eta_tilde(
     return ResidueReport((r, s, n), value, converged, method, delta, r2, samples, k_max)
 
 
-@dataclass(frozen=True)
-class PartialSumReport:
-    """Truncation of the weighted series of level compressions."""
+class PartialSumReport(
+    namedtuple(
+        "PartialSumReport",
+        "value per_level s K norm_estimate tail_coefficient tail_bound",
+    )
+):
+    """Truncation of the weighted series of level compressions.
 
-    value: AlgebraElement
-    per_level: tuple[AlgebraElement, ...]
-    s: complex
-    K: int
-    norm_estimate: float
-    tail_coefficient: float
-    tail_bound: float
+    `value` is the sum and `per_level` its terms (AlgebraElements) for
+    k = 0..K at exponent `s`; the tail is at most `tail_bound`, which is
+    `tail_coefficient` times `norm_estimate`.
+    """
+
+    __slots__ = ()
 
 
 def phi_s_partial(module: GraphBimodule, T, s: complex, K: int) -> PartialSumReport:

@@ -12,7 +12,7 @@ import pytest
 from conftest import exact_ratio, fraction_levels
 from dense_spectral import rate_constants, verify_rate_certificate
 
-from graphbimod import bimodule, cli, cuntz_pimsner, spectral
+from graphbimod import bimodule, cli, cuntz_pimsner, kms, spectral
 from graphbimod.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -233,7 +233,7 @@ def test_kasparov_reads_residue_classes_up_to_depth_only(capsys, monkeypatch, na
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr(cli, "ConditionalExpectation", Recorded)
+    monkeypatch.setattr(cuntz_pimsner, "ConditionalExpectation", Recorded)
     code, _, _ = run(capsys, "kasparov", str(GRAPHS / f"{name}.json"), "--depth", str(depth))
     assert code == 0
     assert len(made) == 1 and made[0]._reports
@@ -347,7 +347,7 @@ def test_kms_trace_that_breaks_descent_exits_1(capsys, monkeypatch, golden_file)
         w = {"u": Fraction(1), "v": Fraction(0)}
         return TraceFamily(module, 0, (w,), TraceState(module, w), True)
 
-    monkeypatch.setattr(cli, "invariant_traces", wrong)
+    monkeypatch.setattr(kms, "invariant_traces", wrong)
     code, out, _ = run(capsys, "kms", golden_file)
     assert code == 1
     doc = json.loads(out)
@@ -533,6 +533,21 @@ def test_index_collapse_error_is_exact(capsys, tmp_path):
     assert doc["levels"]["700"]["z"] == {"exact": str(3**700)}
 
 
+def test_index_level_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # O10's level k is 10^k, of k + 1 digits: level 4299 is the last one
+    # whose exact value the interpreter writes out
+    o10 = {"vertices": ["z"], "edges": [{"id": f"e{i}", "r": "z", "s": "z"} for i in range(10)]}
+    p = tmp_path / "o10.json"
+    p.write_text(json.dumps(o10))
+    code, out, err = run(capsys, "index", str(p), "--depth", "4300")
+    assert code == 2 and out == ""
+    assert f"level 4300 needs more than {cli.INDEX_MAX_DIGITS} digits" in err
+    assert f"limit of {cli.INDEX_MAX_DIGITS} digits of an exact level" in err
+    code, out, err = run(capsys, "index", str(p), "--depth", "4299")
+    assert code == 0 and err == ""
+    assert json.loads(out)["levels"]["4299"] == {"z": {"exact": "1" + "0" * 4299}}
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -676,13 +691,13 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "load_graph", loaded)
     grams = []
-    build_gram = cli.gram
+    build_gram = cuntz_pimsner.gram
 
     def kept_gram(*args):
         grams.append(build_gram(*args))
         return grams[-1]
 
-    monkeypatch.setattr(cli, "gram", kept_gram)
+    monkeypatch.setattr(cuntz_pimsner, "gram", kept_gram)
     count(np.linalg, "eigh", "eigh")
     count(spectral, "pf_data", "pf_data")
     count(spectral.GrowthTable, "__init__", "GrowthTable")
@@ -729,38 +744,58 @@ def test_kasparov_walks_the_path_space_once(capsys, monkeypatch):
     capsys.readouterr()
 
 
-# runs each subcommand in one fresh interpreter and prints, after each
-# step, whether numpy has been imported
+# runs the given argument lists in one fresh interpreter and prints, after
+# the import and after each run, which of the watched modules are loaded
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from graphbimod import cli
 
-seen = {"import": "numpy" in sys.modules}
+def loaded():
+    return sorted(
+        m for m in sys.modules
+        if m in ("numpy", "dataclasses", "inspect", "csv") or m.startswith("graphbimod.")
+    )
+
+seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    seen[" ".join(argv)] = ("numpy" in sys.modules, code)
+    seen[" ".join(argv)] = (loaded(), code)
 print(json.dumps(seen))
 """
 
+# the graphbimod modules each subcommand loads, cli and its bimodule included
+ROUTES = {
+    "index": ["algebra", "bimodule", "cli", "fock"],
+    "residue": ["algebra", "bimodule", "cli", "fock", "spectral"],
+    "kasparov": ["algebra", "bimodule", "cli", "cuntz_pimsner", "fock", "spectral"],
+    "kms": ["algebra", "bimodule", "cli", "fock", "kms"],
+}
+
 
 def test_numpy_never_loads():
+    # nor dataclasses or inspect; each subcommand, in its own interpreter,
+    # loads exactly its route's modules, and csv only under --format csv
     graphs = [str(GRAPHS / f"{name}.json") for name in BUNDLED]
     graphs += [str(DATA / f"{name}.json") for name in ("reducible_weighted", "underflow")]
-    runs = []
-    for g in graphs:
-        runs += [
-            ["index", g, "--depth", "30"],
-            ["residue", g, "--target", "2", "--timings"],
-            ["kasparov", g, "--depth", "2", "--timings"],
-        ]
-    runs.append(["kms", graphs[0]])
+    options = {
+        "index": ["--depth", "30"],
+        "residue": ["--target", "2", "--timings"],
+        "kasparov": ["--depth", "2", "--timings"],
+        "kms": [],
+    }
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen.pop("import") is False
-    assert seen == {" ".join(argv): [False, 0] for argv in runs}
+    for command, route in ROUTES.items():
+        runs = [[command, g, *options[command]] for g in (graphs if command != "kms" else graphs[:1])]
+        runs.append([command, graphs[0], *options[command], "--format", "csv"])
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen.pop("import") == ["graphbimod.algebra", "graphbimod.bimodule", "graphbimod.cli"]
+        modules = [f"graphbimod.{m}" for m in route]
+        expect = {" ".join(argv): [modules, 0] for argv in runs}
+        expect[" ".join(runs[-1])] = [["csv", *modules], 0]
+        assert seen == expect

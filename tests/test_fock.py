@@ -86,7 +86,7 @@ def test_paths_come_out_in_canonical_order(module, k):
     assert got == sorted(got, key=Path.sort_key)
 
 
-def test_path_hash_is_the_dataclass_hash_computed_once(golden, monkeypatch):
+def test_path_hash_is_the_field_hash_computed_once(golden, monkeypatch):
     ids = ["a", "b", "c", "a"]
     built = [
         make_path(golden, ids),
