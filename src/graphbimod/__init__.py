@@ -2,9 +2,10 @@
 
 The package works with the edge module of a finite directed graph without
 sources or sinks, carried as a bimodule over the function algebra on the
-vertices.  Everything downstream (path spaces, index vectors, the residue
-expectation, the quotient module with its Fock projection, and the gauge
-dynamics with its equilibrium states) is computed from that one structure.
+vertices.  It holds what the four CLI routes run: the k-step index levels
+(`index`), the residue limits of the growth ratios (`residue`), the Gram
+and commutators of the Fock projection (`kasparov`) and the invariant
+traces of the gauge dynamics (`kms`), each from counted, exact data.
 
 Importing the package runs none of its submodules: a public name is
 imported from its module on first access, and each CLI subcommand imports
@@ -15,61 +16,21 @@ only the standard library.
 
 import importlib
 
-# the module of each public name, imported by `__getattr__` on first access
+# the module of each public name, imported by `__getattr__` on first access:
+# the names the CLI routes call, and the types of what they return
 _HOME = {
-    "algebra": ("AlgebraElement", "VertexSet"),
-    "bimodule": (
-        "Edge",
-        "GraphBimodule",
-        "GraphStructureError",
-        "beta_is_central",
-        "index_element",
-    ),
-    "fock": (
-        "AxiomReport",
-        "FockVector",
-        "Path",
-        "beta_k",
-        "check_bimodule_axioms",
-        "left_action",
-        "left_inner",
-        "make_path",
-        "paths",
-        "phi_k",
-        "rank_one_phi",
-        "right_action",
-        "right_inner",
-        "smeb_check",
-    ),
-    "spectral": (
-        "PFData",
-        "PartialSumReport",
-        "ResidueReport",
-        "eta_tilde",
-        "pf_data",
-        "phi_s_partial",
-    ),
+    "algebra": (),
+    "bimodule": ("Edge", "GraphBimodule", "GraphStructureError", "beta_is_central"),
+    "fock": ("Path", "index_levels", "make_path", "path_counts", "paths"),
+    "spectral": ("GrowthTable", "ResidueReport", "eta_tilde"),
     "cuntz_pimsner": (
         "CommutatorReport",
         "ConditionalExpectation",
         "GramData",
         "ResidueUncertifiedError",
-        "SpanningElement",
-        "covariance_substitute",
-        "gauge_scaled",
         "gram",
     ),
-    "kms": (
-        "TraceFamily",
-        "TraceState",
-        "d_weight",
-        "descent_residual",
-        "gamma",
-        "gamma_minus_i",
-        "invariant_traces",
-        "kms_check",
-        "tr_phi",
-    ),
+    "kms": ("TraceFamily", "TraceState", "descent_residual", "invariant_traces"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
 
@@ -89,6 +50,3 @@ def __getattr__(name: str):
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -1,20 +1,11 @@
 """Finite directed graph and the exact data of its edge bimodule.
 
-Conventions, fixed throughout the package:
-
-* an edge g runs from its source vertex s(g) to its range vertex r(g);
-* the vertex algebra acts on edge functions by a.e.b (g) = a(r(g)) e(g) b(s(g));
-* the right inner product <e|f>_R(v) sums conj(e_g) f_g over edges with
-  s(g) = v and is conjugate linear in the first slot;
-* the left inner product <e|f>_L(v) sums c_g e_g conj(f_g) over edges with
-  r(g) = v, where c_g > 0 is the per-edge weight (default 1).
-
-The edge module is the degree-1 summand of the Fock module, so its vectors
-are the degree-1 `fock.FockVector`s, and the actions and inner products
-are those of `fock`.
-
-Graphs must have no sources and no sinks (every vertex has at least one
-incoming and one outgoing edge); this is validated at construction.
+An edge g runs from its source vertex s(g) to its range vertex r(g), and
+carries a weight c_g > 0 (default 1).  Graphs must have no sources and no
+sinks (every vertex has at least one incoming and one outgoing edge); this
+is validated at construction.  The actions and inner products of the edge
+module, with the rest of its symbol calculus, are the test oracle in
+`tests/symbolic.py`.
 """
 
 from __future__ import annotations
@@ -23,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import AlgebraElement, VertexSet
+from .algebra import VertexSet
 
 
 class GraphStructureError(ValueError):
@@ -74,9 +65,6 @@ class Edge(_Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"Edge(id={self.id!r}, r={self.r!r}, s={self.s!r}, weight={self.weight!r})"
 
     def __reduce__(self):
         # string hashes differ between processes, so a copy rehashes
@@ -174,11 +162,9 @@ class GraphBimodule:
         self._by_range: dict[str, tuple[Edge, ...]] = {
             v: tuple(e for e in ordered if e.r == v) for v in self.vertices
         }
-        self._by_source: dict[str, tuple[Edge, ...]] = {
-            v: tuple(e for e in ordered if e.s == v) for v in self.vertices
-        }
+        sources = {e.s for e in ordered}
         missing_out = [v for v in self.vertices if not self._by_range[v]]
-        missing_in = [v for v in self.vertices if not self._by_source[v]]
+        missing_in = [v for v in self.vertices if v not in sources]
         if missing_out or missing_in:
             raise GraphStructureError(
                 f"graph has sources or sinks: no outgoing edge at {missing_out}, "
@@ -210,30 +196,6 @@ class GraphBimodule:
 
     def edges_with_range(self, v: str) -> tuple[Edge, ...]:
         return self._by_range[v]
-
-    def edges_with_source(self, v: str) -> tuple[Edge, ...]:
-        return self._by_source[v]
-
-    def __repr__(self) -> str:
-        return (
-            f"GraphBimodule({len(self.vertices)} vertices, "
-            f"{len(self.edges)} edges)"
-        )
-
-    def random_algebra_element(self, rng) -> AlgebraElement:
-        """A complex element with standard normal parts, from a numpy Generator."""
-        n = len(self.vertices)
-        return AlgebraElement(
-            self.vertices, rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
-
-
-def index_element(module: GraphBimodule) -> AlgebraElement:
-    """One-step index e^beta = Phi(Id): weighted out-degree per vertex.
-
-    Phi is Watatani's trace on the edge operators, `fock.phi_k` at k = 1.
-    """
-    return AlgebraElement.from_dict(module.vertices, module.index_float)
 
 
 def beta_is_central(module: GraphBimodule) -> bool:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 # the other modules are imported by the subcommands that use them, before
 # the graph is read, so that each route compiles and runs only its own code
-from .bimodule import Edge, GraphBimodule, GraphStructureError, beta_is_central, index_element
+from .bimodule import Edge, GraphBimodule, GraphStructureError, beta_is_central
 
 SCHEMA_VERSION = 1
 
@@ -79,7 +79,11 @@ def load_graph(path: str) -> GraphBimodule:
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise CliError(f"{path}: edges[{i}].weight must be a number")
         try:
-            edges.append(Edge(fields["id"], fields["r"], fields["s"], float(weight)))
+            weight = float(weight)
+        except OverflowError:
+            raise CliError(f"{path}: edges[{i}].weight is past the double range")
+        try:
+            edges.append(Edge(fields["id"], fields["r"], fields["s"], weight))
         except ValueError as exc:
             raise CliError(f"{path}: edges[{i}]: {exc}")
     try:
@@ -137,13 +141,6 @@ def emit(report: dict, fmt: str) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _algebra_dict(a) -> dict:
-    out = {}
-    for v, x in a.as_dict().items():
-        out[v] = x.real if abs(x.imag) < 1e-300 or x.imag == 0 else x
-    return out
-
-
 def _level_value(num: int, den: int, k: int) -> float | dict[str, str]:
     """num / den, an entry of level k, as the nearest float while that is finite.
 
@@ -170,7 +167,6 @@ def cmd_index(args) -> int:
     module = load_graph(args.graph)
     start = time.perf_counter()
     failures: list[str] = []
-    beta = index_element(module)
     central = beta_is_central(module)
     # B^k 1 = A^k 1 / D^k and beta^k = (D beta)^k / D^k
     D = module.denominator
@@ -195,22 +191,21 @@ def cmd_index(args) -> int:
             worst = max(worst, Fraction(gap, max(den, max(power))))
             den *= D
         stages["central_collapse"] = time.perf_counter() - mark
-    worst = float(worst)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "index",
         "graph": args.graph,
-        "parameters": {"depth": args.depth, "tol": args.tol},
+        "parameters": {"depth": args.depth},
         "vertices": list(module.vertices),
         "edges": [g.id for g in module.edges],
-        "index": _algebra_dict(beta),
+        "index": module.index_float,
         "central": central,
     }
     if central:
-        # a central index collapses every level to a plain power
-        report["central_collapse_max_error"] = worst
-        if worst > args.tol:
-            failures.append(f"central collapse error {worst} exceeds {args.tol}")
+        # a central index collapses every level to a plain power, exactly
+        report["central_collapse_max_error"] = float(worst)
+        if worst:
+            failures.append(f"central collapse error {float(worst)} is not zero")
     report["levels"] = levels
     report["failures"] = failures
     if args.timings:
@@ -242,12 +237,13 @@ def _residue_entry(rep) -> dict:
 
 def cmd_residue(args) -> int:
     from .fock import make_path, path_counts, paths
-    from .spectral import GrowthTable, eta_tilde
+    from .spectral import GrowthTable, check_kmax, eta_tilde
 
     module = load_graph(args.graph)
     start = time.perf_counter()
     if re.fullmatch(r"\d+", args.target):
         n = int(args.target)
+        check_kmax(args.kmax, n)
         rows = sum(path_counts(module, n)[n].values())
         if rows > RESIDUE_MAX_ROWS:
             raise CliError(
@@ -264,6 +260,7 @@ def cmd_residue(args) -> int:
         except (KeyError, ValueError) as exc:
             raise CliError(f"bad target {args.target!r}: {exc}")
         n = len(pool[0])
+        check_kmax(args.kmax, n)
     table = GrowthTable(module, args.kmax)
     stages = {"growth_table": time.perf_counter() - start}
     mark = time.perf_counter()
@@ -496,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kas.add_argument("--depth", type=_count, default=3)
     p_kas.add_argument("--kmax", type=_count, default=200)
     p_kas.set_defaults(func=cmd_kasparov)
-    # not on kms: its certificate is exact, so no tolerance decides it
-    for p in (p_index, p_res, p_kas):
+    # not on index or kms: their checks are exact, so no tolerance decides them
+    for p in (p_res, p_kas):
         p.add_argument("--tol", type=_tolerance, default=1e-10)
 
     p_kms = sub.add_parser("kms", help="invariant traces and their descent certificate")

@@ -1,24 +1,23 @@
-"""Symbol algebra on path pairs, the residue expectation, the Gram of the
-spanning family, and the compact commutators of the Fock projection.
+"""The residue expectation, and the Gram of the spanning family with the
+compact commutators of the Fock projection.
 
-An element is a finite combination of symbols (mu, nu), two paths with a
-common source, standing for the partial isometry built from mu times the
-adjoint of the one built from nu.  Products reduce by prefix matching, so
-the combination is closed under multiplication and adjoint.  The
+A symbol (mu, nu), two paths with a common source, stands for the partial
+isometry built from mu times the adjoint of the one built from nu.  The
 expectation sends a symbol to zero unless mu equals nu, and weighs the
-diagonal by the path weight times the residue coefficient of its class.
+diagonal by the path weight times the residue limit of its class.  The
+symbols themselves, their products and the expectation on them are the
+test oracle in `tests/symbolic.py`; here the Gram and the commutators are
+read from counted residue classes, and no symbol is built.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from typing import Mapping
 
-from .algebra import AlgebraElement
 from .bimodule import Edge, GraphBimodule
-from .fock import Path, path_counts, path_totals, paths
+from .fock import path_counts, path_totals
 from .spectral import GrowthTable, ResidueReport, eta_tilde
 
 
@@ -26,207 +25,15 @@ class ResidueUncertifiedError(RuntimeError):
     """A residue limit needed by the expectation did not certify."""
 
 
-def _check_pair(mu: Path, nu: Path) -> None:
-    if mu.s != nu.s:
-        raise ValueError(
-            f"paths {mu.label()} and {nu.label()} have different sources"
-        )
-
-
-def _compose_symbol(
-    mu1: Path, nu1: Path, mu2: Path, nu2: Path
-) -> tuple[Path, Path] | None:
-    """Reduce the product of two symbols to a single symbol, or None."""
-    if mu2.extends(nu1):
-        rest = mu2.tail(len(mu2) - len(nu1))
-        return (mu1.concat(rest), nu2)
-    if nu1.extends(mu2):
-        rest = nu1.tail(len(nu1) - len(mu2))
-        return (mu1, nu2.concat(rest))
-    return None
-
-
-class SpanningElement:
-    """Finite combination of path-pair symbols with a common-source rule."""
-
-    __slots__ = ("module", "terms")
-
-    def __init__(
-        self,
-        module: GraphBimodule,
-        terms: Mapping[tuple[Path, Path], complex] | None = None,
-    ):
-        self.module = module
-        self.terms: dict[tuple[Path, Path], complex] = {}
-        if terms:
-            for (mu, nu), c in terms.items():
-                _check_pair(mu, nu)
-                c = complex(c)
-                if c != 0:
-                    self.terms[(mu, nu)] = c
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def symbol(cls, module: GraphBimodule, mu: Path, nu: Path) -> "SpanningElement":
-        _check_pair(mu, nu)
-        out = cls.__new__(cls)
-        out.module = module
-        out.terms = {(mu, nu): 1 + 0j}
-        return out
-
-    @classmethod
-    def generator(cls, module: GraphBimodule, edge_id: str) -> "SpanningElement":
-        e = module.edge(edge_id)
-        return cls(module, {(Path((e,), e.r), Path((), e.s)): 1.0})
-
-    @classmethod
-    def from_algebra(cls, module: GraphBimodule, a: AlgebraElement) -> "SpanningElement":
-        terms = {}
-        for v in module.vertices:
-            if a[v] != 0:
-                p = Path((), v)
-                terms[(p, p)] = a[v]
-        return cls(module, terms)
-
-    @classmethod
-    def identity(cls, module: GraphBimodule) -> "SpanningElement":
-        return cls.from_algebra(module, AlgebraElement.one(module.vertices))
-
-    # -- ring structure -------------------------------------------------
-
-    def __add__(self, other: "SpanningElement") -> "SpanningElement":
-        self._same(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return SpanningElement(self.module, out)
-
-    def __sub__(self, other: "SpanningElement") -> "SpanningElement":
-        return self + (-1.0) * other
-
-    def __mul__(self, other):
-        if isinstance(other, SpanningElement):
-            self._same(other)
-            out: dict[tuple[Path, Path], complex] = {}
-            for (m1, n1), c1 in self.terms.items():
-                for (m2, n2), c2 in other.terms.items():
-                    res = _compose_symbol(m1, n1, m2, n2)
-                    if res is None:
-                        continue
-                    out[res] = out.get(res, 0.0) + c1 * c2
-            return SpanningElement(self.module, out)
-        z = complex(other)
-        return SpanningElement(
-            self.module, {k: z * c for k, c in self.terms.items()}
-        )
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __neg__(self) -> "SpanningElement":
-        return (-1.0) * self
-
-    def adjoint(self) -> "SpanningElement":
-        return SpanningElement(
-            self.module,
-            {(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()},
-        )
-
-    def _same(self, other: "SpanningElement") -> None:
-        if other.module is not self.module:
-            raise ValueError("elements belong to different modules")
-
-    # -- inspection -----------------------------------------------------
-
-    def degrees(self) -> set[int]:
-        return {len(mu) - len(nu) for mu, nu in self.terms}
-
-    def sup_coefficient(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def isclose(self, other: "SpanningElement", tol: float = 1e-12) -> bool:
-        self._same(other)
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol
-            for k in keys
-        )
-
-    def as_fock_matrix(self, k: int):
-        """Level-k compression over the length-k path basis, a dense numpy matrix.
-
-        Unbalanced symbols shift the level and are cut off by the
-        compression, so only terms with equal path lengths contribute.
-        """
-        import numpy as np
-
-        plist = paths(self.module, k)
-        idx = {p: i for i, p in enumerate(plist)}
-        M = np.zeros((len(plist), len(plist)), dtype=complex)
-        by_len: dict[int, list[Path]] = {}
-        for (mu, nu), c in self.terms.items():
-            n = len(nu)
-            if len(mu) != n or n > k:
-                continue
-            rest_len = k - n
-            if rest_len not in by_len:
-                by_len[rest_len] = paths(self.module, rest_len)
-            for rho in by_len[rest_len]:
-                if rho.r != nu.s:
-                    continue
-                M[idx[mu.concat(rho)], idx[nu.concat(rho)]] += c
-        return M
-
-    def __repr__(self) -> str:
-        parts = []
-        for (mu, nu), c in sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()),
-        ):
-            parts.append(f"{c:.4g}*S[{mu.label()}]S[{nu.label()}]*")
-        return f"SpanningElement({' + '.join(parts) or '0'})"
-
-
-def gauge_scaled(x: SpanningElement, theta: float) -> SpanningElement:
-    """Circle action: each symbol picks up exp(i theta (|mu| - |nu|))."""
-    return SpanningElement(
-        x.module,
-        {
-            (mu, nu): c * cmath.exp(1j * theta * (len(mu) - len(nu)))
-            for (mu, nu), c in x.terms.items()
-        },
-    )
-
-
-def covariance_substitute(module: GraphBimodule, a: AlgebraElement) -> SpanningElement:
-    """Difference between a vertex function and its edge-sum replacement.
-
-    These elements generate the kernel of the quotient that identifies a
-    vertex projection with the range sum of its edge isometries; any
-    reasonable state of the quotient must kill them.
-    """
-    out = SpanningElement.from_algebra(module, a)
-    for g in module.edges:
-        coef = a[g.r]
-        if coef == 0:
-            continue
-        p = Path((g,), g.r)
-        out = out - coef * SpanningElement.symbol(module, p, p)
-    return out
-
-
 # -- the residue expectation ------------------------------------------------
 
 
 class ConditionalExpectation:
-    """Diagonal expectation weighted by residue coefficients.
+    """The residue limits that weigh the expectation's diagonal symbols.
 
-    Symbols with mu != nu are sent to zero.  A diagonal symbol (mu, mu)
-    contributes its path weight times the residue limit of the class
-    (range, source, length) of mu, placed at the range vertex.  One growth
-    table, `table`, up to k_max serves every class, each solved to `tol`,
-    and residue reports are kept per class; an unconverged limit raises
+    One growth table, `table`, up to k_max serves every class
+    (range, source, length), each solved once to `tol`, and the reports
+    are kept per class; an unconverged limit raises
     `ResidueUncertifiedError`.
     """
 
@@ -251,45 +58,6 @@ class ConditionalExpectation:
                 f"(method {rep.method}, k_max {rep.k_max})"
             )
         return rep.value
-
-    def coeff(self, mu: Path) -> float:
-        return mu.weight * self.limit(mu.r, mu.s, len(mu))
-
-    def phi(self, x: SpanningElement) -> AlgebraElement:
-        vals = [0j] * len(self.module.vertices)
-        for (mu, nu), c in x.terms.items():
-            if mu == nu:
-                vals[self.module.vertices.index(mu.r)] += c * self.coeff(mu)
-        return AlgebraElement(self.module.vertices, vals)
-
-    def finite_level(self, x: SpanningElement, k: int) -> AlgebraElement:
-        """Level-k compression average, the finite stage of the limit.
-
-        Equals the diagonal sum of the level-k compression of x divided by
-        the k-step index, computed without forming the level matrix.  The
-        level must not exceed k_max.
-        """
-        if k > self.table.k_max:
-            raise ValueError(f"level {k} above k_max {self.table.k_max}")
-        vals = [0j] * len(self.module.vertices)
-        for (mu, nu), c in x.terms.items():
-            if mu != nu:
-                continue
-            if len(mu) > k:
-                raise ValueError(f"level {k} below symbol length {len(mu)}")
-            ratio = self.table.ratio(mu.s, mu.r, len(mu), k)
-            vals[self.module.vertices.index(mu.r)] += c * mu.weight * ratio
-        return AlgebraElement(self.module.vertices, vals)
-
-    def partition_defect(self) -> float:
-        """Deviation of the weighted edge residues from a partition of one."""
-        worst = 0.0
-        for v in self.module.vertices:
-            total = 0.0
-            for g in self.module.edges_with_range(v):
-                total += self.coeff(Path((g,), g.r))
-            worst = max(worst, abs(total - 1.0))
-        return worst
 
 
 # -- the Gram by inertia, and the commutators ------------------------------
@@ -331,15 +99,9 @@ _TOL = 1e-10
 GRAM_MAX_PIVOTS = 4_000_000
 
 
-def spanning_basis_size(module: GraphBimodule, depth: int) -> int:
-    """Number of symbols (mu, nu) with |mu|, |nu| <= depth and s(mu) = s(nu).
-
-    Read from path counts by source, so no path is enumerated.
-    """
-    return _symbol_count(path_counts(module, depth))
-
-
 def _symbol_count(counts: list[dict[str, int]]) -> int:
+    """Number of symbols (mu, nu) with |mu|, |nu| <= depth and s(mu) = s(nu),
+    from the path counts by source to that depth."""
     return sum(t * t for t in path_totals(counts).values())
 
 
@@ -441,7 +203,7 @@ def _class_levels(module: GraphBimodule, depth: int) -> tuple[list[dict], dict]:
     of nu or None) to [count, least weight, greatest weight] of the paths
     nu of length <= depth: the second legs of the Gram, the cells one edge
     on.  No path is built.  Weights are multiplied left to right from 1.0,
-    as Path.weight does, and rounding is monotone, so the extremes are
+    as a path weight is taken, and rounding is monotone, so the extremes are
     those of the rounded path weights.  Keys come in the order of their
     first path in paths(module, j).
 

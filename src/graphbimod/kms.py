@@ -3,27 +3,21 @@
 A path scales under the flow by the product of index values along its
 range vertices; the flow rotates a symbol by the ratio of the two path
 scales.  States built from vertex weights satisfy the exchange relation
-for the flow exactly on symbols; descending to the quotient by the
-covariance relations additionally requires the weights to reproduce
-themselves under the index-normalized edge sum, which is solved here
-exactly in rational arithmetic and re-checked by `descent_residual`.
+for the flow exactly on symbols (the flow and the exchange defect on
+symbols are the test oracle in `tests/symbolic.py`); descending to the
+quotient by the covariance relations additionally requires the weights to
+reproduce themselves under the index-normalized edge sum, which is solved
+here exactly in rational arithmetic and re-checked by `descent_residual`.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
-from .fock import FockVector, Path, right_inner
-
-if TYPE_CHECKING:
-    # imported where used: the kms route never loads the Kasparov module
-    from .cuntz_pimsner import SpanningElement
+from .fock import Path
 
 
 def d_weight(module: GraphBimodule, path: Path) -> float:
@@ -33,27 +27,6 @@ def d_weight(module: GraphBimodule, path: Path) -> float:
     for e in path.edges:
         out *= index[e.r]
     return out
-
-
-def gamma(module: GraphBimodule, x: SpanningElement, t: float) -> SpanningElement:
-    """Flow at time t: symbol (mu, nu) rotates by the scale ratio to the power it."""
-    from .cuntz_pimsner import SpanningElement
-
-    out = {}
-    for (mu, nu), c in x.terms.items():
-        angle = math.log(d_weight(module, mu)) - math.log(d_weight(module, nu))
-        out[(mu, nu)] = c * cmath.exp(1j * t * angle)
-    return SpanningElement(module, out)
-
-
-def gamma_minus_i(module: GraphBimodule, x: SpanningElement) -> SpanningElement:
-    """Analytic continuation of the flow to -i: scales by the ratio itself."""
-    from .cuntz_pimsner import SpanningElement
-
-    out = {}
-    for (mu, nu), c in x.terms.items():
-        out[(mu, nu)] = c * d_weight(module, mu) / d_weight(module, nu)
-    return SpanningElement(module, out)
 
 
 class TraceState(namedtuple("TraceState", "module weights")):
@@ -66,66 +39,12 @@ class TraceState(namedtuple("TraceState", "module weights")):
 
     __slots__ = ()
 
-    def weight(self, v: str) -> Fraction:
-        return self.weights[v]
-
     def float_weights(self) -> dict[str, float]:
         return {v: float(self.weights[v]) for v in self.module.vertices}
-
-    def mass(self) -> Fraction:
-        return sum(self.weights[v] for v in self.module.vertices)
-
-    def evaluate_algebra(self, a: AlgebraElement) -> complex:
-        return sum(a[v] * float(self.weights[v]) for v in self.module.vertices)
 
     def diagonal(self, mu: Path, c: complex) -> complex:
         """Value of c times the diagonal symbol (mu, mu)."""
         return c * float(self.weights[mu.s]) / d_weight(self.module, mu)
-
-    def evaluate(self, x: SpanningElement) -> complex:
-        total = 0.0 + 0.0j
-        for (mu, nu), c in x.terms.items():
-            if mu == nu:
-                total += self.diagonal(mu, c)
-        return total
-
-
-def tr_phi(trace: TraceState, xi: FockVector, eta: FockVector) -> complex:
-    """Pairing of two Fock vectors through the state on the vertex algebra."""
-    return trace.evaluate_algebra(right_inner(eta, xi))
-
-
-def kms_check(
-    module: GraphBimodule,
-    trace: TraceState,
-    x: SpanningElement,
-    y: SpanningElement,
-) -> float:
-    """Exchange defect |phi(xy) - phi(gamma_{-i}(y) x)| for one pair.
-
-    The state vanishes off the diagonal, so each side is summed over the
-    term pairs whose product reduces to a diagonal symbol, without
-    building xy or gamma_{-i}(y) x.  Each term keeps the arithmetic of
-    the built products: the coefficient product, gamma's scale ratio
-    d(sigma) / d(rho) on y's coefficient, then the weight over d(mu).
-    """
-    from .cuntz_pimsner import _check_pair, _compose_symbol
-
-    lhs = rhs = 0.0 + 0.0j
-    for (mu, nu), c in x.terms.items():
-        for (sigma, rho), b in y.terms.items():
-            xy = _compose_symbol(mu, nu, sigma, rho)
-            if xy is not None:
-                _check_pair(*xy)
-                if xy[0] == xy[1]:
-                    lhs += trace.diagonal(xy[0], c * b)
-            yx = _compose_symbol(sigma, rho, mu, nu)
-            if yx is not None:
-                _check_pair(*yx)
-                if yx[0] == yx[1]:
-                    scaled = b * d_weight(module, sigma) / d_weight(module, rho)
-                    rhs += trace.diagonal(yx[0], scaled * c)
-    return abs(lhs - rhs)
 
 
 # -- exact solve of the descent condition ----------------------------------

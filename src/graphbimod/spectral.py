@@ -19,7 +19,6 @@ from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
-from .algebra import AlgebraElement
 from .bimodule import GraphBimodule
 from .fock import Path, index_levels
 
@@ -193,29 +192,24 @@ class GrowthTable:
     def profile(self) -> GrowthProfile:
         return growth_profile(self.module)
 
-    def _quotients(self, s: str, r: str, n: int, ks) -> list[float]:
-        """A^{k-n}1_s D^n / A^k 1_r for each k in ks; never 0/0, as every
-        vertex is a range.  Only a class with no path, or whose path weighs
-        below 2^-1024, passes the double range: that raises ValueError.
-        """
-        si, ri = self.module.vertices.index(s), self.module.vertices.index(r)
-        scale, levels = self.module.denominator**n, self.levels
-        try:
-            return [levels[k - n][si] * scale / levels[k][ri] for k in ks]
-        except OverflowError:
-            raise ValueError(f"class {(r, s, n)}: growth ratio past the double range")
-
-    def ratio(self, s_vertex: str, r_vertex: str, n: int, k: int) -> float:
-        """(B^{k-n} 1)_s / (B^k 1)_r, correctly rounded."""
-        if not 0 <= n <= k <= self.k_max:
-            raise ValueError("need 0 <= n <= k <= k_max")
-        return self._quotients(s_vertex, r_vertex, n, (k,))[0]
-
     def ratios(self, s_vertex: str, r_vertex: str, n: int) -> list[float]:
-        """`ratio` for k = n..k_max as one list, entry k - n."""
+        """(B^{k-n} 1)_s / (B^k 1)_r for k = n..k_max, entry k - n.
+
+        Each is A^{k-n}1_s D^n / A^k 1_r, correctly rounded and never 0/0,
+        as every vertex is a range.  Only a class with no path, or whose
+        path weighs below 2^-1024, passes the double range: that raises
+        ValueError.
+        """
         if not 0 <= n <= self.k_max:
             raise ValueError("need 0 <= n <= k_max")
-        return self._quotients(s_vertex, r_vertex, n, range(n, self.k_max + 1))
+        vidx = self.module.vertices.index
+        si, ri = vidx(s_vertex), vidx(r_vertex)
+        scale, levels = self.module.denominator**n, self.levels
+        try:
+            return [levels[k - n][si] * scale / levels[k][ri] for k in range(n, self.k_max + 1)]
+        except OverflowError:
+            target = (r_vertex, s_vertex, n)
+            raise ValueError(f"class {target}: growth ratio past the double range")
 
 
 # -- condensation growth profile ------------------------------------------
@@ -342,6 +336,20 @@ def _fit_decay(col: list[float], n: int, value: float, k_max: int):
     return -slope, r2
 
 
+# a class of length n reads its samples from k = n to k_max, and needs this
+# many of them past n
+KMAX_MARGIN = 8
+
+
+def check_kmax(k_max: int, n: int) -> None:
+    """Refuse a class of length n that k_max leaves too few samples."""
+    if k_max < n + KMAX_MARGIN:
+        raise ValueError(
+            f"k_max {k_max} too small for the requested length {n}: "
+            f"it needs k_max >= {n + KMAX_MARGIN}"
+        )
+
+
 def _extrapolation_nodes(n: int, k_max: int, count: int = 12) -> list[int]:
     """Geometrically spaced sample indices, largest first, then reversed."""
     floor = max(n + 1, 6)
@@ -396,8 +404,7 @@ def eta_tilde(
     r, s, n = _resolve_target(module, target)
     if not _target_realized(module, r, s, n):
         raise ValueError(f"no path of length {n} from source {s!r} to range {r!r}")
-    if k_max < n + 8:
-        raise ValueError("k_max too small for the requested length")
+    check_kmax(k_max, n)
     vals = table.ratios(s, r, n)
     samples = tuple(zip(range(n, k_max + 1), vals))
     data = table.pf
@@ -430,58 +437,3 @@ def eta_tilde(
 
     delta, r2 = _fit_decay(vals, n, value, k_max)
     return ResidueReport((r, s, n), value, converged, method, delta, r2, samples, k_max)
-
-
-class PartialSumReport(
-    namedtuple(
-        "PartialSumReport",
-        "value per_level s K norm_estimate tail_coefficient tail_bound",
-    )
-):
-    """Truncation of the weighted series of level compressions.
-
-    `value` is the sum and `per_level` its terms (AlgebraElements) for
-    k = 0..K at exponent `s`; the tail is at most `tail_bound`, which is
-    `tail_coefficient` times `norm_estimate`.
-    """
-
-    __slots__ = ()
-
-
-def phi_s_partial(module: GraphBimodule, T, s: complex, K: int) -> PartialSumReport:
-    """Sum over k <= K of the level-k diagonal compression of T, scaled by
-    the inverse index and the weight (1 + k^2)^{-s/2}.
-
-    T is a symbol combination (anything with a `terms` mapping of path
-    pairs to coefficients).  The level sum has a closed form, so no path
-    basis is ever built and K is unrestricted.  The discarded tail is
-    bounded in sup norm by norm_estimate, the triangle bound over terms,
-    times K^{1 - Re s} / (Re s - 1), which requires Re s > 1.
-    """
-    sigma = complex(s).real
-    if sigma <= 1.0:
-        raise ValueError("the tail bound needs Re(s) > 1")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    total = AlgebraElement.zero(module.vertices)
-    per_level = []
-    vidx = {v: i for i, v in enumerate(module.vertices)}
-    terms = T.terms
-    table = GrowthTable(module, K)
-    norm_est = float(sum(abs(c) for c in terms.values()))
-    for k in range(K + 1):
-        vals = [0j] * len(module.vertices)
-        for (mu, nu), c in terms.items():
-            if mu != nu or len(mu) > k:
-                continue
-            ratio = table.ratio(mu.s, mu.r, len(mu), k)
-            vals[vidx[mu.r]] += c * mu.weight * ratio
-        weight = (1.0 + k * k) ** (-complex(s) / 2.0)
-        term = AlgebraElement(module.vertices, vals) * weight
-        per_level.append(term)
-        total = total + term
-    tail_coeff = (max(K, 1)) ** (1.0 - sigma) / (sigma - 1.0)
-    return PartialSumReport(
-        total, tuple(per_level), complex(s), K, norm_est, tail_coeff,
-        tail_coeff * norm_est,
-    )

@@ -18,12 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from symbolic import coeff, compose_symbol, head, path_weight, tail
 
-from graphbimod.cuntz_pimsner import (
-    CommutatorReport,
-    ConditionalExpectation,
-    _compose_symbol,
-)
+from graphbimod.cuntz_pimsner import CommutatorReport, ConditionalExpectation
 from graphbimod.fock import Path, paths
 
 
@@ -54,7 +51,7 @@ def path_legs(module, depth):
     legs = Counter()
     for n in range(depth + 1):
         for nu in paths(module, n):
-            legs[(nu.r, n, nu.weight, nu.s, nu.edges[-1].r if nu.edges else None)] += 1
+            legs[(nu.r, n, path_weight(nu), nu.s, nu.edges[-1].r if nu.edges else None)] += 1
     return legs
 
 
@@ -66,7 +63,7 @@ def path_rhos(module, depth):
     the reference for the class cells of `gram`.
     """
     return [
-        Counter((rho.r, rho.s, rho.weight) for rho in paths(module, j))
+        Counter((rho.r, rho.s, path_weight(rho)) for rho in paths(module, j))
         for j in range(depth + 1)
     ]
 
@@ -173,12 +170,12 @@ def dense_gram(module, depth, exp_: ConditionalExpectation, cutoff=1e-10) -> Den
     mats = np.zeros((V, N, N), dtype=complex)
     for i, (mu_i, nu_i) in enumerate(basis):
         for j, (mu_j, nu_j) in enumerate(basis):
-            res = _compose_symbol(nu_i, mu_i, mu_j, nu_j)
+            res = compose_symbol(nu_i, mu_i, mu_j, nu_j)
             if res is None:
                 continue
             a, b = res
             if a == b:
-                mats[vidx[a.r], i, j] = exp_.coeff(a)
+                mats[vidx[a.r], i, j] = coeff(exp_, a)
     herm = float(np.max(np.abs(mats - np.conj(np.swapaxes(mats, 1, 2)))))
     psd_min, maps, ranks = [], [], []
     for v in range(V):
@@ -202,10 +199,10 @@ def dense_projection_matrix(basis, exp_: ConditionalExpectation) -> np.ndarray:
         n = len(nu)
         if len(mu) < n:
             continue
-        if mu.tail(n) != nu:
+        if tail(mu, n) != nu:
             continue
-        head = mu.head(len(mu) - n)
-        P[idx[(head, Path((), head.s))], j] = exp_.coeff(nu)
+        h = head(mu, len(mu) - n)
+        P[idx[(h, Path((), h.s))], j] = coeff(exp_, nu)
     return P
 
 
@@ -229,13 +226,13 @@ def dense_theta_matrix(module, depth, exp_: ConditionalExpectation) -> np.ndarra
     for j, (mu, nu) in enumerate(basis):
         for rho in pool:
             empty_s = Path((), rho.s)
-            res = _compose_symbol(empty_s, rho, mu, nu)
+            res = compose_symbol(empty_s, rho, mu, nu)
             if res is None:
                 continue
             a, b = res
             if a != b or a.r != rho.s:
                 continue
-            M[idx[(rho, empty_s)], j] += exp_.coeff(a)
+            M[idx[(rho, empty_s)], j] += coeff(exp_, a)
     return M
 
 
@@ -273,9 +270,9 @@ def dense_commutator_check(
                 continue
             if sigma.edges[0] != g:
                 continue
-            if sigma.tail(len(sigma) - 1) != rho:
+            if tail(sigma, len(sigma) - 1) != rho:
                 continue
-            coef = exp_.coeff(sigma)
+            coef = coeff(exp_, sigma)
             formula[vac_row, j] = coef
             surviving += abs(coef) > rank_tol
         ranks, total = gram_high.operator_rank(direct, rank_tol)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphbimod import AlgebraElement, VertexSet
+from symbolic import AlgebraElement
+
+from graphbimod.algebra import VertexSet
 
 VERTS = VertexSet(["u", "v", "w"])
 

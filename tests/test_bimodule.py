@@ -12,23 +12,20 @@ from hypothesis import given, settings
 
 from conftest import graphs
 from dense_spectral import adjacency
-from graphbimod import (
+from symbolic import (
     AlgebraElement,
-    Edge,
     FockVector,
-    GraphBimodule,
-    GraphStructureError,
-    beta_is_central,
     check_bimodule_axioms,
     index_element,
     left_action,
     left_inner,
-    paths,
     phi_k,
     right_action,
     right_inner,
     smeb_check,
 )
+
+from graphbimod import Edge, GraphBimodule, GraphStructureError, beta_is_central, paths
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -130,19 +127,10 @@ def test_actions_scale_by_the_right_vertex(golden):
 
 
 def test_frame_reconstruction_is_exact(golden):
-    rng = np.random.default_rng(3)
-    n = len(golden.edges)
-    x = FockVector.from_edges(golden, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    frame = [FockVector.delta(golden, p) for p in paths(golden, 1)]
-    rebuilt = FockVector(golden)
-    for e in frame:
-        rebuilt = rebuilt + left_action(right_inner(e, x), e)
-    # careful: reconstruction multiplies each frame vector by the inner
-    # product on the right
-    rebuilt2 = FockVector(golden)
-    for e in frame:
-        rebuilt2 = rebuilt2 + right_action(e, right_inner(e, x))
-    assert max(abs(rebuilt2.coefficient(p) - x.coefficient(p)) for p in paths(golden, 1)) == 0
+    # the sum of e . <e|x>_R over the edge point masses e rebuilds x, with
+    # the inner product multiplied on the right
+    report = check_bimodule_axioms(golden, trials=20, seed=3)
+    assert report.residuals["frame_reconstruction"] == 0
 
 
 def test_phi_one_reproduces_index(golden):
@@ -173,17 +161,10 @@ def test_axiom_report_all_graphs(golden, triangular, lopsided, oscillating):
 def test_structural_checks_on_generated_graphs(module):
     report = check_bimodule_axioms(module, trials=10, seed=7)
     assert report.passed, report.residuals
-    rng = np.random.default_rng(5)
-    n = len(module.edges)
-    x = FockVector.from_edges(module, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    rebuilt = FockVector(module)
-    for p in paths(module, 1):
-        e = FockVector.delta(module, p)
-        rebuilt = rebuilt + right_action(e, right_inner(e, x))
-    assert all(rebuilt.coefficient(p) == x.coefficient(p) for p in paths(module, 1))
+    assert report.residuals["frame_reconstruction"] == 0
     # the docstring's claim: exactly the unit-weight permutation graphs
     permutation = all(
-        len(module.edges_with_range(v)) == len(module.edges_with_source(v)) == 1
+        len(module.edges_with_range(v)) == sum(e.s == v for e in module.edges) == 1
         for v in module.vertices
     ) and all(e.weight == 1.0 for e in module.edges)
     assert smeb_check(module).holds == permutation

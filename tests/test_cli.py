@@ -12,7 +12,7 @@ import pytest
 from conftest import exact_ratio, fraction_levels
 from dense_spectral import rate_constants, verify_rate_certificate
 
-from graphbimod import bimodule, cli, cuntz_pimsner, kms, spectral
+from graphbimod import bimodule, cli, cuntz_pimsner, fock, kms, spectral
 from graphbimod.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,6 +105,29 @@ def test_index_central_collapse_verified(capsys, shift_file):
     assert doc["levels"]["6"] == {"z": 64.0}
 
 
+def test_index_takes_no_tolerance_and_fails_a_collapse_gap(capsys, monkeypatch, shift_file):
+    # on a central index A^k 1 = (D beta)^k holds exactly, so a tolerance
+    # would decide nothing, and any gap fails the run
+    with pytest.raises(SystemExit) as exc:
+        main(["index", shift_file, "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+    levels = fock.index_levels
+
+    def off_at_3(module):
+        for k, vec in enumerate(levels(module)):
+            yield [x + (k == 3) for x in vec]
+
+    monkeypatch.setattr(fock, "index_levels", off_at_3)
+    code, out, _ = run(capsys, "index", shift_file, "--depth", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["parameters"] == {"depth": 4}
+    # the gap 9 - 2^3 relative to the level
+    assert doc["central_collapse_max_error"] == 0.125
+    assert doc["failures"] == ["central collapse error 0.125 is not zero"]
+
+
 def test_index_central_collapse_is_relative_past_2_53(capsys, tmp_path):
     # 3^40 exceeds 2^53, so the float levels differ from the powers in
     # absolute terms; relative to the level the error is round-off
@@ -158,6 +181,29 @@ def test_residue_row_limit_exits_before_listing(capsys, tmp_path):
     assert f"needs {10**8} paths of length 8" in err
     assert f"limit of {cli.RESIDUE_MAX_ROWS} rows" in err
     assert elapsed < 1.0
+
+
+def test_residue_kmax_below_the_target_exits_before_listing(capsys, monkeypatch, tmp_path):
+    # a class of length n needs k_max >= n + 8; on one loop, the paths of
+    # --target 40000 were listed before the refusal, in 3.4 s
+    p = tmp_path / "loop.json"
+    p.write_text(json.dumps({"vertices": ["z"], "edges": [{"id": "l", "r": "z", "s": "z"}]}))
+
+    def unreached(*args):
+        raise AssertionError("paths enumerated")
+
+    monkeypatch.setattr(fock, "path_counts", unreached)
+    monkeypatch.setattr(fock, "paths", unreached)
+    for target, n in (("40000", 40000), ("193", 193), (",".join(["l"] * 193), 193)):
+        code, out, err = run(capsys, "residue", str(p), "--target", target)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: k_max 200 too small for the requested length {n}: "
+            f"it needs k_max >= {n + 8}\n"
+        )
+    monkeypatch.undo()
+    code, _, _ = run(capsys, "residue", str(p), "--target", "192")
+    assert code == 0
 
 
 # a primitive graph whose adjacency is not normal: its normalized powers
@@ -478,6 +524,18 @@ def test_unknown_vertex_reported(capsys, tmp_path):
     assert "unknown vertex 'ghost'" in err
 
 
+def test_integer_weight_past_the_double_range_exits_2(capsys, tmp_path):
+    # JSON reads 10**400 as an int, which has no float; 1e400 reads as inf
+    p = tmp_path / "huge.json"
+    for weight, message in ((10**400, "edges[0].weight is past the double range"),
+                            (1e400, "edges[0]: edge 'a' has non-finite weight")):
+        edges = [{"id": "a", "r": "z", "s": "z", "weight": weight}]
+        p.write_text(json.dumps({"vertices": ["z"], "edges": edges}).replace("Infinity", "1e400"))
+        code, out, err = run(capsys, "index", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"error: {p}: {message}\n"
+
+
 def test_long_and_short_edge_keys_agree(capsys, tmp_path):
     short = tmp_path / "short.json"
     short.write_text(json.dumps(GOLDEN))
@@ -564,9 +622,9 @@ def test_index_level_past_the_digit_limit_exits_2(capsys, tmp_path):
         (["kms", "--seed", "-1"], "--seed"),
         # a tolerance that no residual can exceed, or that every residual
         # exceeds, would decide each check by itself
-        (["index", "--tol", "inf"], "--tol"),
-        (["index", "--tol", "nan"], "--tol"),
-        (["index", "--tol", "-1"], "--tol"),
+        (["residue", "--target", "1", "--tol", "inf"], "--tol"),
+        (["kasparov", "--tol", "nan"], "--tol"),
+        (["residue", "--target", "1", "--tol", "-1"], "--tol"),
         (["kasparov", "--tol", "inf"], "--tol"),
         (["residue", "--target", "1", "--tol", "nan"], "--tol"),
     ],

@@ -20,6 +20,7 @@ from dense_kasparov import (
     reduced_keys,
 )
 from hypothesis import example, given, settings, strategies as st
+from symbolic import coeff, spanning_basis_size
 
 from graphbimod import (
     ConditionalExpectation,
@@ -31,7 +32,7 @@ from graphbimod import (
     paths,
 )
 from graphbimod.cli import main
-from graphbimod.cuntz_pimsner import GRAM_MAX_PIVOTS, _class_levels, spanning_basis_size
+from graphbimod.cuntz_pimsner import GRAM_MAX_PIVOTS, _class_levels
 from graphbimod.fock import make_path, path_counts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,7 +161,7 @@ def test_commutator_rows_are_the_path_coefficients(module, depth, seed):
     shorter = [rho for k in range(depth) for rho in paths(module, k)]
     assert len(norms) == len(reports) == len(module.edges)
     for g, row_norms, rep in zip(module.edges, norms, reports):
-        row = [exp_.coeff(make_path(module, (g.id,) + rho.ids)) for rho in shorter if rho.r == g.s]
+        row = [coeff(exp_, make_path(module, (g.id,) + rho.ids)) for rho in shorter if rho.r == g.s]
         assert rep.edge == g.id
         assert row_norms.keys() == {g.r}
         assert row_norms[g.r] == pytest.approx(sum(c * c for c in row), rel=1e-12, abs=0)
