@@ -16,6 +16,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 # the other modules are imported by the subcommands that use them, before
 # the graph is read, so that each route compiles and runs only its own code
@@ -92,41 +93,63 @@ def load_graph(path: str) -> GraphBimodule:
         raise CliError(f"{path}: {exc}")
 
 
-def _clean(obj):
-    """Make a report JSON-safe and deterministic."""
+def _leaf(obj):
+    """A report leaf as JSON holds it: a Fraction or non-finite float as a string."""
+    if isinstance(obj, float) and obj - obj != 0:
+        return "nan" if obj != obj else "inf" if obj > 0 else "-inf"
+    return str(obj) if isinstance(obj, Fraction) else obj
+
+
+def _json(obj, nl: str, out: list) -> None:
+    """Append obj as json.dumps(obj, indent=2, sort_keys=True) writes it at
+    indent nl, with string keys and each leaf through `_leaf`."""
     if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, complex):
-        return {"re": _clean(obj.real), "im": _clean(obj.imag)}
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    return obj
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
+            out.append(f"{sep}{_quote(k)}: ")
+            _json(v, inner, out)
+            sep = comma
+        out.append(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in obj:
+            out.append(sep)
+            _json(v, inner, out)
+            sep = comma
+        out.append(nl + "]" if obj else "[]")
+    else:
+        obj = _leaf(obj)
+        if isinstance(obj, float):
+            out.append(float.__repr__(obj))
+        elif isinstance(obj, str):
+            out.append(_quote(obj))
+        elif obj is None or obj is True or obj is False:
+            out.append("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, int):
+            out.append(int.__repr__(obj))
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _flatten(obj, prefix, rows):
     if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k), rows)
-    elif isinstance(obj, list):
+        for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
+            _flatten(v, f"{prefix}.{k}" if prefix else k, rows)
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _flatten(v, f"{prefix}[{i}]", rows)
     else:
-        rows.append((prefix, obj))
+        rows.append((prefix, _leaf(obj)))
 
 
 def emit(report: dict, fmt: str) -> None:
-    report = _clean(report)
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
-        sys.stdout.write("\n")
+        out: list[str] = []
+        _json(report, "\n", out)
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         import csv
         import io
@@ -134,10 +157,7 @@ def emit(report: dict, fmt: str) -> None:
         rows: list[tuple[str, object]] = []
         _flatten(report, "", rows)
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in rows:
-            writer.writerow([key, value])
+        csv.writer(buf, lineterminator="\n").writerows([("key", "value"), *rows])
         sys.stdout.write(buf.getvalue())
 
 
@@ -152,13 +172,14 @@ def _level_value(num: int, den: int, k: int) -> float | dict[str, str]:
     try:
         return num / den
     except OverflowError:
-        exact = Fraction(num, den)
-    if abs(exact.numerator) >= _DIGITS_CAP:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    if abs(num) >= _DIGITS_CAP:
         raise CliError(
             f"level {k} needs more than {INDEX_MAX_DIGITS} digits, above the limit of "
             f"{INDEX_MAX_DIGITS} digits of an exact level"
         )
-    return {"exact": str(exact)}
+    return {"exact": f"{num}/{den}" if den > 1 else str(num)}
 
 
 def cmd_index(args) -> int:
@@ -183,12 +204,14 @@ def cmd_index(args) -> int:
     if central:
         mark = time.perf_counter()
         index = [int(module.index_exact[v] * D) for v in module.vertices]
+        power = [1] * len(index)
         den = 1
-        for k, vec in enumerate(kept):
+        for vec in kept:
             # |B^k 1 - beta^k| relative to max(1, |beta^k|), both over D^k
-            power = [x**k for x in index]
             gap = max(abs(x - p) for x, p in zip(vec, power))
-            worst = max(worst, Fraction(gap, max(den, max(power))))
+            if gap:
+                worst = max(worst, Fraction(gap, max(den, max(power))))
+            power = [p * x for p, x in zip(power, index)]
             den *= D
         stages["central_collapse"] = time.perf_counter() - mark
     report = {

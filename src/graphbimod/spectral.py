@@ -351,7 +351,7 @@ def check_kmax(k_max: int, n: int) -> None:
 
 
 def _extrapolation_nodes(n: int, k_max: int, count: int = 12) -> list[int]:
-    """Geometrically spaced sample indices, largest first, then reversed."""
+    """Geometrically spaced sample indices, ascending; fewer than 4 if k_max is too small."""
     floor = max(n + 1, 6)
     ks = []
     k = float(k_max)
@@ -362,8 +362,6 @@ def _extrapolation_nodes(n: int, k_max: int, count: int = 12) -> list[int]:
         if not ks or ki < ks[-1]:
             ks.append(ki)
         k /= math.sqrt(2.0)
-    if len(ks) < 4:
-        raise ValueError("k_max too small for the requested length")
     return ks[::-1]
 
 
@@ -428,6 +426,14 @@ def eta_tilde(
                 value, converged, method = 0.0, True, "structural_zero"
             else:
                 ks = _extrapolation_nodes(n, k_max)
+                if len(ks) < 4:
+                    need = k_max + 1
+                    while len(_extrapolation_nodes(n, need)) < 4:
+                        need += 1
+                    raise ValueError(
+                        f"k_max {k_max} too small to extrapolate the class from source {s!r} "
+                        f"to range {r!r} of length {n}: it needs k_max >= {need}"
+                    )
                 xs = [1.0 / k for k in ks]
                 ys = [vals[k - n] for k in ks]
                 value, est = _extrapolate_to_zero(xs, ys)

@@ -1,4 +1,8 @@
+import contextlib
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import exact_ratio, fraction_levels
 from dense_spectral import rate_constants, verify_rate_certificate
 
@@ -204,6 +209,24 @@ def test_residue_kmax_below_the_target_exits_before_listing(capsys, monkeypatch,
     monkeypatch.undo()
     code, _, _ = run(capsys, "residue", str(p), "--target", "192")
     assert code == 0
+
+
+def test_residue_kmax_short_of_the_extrapolation_nodes_exits_naming_the_bound(capsys, tmp_path):
+    # the class (z, z, 1) of the oscillating graph is extrapolated from four
+    # nodes k_max, k_max / sqrt 2, ... of at least 6: k_max 9 to 15 pass the
+    # k_max >= n + 8 margin and still leave fewer
+    p = tmp_path / "oscillating.json"
+    p.write_text(json.dumps(OSCILLATING))
+    for kmax in (9, 10, 12, 15):
+        code, out, err = run(capsys, "residue", str(p), "--target", "1", "--kmax", str(kmax))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: k_max {kmax} too small to extrapolate the class from source 'z' "
+            "to range 'z' of length 1: it needs k_max >= 16\n"
+        )
+    code, out, _ = run(capsys, "residue", str(p), "--target", "1", "--kmax", "16")
+    assert code == 0
+    assert "extrapolation" in [c["method"] for c in json.loads(out)["classes"]]
 
 
 # a primitive graph whose adjacency is not normal: its normalized powers
@@ -496,6 +519,60 @@ def test_csv_format(capsys, golden_file):
     assert any(line.startswith("index.u,") for line in lines)
 
 
+def clean(obj):
+    """The report as the stdlib encoder takes it: string keys, lists, and
+    each Fraction or non-finite float as a string."""
+    if isinstance(obj, dict):
+        return {str(k): clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [clean(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, float) and math.isnan(obj):
+        return "nan"
+    return obj
+
+
+report_leaves = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "\u00e9\u2192\U0001f600", ""]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]),
+    st.fractions(),
+)
+reports = st.recursive(
+    report_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans(), st.none()), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@given(reports)
+@settings(max_examples=300, deadline=None)
+def test_emit_matches_the_stdlib_encoder_on_the_cleaned_report(tree):
+    doc = {"report": tree, 7: [tree, (tree,)]}
+    emitted = {}
+    for fmt in ("json", "csv"):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            cli.emit(doc, fmt)
+        emitted[fmt] = buf.getvalue()
+    assert emitted["json"] == json.dumps(clean(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    rows = []
+    cli._flatten(clean(doc), "", rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("key", "value"), *rows])
+    assert emitted["csv"] == buf.getvalue()
+
+
 def test_parse_error_names_the_line(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"vertices": ["u"],\n  "edges": [\n')
@@ -684,6 +761,19 @@ STORED_RUNS = [
             ["residue", "--target", "3", "--kmax", "2000"],
             "residue_triangular_target3_kmax2000.json",
             id="residue-triangular-kmax2000",
+        ),
+        # levels past the double range: exact integers on a central index,
+        # and "p/q" where a weight is not an integer
+        *(
+            pytest.param(
+                graph, ["index", "--depth", depth, "--format", fmt], f"index_{name}_depth{depth}.{fmt}",
+                id=f"index-{name}-depth{depth}-{fmt}",
+            )
+            for graph, name, depth in (
+                ("scripts/graphs/full_shift_3.json", "full_shift_3", "700"),
+                ("tests/data/heavy_loop.json", "heavy_loop", "110"),
+            )
+            for fmt in ("json", "csv")
         ),
         # (x, x, 1) is 4 at every k, where normalized float powers underflow
         pytest.param(

@@ -14,7 +14,6 @@ from symbolic import (
     concat,
     covariance_substitute,
     evaluate,
-    evaluate_algebra,
     gamma,
     gamma_minus_i,
     kms_defect,
@@ -277,9 +276,14 @@ def test_tr_phi_agrees_with_frame_expansion(golden):
     n = len(golden.edges)
     xi = FockVector.from_edges(golden, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     eta = FockVector.from_edges(golden, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    got = tr_phi(tr, xi, eta)
-    expect = evaluate_algebra(tr, right_inner(eta, xi))
-    assert got == pytest.approx(expect, abs=1e-12)
+    # sum over the edge frame of conj(eta_e) xi_e tau(p_{s(e)}), each
+    # coefficient read off as <delta_e|x>_R at the source of e
+    expect = 0j
+    for p in paths(golden, 1):
+        delta = FockVector.delta(golden, p)
+        xi_e, eta_e = right_inner(delta, xi)[p.s], right_inner(delta, eta)[p.s]
+        expect += eta_e.conjugate() * xi_e * float(tr.weights[p.s])
+    assert tr_phi(tr, xi, eta) == pytest.approx(expect, abs=1e-12)
 
 
 def test_tr_phi_positive_diagonal(golden):
