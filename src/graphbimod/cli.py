@@ -285,6 +285,7 @@ def cmd_residue(args) -> int:
         n = len(pool[0])
         check_kmax(args.kmax, n)
     table = GrowthTable(module, args.kmax)
+    table.levels  # every class reads its whole column: build the levels in this stage
     stages = {"growth_table": time.perf_counter() - start}
     mark = time.perf_counter()
     entries = {}

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .bimodule import Edge, GraphBimodule
 from .fock import path_counts, path_totals
-from .spectral import GrowthTable, ResidueReport, eta_tilde
+from .spectral import GrowthTable, ResidueLimit, residue_limit
 
 
 class ResidueUncertifiedError(RuntimeError):
@@ -32,21 +32,24 @@ class ConditionalExpectation:
     """The residue limits that weigh the expectation's diagonal symbols.
 
     One growth table, `table`, up to k_max serves every class
-    (range, source, length), each solved once to `tol`, and the reports
-    are kept per class; an unconverged limit raises
-    `ResidueUncertifiedError`.
+    (range, source, length), each solved once to `tol` by
+    `spectral.residue_limit`, and the limits are kept per class; an
+    unconverged limit raises `ResidueUncertifiedError`.  No samples or
+    decay fit are taken, and only the ratios a limit reads are divided:
+    on a graph whose Perron data certify the closed form, the table
+    builds no levels at all.
     """
 
     def __init__(self, module: GraphBimodule, k_max: int = 200, tol: float = 1e-10):
         self.module = module
         self.tol = tol
-        self._reports: dict[tuple[str, str, int], ResidueReport] = {}
+        self._reports: dict[tuple[str, str, int], ResidueLimit] = {}
         self.table = GrowthTable(module, k_max)
 
-    def residue(self, r: str, s: str, n: int) -> ResidueReport:
+    def residue(self, r: str, s: str, n: int) -> ResidueLimit:
         key = (r, s, n)
         if key not in self._reports:
-            self._reports[key] = eta_tilde(self.table, key, tol=self.tol)
+            self._reports[key] = residue_limit(self.table, key, tol=self.tol)
         return self._reports[key]
 
     def limit(self, r: str, s: str, n: int) -> float:
@@ -55,7 +58,7 @@ class ConditionalExpectation:
         if not rep.converged:
             raise ResidueUncertifiedError(
                 f"residue limit for class {rep.target} did not converge "
-                f"(method {rep.method}, k_max {rep.k_max})"
+                f"(method {rep.method}, k_max {self.table.k_max})"
             )
         return rep.value
 
@@ -94,8 +97,11 @@ _TOL = 1e-10
 # rho cell of each class row.  On a 2-CPU machine a step took 1.7-2.9 us
 # with closed-form residues: golden mean at depth 120, 0.14 million steps,
 # 0.34 s; a 20-vertex graph with 3 edges per source at depth 20, 1.5
-# million, 4.3 s.  So this many keep a run under about 10 s.  Extrapolated
-# residues are not counted (that graph with weights 0.1 to 3: 12 s)
+# million, 4.3 s.  So this many keep a run under about 10 s.  Residue solves
+# are not counted: that graph with weights 0.1 to 3 also takes the closed
+# form, in 3.1 s (median of 5); one whose residues read the growth levels
+# pays for those, as tests/data/reducible_weighted.json at depth 40 does,
+# 1.0 s for 76 thousand steps
 GRAM_MAX_PIVOTS = 4_000_000
 
 

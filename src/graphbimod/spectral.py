@@ -162,12 +162,15 @@ def pf_data(module: GraphBimodule) -> PFData:
 class GrowthTable:
     """The growth data of one graph up to k_max, built once and passed in.
 
-    Holds the exact levels A^k 1 = D^k B^k 1 of `fock.index_levels` for
-    k = 0..k_max, the Perron data, and the growth profile (on first use).
+    Holds the Perron data, built at construction, and, on first use, the
+    growth profile and the exact levels A^k 1 = D^k B^k 1 of
+    `fock.index_levels` for k = 0..k_max: the first growth ratio read
+    builds them all, so a residue that takes the closed form builds none.
     Each growth ratio is the correctly rounded float of an integer
     quotient.  The levels gain log2(D * radius) bits per entry and step,
     so a non-dyadic weight costs much (D = 2^55 for 0.1); their total,
-    `level_bits`, may not pass `GROWTH_MAX_LEVEL_BITS`.
+    `level_bits` (0 until they are built), may not pass
+    `GROWTH_MAX_LEVEL_BITS`.
     """
 
     def __init__(self, module: GraphBimodule, k_max: int):
@@ -175,41 +178,54 @@ class GrowthTable:
             raise ValueError("k_max must be nonnegative")
         self.module = module
         self.k_max = k_max
-        self.levels = []
         self.level_bits = 0
-        for k, level in zip(range(k_max + 1), index_levels(module)):
+        self.pf = pf_data(module)
+
+    @cached_property
+    def levels(self) -> list[list[int]]:
+        levels, self.level_bits = [], 0
+        for k, level in zip(range(self.k_max + 1), index_levels(self.module)):
             self.level_bits += sum(x.bit_length() for x in level)
             if self.level_bits > GROWTH_MAX_LEVEL_BITS:
                 raise ValueError(
-                    f"the index levels to k_max {k_max} pass the limit of "
+                    f"the index levels to k_max {self.k_max} pass the limit of "
                     f"{GROWTH_MAX_LEVEL_BITS} bits (64 MiB, about 3 s and 120 MiB) "
                     f"at level {k}"
                 )
-            self.levels.append(level)
-        self.pf = pf_data(module)
+            levels.append(level)
+        return levels
 
     @cached_property
     def profile(self) -> GrowthProfile:
         return growth_profile(self.module)
 
-    def ratios(self, s_vertex: str, r_vertex: str, n: int) -> list[float]:
-        """(B^{k-n} 1)_s / (B^k 1)_r for k = n..k_max, entry k - n.
+    def ratio(self, s_vertex: str, r_vertex: str, n: int):
+        """The growth ratio k -> (B^{k-n} 1)_s / (B^k 1)_r, for n <= k <= k_max.
 
         Each is A^{k-n}1_s D^n / A^k 1_r, correctly rounded and never 0/0,
         as every vertex is a range.  Only a class with no path, or whose
-        path weighs below 2^-1024, passes the double range: that raises
-        ValueError.
+        path weighs below 2^-1024, passes the double range: reading such
+        an entry raises ValueError.
         """
         if not 0 <= n <= self.k_max:
             raise ValueError("need 0 <= n <= k_max")
         vidx = self.module.vertices.index
         si, ri = vidx(s_vertex), vidx(r_vertex)
         scale, levels = self.module.denominator**n, self.levels
-        try:
-            return [levels[k - n][si] * scale / levels[k][ri] for k in range(n, self.k_max + 1)]
-        except OverflowError:
-            target = (r_vertex, s_vertex, n)
-            raise ValueError(f"class {target}: growth ratio past the double range")
+
+        def at(k: int) -> float:
+            try:
+                return levels[k - n][si] * scale / levels[k][ri]
+            except OverflowError:
+                target = (r_vertex, s_vertex, n)
+                raise ValueError(f"class {target}: growth ratio past the double range")
+
+        return at
+
+    def ratios(self, s_vertex: str, r_vertex: str, n: int) -> list[float]:
+        """The column of `ratio` for k = n..k_max, entry k - n."""
+        at = self.ratio(s_vertex, r_vertex, n)
+        return [at(k) for k in range(n, self.k_max + 1)]
 
 
 # -- condensation growth profile ------------------------------------------
@@ -272,30 +288,44 @@ def _same_radius(a: float, b: float) -> bool:
 # -- residue limits --------------------------------------------------------
 
 
+class ResidueLimit(namedtuple("ResidueLimit", "target value converged method")):
+    """Limit of the growth ratio for one (range, source, length) class:
+    `target` is the class, `value` the limit and `method` the branch that
+    found it."""
+
+    __slots__ = ()
+
+
 class ResidueReport(
     namedtuple(
         "ResidueReport", "target value converged method delta r_squared samples k_max"
     )
 ):
-    """Limit of the growth ratio for one (range, source, length) class.
+    """A `ResidueLimit` with its convergence diagnostics.
 
-    `target` is the class, `value` the limit and `method` the branch that
-    found it; `delta` and `r_squared` (float or None) are the fitted decay,
-    and `samples` the (k, ratio) pairs read up to `k_max`.
+    `delta` and `r_squared` (float or None) are the fitted decay, and
+    `samples` the (k, ratio) pairs read up to `k_max`.
     """
 
     __slots__ = ()
 
 
-def _resolve_target(module: GraphBimodule, target) -> tuple[str, str, int]:
+def _residue_class(table: GrowthTable, target) -> tuple[str, str, int]:
+    """The class (r, s, n) of a Path or triple, refused when no path of
+    length n runs from s to r or k_max leaves it too few samples."""
+    module = table.module
     if isinstance(target, Path):
-        return (target.r, target.s, len(target))
-    r, s, n = target
-    module.vertices.index(r)
-    module.vertices.index(s)
-    n = int(n)
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
+        r, s, n = target.r, target.s, len(target)
+    else:
+        r, s, n = target
+        module.vertices.index(r)
+        module.vertices.index(s)
+        n = int(n)
+        if n < 0:
+            raise ValueError("path length must be nonnegative")
+    if not _target_realized(module, r, s, n):
+        raise ValueError(f"no path of length {n} from source {s!r} to range {r!r}")
+    check_kmax(table.k_max, n)
     return (r, s, n)
 
 
@@ -379,67 +409,77 @@ def _extrapolate_to_zero(xs: list[float], ys: list[float]) -> tuple[float, float
     return T[m - 1], est
 
 
+def residue_limit(
+    table: GrowthTable,
+    target,
+    tol: float = 1e-10,
+    force_iterative: bool = False,
+    ratio=None,
+) -> ResidueLimit:
+    """Residue coefficient for a path class, reading only the ratios it needs.
+
+    `target` is a Path or an (r, s, n) triple; the ratio depends on the
+    path only through its endpoints and length.  Primitive graphs whose
+    Perron root pf_data certifies get the closed form r^{-n} w_s / w_r
+    from the right Perron eigenvector of the adjacency matrix, and read no
+    ratio.  Otherwise a sequence stationary over its last three quarters
+    is read off directly, a strict growth gap forces the limit 0 exactly,
+    and the remaining cases are extrapolated polynomially in 1/k; a
+    sequence with no limit (oscillating growth coefficients) is reported
+    unconverged.  The growth ratio at k comes from `ratio(k)`, by default
+    `table.ratio` of the class: the stationary test reads k_max, then its
+    tail up from the quarter point to the first entry off the last, and
+    extrapolation reads at most 12 nodes.
+    """
+    r, s, n = _residue_class(table, target)
+    module, k_max, data = table.module, table.k_max, table.pf
+    if data.primitive and data.converged and not force_iterative:
+        w, index = data.right_eigenvector, module.vertices.index
+        value = data.spectral_radius ** (-n) * w[index(s)] / w[index(r)]
+        return ResidueLimit((r, s, n), value, True, "closed_form")
+    if ratio is None:
+        ratio = table.ratio(s, r, n)
+    vc = ratio(k_max)
+    scale = max(1.0, abs(vc))
+    first = n + (k_max - n + 1) // 4
+    if all(abs(ratio(k) - vc) <= tol * scale for k in range(first, k_max + 1)):
+        return ResidueLimit((r, s, n), vc, True, "stationary")
+    rad, deg = table.profile.radius, table.profile.degree
+    gap = rad[s] < rad[r] * (1.0 - _RADIUS_RTOL) or (
+        math.isclose(rad[s], rad[r], rel_tol=_RADIUS_RTOL) and deg[s] < deg[r]
+    )
+    if gap:
+        return ResidueLimit((r, s, n), 0.0, True, "structural_zero")
+    ks = _extrapolation_nodes(n, k_max)
+    if len(ks) < 4:
+        need = k_max + 1
+        while len(_extrapolation_nodes(n, need)) < 4:
+            need += 1
+        raise ValueError(
+            f"k_max {k_max} too small to extrapolate the class from source {s!r} "
+            f"to range {r!r} of length {n}: it needs k_max >= {need}"
+        )
+    value, est = _extrapolate_to_zero([1.0 / k for k in ks], [ratio(k) for k in ks])
+    value = float(value)
+    converged = bool(est <= max(tol * max(1.0, abs(value)), 1e-13))
+    return ResidueLimit((r, s, n), value, converged, "extrapolation")
+
+
 def eta_tilde(
     table: GrowthTable,
     target,
     tol: float = 1e-10,
     force_iterative: bool = False,
 ) -> ResidueReport:
-    """Residue coefficient for a path class, with convergence diagnostics.
+    """`residue_limit` with convergence diagnostics, for a report.
 
-    `target` is a Path or an (r, s, n) triple; the ratio depends on the
-    path only through its endpoints and length.  The growth table supplies
-    k_max, the Perron data, the growth profile and the samples, read as one
-    column of ratios for k = n..k_max.  Primitive graphs whose Perron root
-    pf_data certifies get the closed form r^{-n} w_s / w_r from the right
-    Perron eigenvector of the adjacency matrix.  Otherwise a sequence
-    stationary over its last three quarters is read off directly, a strict
-    growth gap forces the limit 0 exactly, and the remaining cases are
-    extrapolated polynomially in 1/k; a sequence with no limit
-    (oscillating growth coefficients) is reported unconverged.
+    Reads the class's whole column of ratios for k = n..k_max, hands
+    `residue_limit` its entries, and adds the samples and the decay fitted
+    to the limit.
     """
-    module, k_max = table.module, table.k_max
-    r, s, n = _resolve_target(module, target)
-    if not _target_realized(module, r, s, n):
-        raise ValueError(f"no path of length {n} from source {s!r} to range {r!r}")
-    check_kmax(k_max, n)
+    r, s, n = target = _residue_class(table, target)
     vals = table.ratios(s, r, n)
-    samples = tuple(zip(range(n, k_max + 1), vals))
-    data = table.pf
-
-    if data.primitive and data.converged and not force_iterative:
-        w, index = data.right_eigenvector, module.vertices.index
-        value = data.spectral_radius ** (-n) * w[index(s)] / w[index(r)]
-        converged, method = True, "closed_form"
-    else:
-        vc = vals[-1]
-        scale = max(1.0, abs(vc))
-        stationary = all(abs(c - vc) <= tol * scale for c in vals[len(vals) // 4 :])
-        if stationary:
-            value, converged, method = vc, True, "stationary"
-        else:
-            rad, deg = table.profile.radius, table.profile.degree
-            gap = rad[s] < rad[r] * (1.0 - _RADIUS_RTOL) or (
-                math.isclose(rad[s], rad[r], rel_tol=_RADIUS_RTOL) and deg[s] < deg[r]
-            )
-            if gap:
-                value, converged, method = 0.0, True, "structural_zero"
-            else:
-                ks = _extrapolation_nodes(n, k_max)
-                if len(ks) < 4:
-                    need = k_max + 1
-                    while len(_extrapolation_nodes(n, need)) < 4:
-                        need += 1
-                    raise ValueError(
-                        f"k_max {k_max} too small to extrapolate the class from source {s!r} "
-                        f"to range {r!r} of length {n}: it needs k_max >= {need}"
-                    )
-                xs = [1.0 / k for k in ks]
-                ys = [vals[k - n] for k in ks]
-                value, est = _extrapolate_to_zero(xs, ys)
-                value = float(value)
-                converged = bool(est <= max(tol * max(1.0, abs(value)), 1e-13))
-                method = "extrapolation"
-
-    delta, r2 = _fit_decay(vals, n, value, k_max)
-    return ResidueReport((r, s, n), value, converged, method, delta, r2, samples, k_max)
+    limit = residue_limit(table, target, tol, force_iterative, lambda k: vals[k - n])
+    delta, r2 = _fit_decay(vals, n, limit.value, table.k_max)
+    samples = tuple(zip(range(n, table.k_max + 1), vals))
+    return ResidueReport(*limit, delta, r2, samples, table.k_max)

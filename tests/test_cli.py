@@ -487,7 +487,15 @@ def test_residue_timings_report_stages_and_counters(capsys, tmp_path):
     }
 
 
-def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):
+def test_kasparov_timings_report_stages_and_counters(capsys, monkeypatch, golden_file):
+    builds = []
+    index_levels = spectral.index_levels
+
+    def counted(module):
+        builds.append(module)
+        return index_levels(module)
+
+    monkeypatch.setattr(spectral, "index_levels", counted)
     _, plain, _ = run(capsys, "kasparov", golden_file, "--depth", "2")
     code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2", "--timings")
     assert code == 0
@@ -498,11 +506,20 @@ def test_kasparov_timings_report_stages_and_counters(capsys, golden_file):
     assert set(timings["stages"]) == {"gram"}
     assert all(t >= 0 for t in timings["stages"].values())
     # paths of length at most 2 by source: 6 at u and 4 at v, so 6² + 4²
-    # symbols; they fall in 30 blocks, which have 15 residue classes.  The
-    # levels to k_max 200 are the Fibonacci pairs (F(k+2), F(k+1))
+    # symbols; they fall in 30 blocks, which have 15 residue classes.  Every
+    # residue takes the closed form, so no level is built
     assert timings["counters"] == {
-        "basis": 52, "blocks": 30, "classes": 15, "level_bits": 28065
+        "basis": 52, "blocks": 30, "classes": 15, "level_bits": 0
     }
+    assert builds == []
+    # the triangular chain is reducible: its residues read the levels
+    # A^k 1 = (1, k + 1) to k_max 200, built once for all 14 classes
+    code, out, _ = run(capsys, "kasparov", str(GRAPHS / "triangular.json"), "--depth", "2", "--timings")
+    assert code == 0
+    assert json.loads(out)["timings"]["counters"] == {
+        "basis": 45, "blocks": 28, "classes": 14, "level_bits": 1562
+    }
+    assert len(builds) == 1
 
 
 def test_reports_are_byte_identical(capsys, golden_file):

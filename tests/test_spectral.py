@@ -25,6 +25,7 @@ from graphbimod.spectral import (
     _target_realized,
     growth_profile,
     pf_data,
+    residue_limit,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -240,6 +241,32 @@ def test_ratio_column_is_the_scalar_ratio_bit_for_bit(m, k_max, n):
             scalar = [exact_ratio(levels, s, r, n, k) for k in ks]
             assert all(type(c) is float for c in col)
             assert array("d", col).tobytes() == array("d", scalar).tobytes()
+
+
+@pytest.mark.parametrize(
+    "strategy", [graphs(), graphs(weights=(0.1, 0.25, 0.5, 1.0, 3.0))], ids=["unit", "weighted"]
+)
+@given(data=st.data(), k_max=st.sampled_from([40, 200]), n=st.integers(0, 3), forced=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_limit_on_demand_is_the_reports_limit_bit_for_bit(strategy, data, k_max, n, forced):
+    # residue_limit reads ratios from a table that builds its levels on the
+    # first read; eta_tilde hands it the whole column
+    m = data.draw(strategy)
+    table = GrowthTable(m, k_max)
+    for r in m.vertices:
+        for s in m.vertices:
+            try:
+                rep = eta_tilde(table, (r, s, n), force_iterative=forced)
+            except ValueError:
+                continue
+            fresh = GrowthTable(m, k_max)
+            got = residue_limit(fresh, (r, s, n), force_iterative=forced)
+            want = rep[:4]
+            assert (got.target, got.value.hex(), got.converged, got.method) == (
+                want[0], want[1].hex(), want[2], want[3]
+            )
+            # the closed form reads no ratio, so no level is built
+            assert (fresh.level_bits == 0) == (got.method == "closed_form")
 
 
 def test_ratio_column_is_exact_where_the_floats_underflowed(underflow):
