@@ -26,14 +26,17 @@ def run(argv: list[str] | None = None) -> int:
 
     module = load_graph(args.graph)
     p = make_path(module, [t for t in args.path.split(",") if t])
-    rep = eta_tilde(GrowthTable(module, args.kmax), p, force_iterative=True)
+    table = GrowthTable(module, args.kmax)
+    rep = eta_tilde(table, p, force_iterative=True)
 
     r, s, n = rep.target
     print(f"class: range {r}, source {s}, length {n}")
     print(f"method {rep.method}, converged {rep.converged}")
-    stride = max(1, len(rep.samples) // args.points)
+    ratio = table.ratio(s, r, n)
+    stride = max(1, (args.kmax - n + 1) // args.points)
     print(f"{'k':>6s}  {'ratio':>22s}  {'gap to limit':>14s}")
-    for k, val in rep.samples[::stride]:
+    for k in range(n, args.kmax + 1, stride):
+        val = ratio(k)
         print(f"{k:6d}  {val:22.15f}  {abs(val - rep.value):14.3e}")
     print(f"limit {rep.value:.15f}")
     if rep.delta == rep.delta and rep.delta != float("inf"):

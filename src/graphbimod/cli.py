@@ -241,9 +241,7 @@ def cmd_index(args) -> int:
     return 1 if failures else 0
 
 
-def _residue_entry(rep) -> dict:
-    stride = max(1, len(rep.samples) // 64)
-    samples = [list(p) for p in rep.samples[::stride]]
+def _residue_entry(rep, stride: int) -> dict:
     r, s, n = rep.target
     return {
         "target": {"range": r, "source": s, "length": n},
@@ -254,13 +252,13 @@ def _residue_entry(rep) -> dict:
         "r_squared": rep.r_squared,
         "k_max": rep.k_max,
         "sample_stride": stride,
-        "samples": samples,
+        "samples": [list(p) for p in rep.samples],
     }
 
 
 def cmd_residue(args) -> int:
     from .fock import make_path, path_counts, paths
-    from .spectral import GrowthTable, check_kmax, eta_tilde
+    from .spectral import GrowthTable, check_kmax, eta_tilde, sample_stride
 
     module = load_graph(args.graph)
     start = time.perf_counter()
@@ -285,13 +283,13 @@ def cmd_residue(args) -> int:
         n = len(pool[0])
         check_kmax(args.kmax, n)
     table = GrowthTable(module, args.kmax)
-    table.levels  # every class reads its whole column: build the levels in this stage
+    table.columns  # every class reads its top half: build the levels in this stage
     stages = {"growth_table": time.perf_counter() - start}
     mark = time.perf_counter()
     entries = {}
     for r, s in sorted({(p.r, p.s) for p in pool}):
         rep = eta_tilde(table, (r, s, n), tol=args.tol, force_iterative=args.force_iterative)
-        entries[(r, s)] = _residue_entry(rep)
+        entries[(r, s)] = _residue_entry(rep, sample_stride(n, args.kmax))
     stages["classes"] = time.perf_counter() - mark
     rows = []
     for p in sorted(pool, key=lambda q: q.sort_key()):

@@ -18,16 +18,19 @@ import sys
 from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
+from operator import lshift, truediv
 
 from .bimodule import GraphBimodule
 from .fock import Path, index_levels
 
 _CERTIFIED_WIDTH = 1e-12
 # A table to k_max holds about V * log2(D * radius) * k_max^2 / 2 level bits.
-# On a 2-CPU machine, one run each: 4 vertices, weights 0.1 and 3, k_max
-# 2000: 445 million bits, 1.5 s, 90 MiB; 3 vertices, weights 1e-300, k_max
-# 580: 530 million bits, 2.9 s, 115 MiB.  So 64 MiB of bits keep a run
-# under about 3 s and 120 MiB
+# On a 2-CPU machine, `residue` wall and peak RSS, median of 5 runs: 4
+# vertices, weights 0.1 and 3, k_max 2000: 445 million bits, 0.78 s, 74 MiB;
+# 3 vertices, weights 1e-300, k_max 580: 530 million bits, 0.82 s, 99 MiB,
+# half of it building the levels.  So 64 MiB of bits keep a run under about
+# 1 s and 100 MiB
 GROWTH_MAX_LEVEL_BITS = 2**29
 # relative tolerance under which two spectral radii count as equal
 _RADIUS_RTOL = 1e-9
@@ -164,36 +167,44 @@ class GrowthTable:
 
     Holds the Perron data, built at construction, and, on first use, the
     growth profile and the exact levels A^k 1 = D^k B^k 1 of
-    `fock.index_levels` for k = 0..k_max: the first growth ratio read
-    builds them all, so a residue that takes the closed form builds none.
-    Each growth ratio is the correctly rounded float of an integer
-    quotient.  The levels gain log2(D * radius) bits per entry and step,
-    so a non-dyadic weight costs much (D = 2^55 for 0.1); their total,
-    `level_bits` (0 until they are built), may not pass
-    `GROWTH_MAX_LEVEL_BITS`.
+    `fock.index_levels` for k = 0..k_max, transposed into one tuple per
+    vertex (`columns`): the first growth ratio read builds them all, so a
+    residue that takes the closed form builds none.  Each growth ratio is
+    the correctly rounded float of an integer quotient.  The levels gain
+    log2(D * radius) bits per entry and step, so a non-dyadic weight costs
+    much (D = 2^55 for 0.1); their total, `level_bits` (0 until they are
+    built), may not pass `GROWTH_MAX_LEVEL_BITS`.
     """
 
     def __init__(self, module: GraphBimodule, k_max: int):
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
+        D = module.denominator
+        if D & (D - 1):
+            raise ValueError(
+                f"the growth ratios need binary weights, but the weights' "
+                f"common denominator {D} is not a power of two"
+            )
         self.module = module
         self.k_max = k_max
         self.level_bits = 0
         self.pf = pf_data(module)
+        # every weight is a binary float, so D = 2^shift and D^n = 1 << n*shift
+        self.shift = D.bit_length() - 1
 
     @cached_property
-    def levels(self) -> list[list[int]]:
+    def columns(self) -> tuple[tuple[int, ...], ...]:
         levels, self.level_bits = [], 0
         for k, level in zip(range(self.k_max + 1), index_levels(self.module)):
-            self.level_bits += sum(x.bit_length() for x in level)
+            self.level_bits += sum(map(int.bit_length, level))
             if self.level_bits > GROWTH_MAX_LEVEL_BITS:
                 raise ValueError(
                     f"the index levels to k_max {self.k_max} pass the limit of "
-                    f"{GROWTH_MAX_LEVEL_BITS} bits (64 MiB, about 3 s and 120 MiB) "
+                    f"{GROWTH_MAX_LEVEL_BITS} bits (64 MiB, about 1 s and 100 MiB) "
                     f"at level {k}"
                 )
             levels.append(level)
-        return levels
+        return tuple(zip(*levels))
 
     @cached_property
     def profile(self) -> GrowthProfile:
@@ -202,30 +213,49 @@ class GrowthTable:
     def ratio(self, s_vertex: str, r_vertex: str, n: int):
         """The growth ratio k -> (B^{k-n} 1)_s / (B^k 1)_r, for n <= k <= k_max.
 
-        Each is A^{k-n}1_s D^n / A^k 1_r, correctly rounded and never 0/0,
-        as every vertex is a range.  Only a class with no path, or whose
-        path weighs below 2^-1024, passes the double range: reading such
-        an entry raises ValueError.
+        Each is (A^{k-n}1_s << n log2 D) / A^k 1_r, correctly rounded and
+        never 0/0, as every vertex is a range.  Only a class with no path,
+        or whose path weighs below 2^-1024, passes the double range:
+        reading such an entry raises ValueError.
         """
         if not 0 <= n <= self.k_max:
             raise ValueError("need 0 <= n <= k_max")
-        vidx = self.module.vertices.index
-        si, ri = vidx(s_vertex), vidx(r_vertex)
-        scale, levels = self.module.denominator**n, self.levels
+        num, den = self._pair(s_vertex, r_vertex)
+        shift = n * self.shift
 
         def at(k: int) -> float:
             try:
-                return levels[k - n][si] * scale / levels[k][ri]
+                return (num[k - n] << shift) / den[k]
             except OverflowError:
                 target = (r_vertex, s_vertex, n)
                 raise ValueError(f"class {target}: growth ratio past the double range")
 
         return at
 
-    def ratios(self, s_vertex: str, r_vertex: str, n: int) -> list[float]:
-        """The column of `ratio` for k = n..k_max, entry k - n."""
+    def ratios(self, s_vertex: str, r_vertex: str, n: int, lo=None, hi=None) -> list[float]:
+        """The entries of `ratio` for k = lo..hi (by default n..k_max), entry k - lo.
+
+        They divide as one block of integer quotients over two column
+        slices; a block that passes the double range reads `ratio` one
+        entry at a time, which raises ValueError at the first such entry.
+        """
         at = self.ratio(s_vertex, r_vertex, n)
-        return [at(k) for k in range(n, self.k_max + 1)]
+        lo = n if lo is None else lo
+        hi = self.k_max if hi is None else hi
+        if lo < n or hi > self.k_max:
+            raise ValueError("need n <= lo and hi <= k_max")
+        num, den = self._pair(s_vertex, r_vertex)
+        nums = num[lo - n : hi - n + 1]
+        if n * self.shift:
+            nums = map(lshift, nums, repeat(n * self.shift))
+        try:
+            return list(map(truediv, nums, den[lo : hi + 1]))
+        except OverflowError:
+            return list(map(at, range(lo, hi + 1)))
+
+    def _pair(self, s_vertex: str, r_vertex: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        index = self.module.vertices.index
+        return self.columns[index(s_vertex)], self.columns[index(r_vertex)]
 
 
 # -- condensation growth profile ------------------------------------------
@@ -304,7 +334,8 @@ class ResidueReport(
     """A `ResidueLimit` with its convergence diagnostics.
 
     `delta` and `r_squared` (float or None) are the fitted decay, and
-    `samples` the (k, ratio) pairs read up to `k_max`.
+    `samples` every `sample_stride`-th (k, ratio) pair from the class
+    length n to `k_max`.
     """
 
     __slots__ = ()
@@ -337,17 +368,21 @@ def _target_realized(module: GraphBimodule, r: str, s: str, n: int) -> bool:
     return s in frontier
 
 
-def _fit_decay(col: list[float], n: int, value: float, k_max: int):
+def _quarter_point(n: int, k_max: int) -> int:
+    """The first k of the stationary test: the class's column k = n..k_max
+    is stationary when its last three quarters are."""
+    return n + (k_max - n + 1) // 4
+
+
+def _fit_decay(top: list[float], first: int, value: float):
     """Least-squares slope of log residual against log k over the top half.
 
-    `col` holds the growth ratios for k = n..k_max.  Only the k >= k_max // 2
-    are read, and only the residuals above 1e-14 are logged.  The line is
-    the closed-form fit of y = a x + b on the centred points, with every
-    sum taken by `math.fsum`.
+    `top` holds the growth ratios for k = first..k_max, and only the
+    residuals above 1e-14 are logged.  The line is the closed-form fit of
+    y = a x + b on the centred points, with every sum taken by `math.fsum`.
     """
-    first = max(1, k_max // 2, n)
     xs, ys = [], []
-    for k, c in zip(range(first, k_max + 1), col[first - n :]):
+    for k, c in enumerate(top, first):
         res = abs(c - value)
         if res > 1e-14:
             xs.append(math.log(k))
@@ -364,6 +399,12 @@ def _fit_decay(col: list[float], n: int, value: float, k_max: int):
     ss_tot = math.fsum(b * b for b in dy)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return -slope, r2
+
+
+def sample_stride(n: int, k_max: int) -> int:
+    """The step between the samples of a class of length n, about 64 of
+    them from k = n to k_max."""
+    return max(1, (k_max - n + 1) // 64)
 
 
 # a class of length n reads its samples from k = n to k_max, and needs this
@@ -441,7 +482,7 @@ def residue_limit(
         ratio = table.ratio(s, r, n)
     vc = ratio(k_max)
     scale = max(1.0, abs(vc))
-    first = n + (k_max - n + 1) // 4
+    first = _quarter_point(n, k_max)
     if all(abs(ratio(k) - vc) <= tol * scale for k in range(first, k_max + 1)):
         return ResidueLimit((r, s, n), vc, True, "stationary")
     rad, deg = table.profile.radius, table.profile.degree
@@ -473,13 +514,30 @@ def eta_tilde(
 ) -> ResidueReport:
     """`residue_limit` with convergence diagnostics, for a report.
 
-    Reads the class's whole column of ratios for k = n..k_max, hands
-    `residue_limit` its entries, and adds the samples and the decay fitted
-    to the limit.
+    Reads only the ratios the report prints or fits: the top half of the
+    class's column (k >= max(1, k_max // 2, n)) as one block of
+    `GrowthTable.ratios`, which the decay fit needs; the block from the
+    quarter point up to the half once the stationary test reads past its
+    first entry there; and the other extrapolation nodes and the samples
+    (every `sample_stride`-th k from n) one entry at a time.
     """
     r, s, n = target = _residue_class(table, target)
-    vals = table.ratios(s, r, n)
-    limit = residue_limit(table, target, tol, force_iterative, lambda k: vals[k - n])
-    delta, r2 = _fit_decay(vals, n, limit.value, table.k_max)
-    samples = tuple(zip(range(n, table.k_max + 1), vals))
-    return ResidueReport(*limit, delta, r2, samples, table.k_max)
+    k_max = table.k_max
+    at = table.ratio(s, r, n)
+    first, half = _quarter_point(n, k_max), max(1, k_max // 2, n)
+    top = table.ratios(s, r, n, half, k_max)
+    below = []
+
+    def ratio(k: int) -> float:
+        if k >= half:
+            return top[k - half]
+        # the stationary test reads up from the quarter point: once its
+        # first entry there passes, the rest of its window is one block
+        if k == first + 1 and not below:
+            below.extend(table.ratios(s, r, n, first, half - 1))
+        return below[k - first] if below and k >= first else at(k)
+
+    limit = residue_limit(table, target, tol, force_iterative, ratio)
+    delta, r2 = _fit_decay(top, half, limit.value)
+    samples = tuple((k, ratio(k)) for k in range(n, k_max + 1, sample_stride(n, k_max)))
+    return ResidueReport(*limit, delta, r2, samples, k_max)

@@ -343,7 +343,7 @@ def test_growth_table_past_its_limits_exits_2(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == (
             "error: the index levels to k_max 2000 pass the limit of 536870912 "
-            "bits (64 MiB, about 3 s and 120 MiB) at level 585\n"
+            "bits (64 MiB, about 1 s and 100 MiB) at level 585\n"
         )
     code, out, err = run(capsys, "residue", str(p), "--target", "2", "--kmax", "40")
     assert (code, out) == (2, "")
@@ -778,6 +778,14 @@ STORED_RUNS = [
             ["residue", "--target", "3", "--kmax", "2000"],
             "residue_triangular_target3_kmax2000.json",
             id="residue-triangular-kmax2000",
+        ),
+        # D = 2^55: the levels reach about 22,800 bits, and every ratio
+        # of length 3 shifts its numerator by 165 bits
+        pytest.param(
+            "tests/data/reducible_weighted.json",
+            ["residue", "--target", "3", "--kmax", "400"],
+            "residue_reducible_weighted_target3_kmax400.json",
+            id="residue-reducible_weighted-kmax400",
         ),
         # levels past the double range: exact integers on a central index,
         # and "p/q" where a weight is not an integer

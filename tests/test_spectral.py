@@ -276,6 +276,40 @@ def test_ratio_column_is_exact_where_the_floats_underflowed(underflow):
         table.ratios("x", "x", 2001)
 
 
+def test_ratio_past_the_double_range_raises_value_error():
+    # (c, a, 2) on the 1e-300 chain: the ratio is about 2^(997 k)
+    chain = GraphBimodule(
+        ["a", "b", "c"],
+        [Edge("la", "a", "a"), Edge("lb", "b", "b", 1e-300), Edge("lc", "c", "c", 1e-300),
+         Edge("ab", "b", "a", 1e-300), Edge("bc", "c", "b", 1e-300)],
+    )
+    table = GrowthTable(chain, 100)
+    with pytest.raises(ValueError, match=r"class \('c', 'a', 2\): growth ratio past"):
+        table.ratio("a", "c", 2)(100)
+    with pytest.raises(ValueError, match=r"class \('c', 'a', 2\): growth ratio past"):
+        table.ratios("a", "c", 2, 90, 100)
+    levels = fraction_levels(chain, 100)
+    for s, r, n in (("c", "c", 1), ("b", "c", 1), ("a", "a", 3)):
+        assert table.ratio(s, r, n)(100) == exact_ratio(levels, s, r, n, 100)
+
+
+@given(graphs(weights=(0.1, 0.3, 0.25, 1.0, 3.0, 7.5, 1e-300, 1e300, 2.0**-1074)))
+@settings(max_examples=60, deadline=None)
+def test_denominator_is_a_power_of_two(m):
+    # GrowthTable.ratio shifts by n log2 D in place of multiplying by D^n
+    D = m.denominator
+    assert D & (D - 1) == 0
+    assert 1 << GrowthTable(m, 0).shift == D
+
+
+def test_growth_table_refuses_a_weight_that_is_not_binary():
+    # a Fraction weight is exact, but 1/3 has no power-of-two denominator
+    m = GraphBimodule(["v"], [Edge("a", "v", "v", Fraction(1, 3)), Edge("b", "v", "v")])
+    assert m.denominator == 3
+    with pytest.raises(ValueError, match="denominator 3 is not a power of two"):
+        GrowthTable(m, 10)
+
+
 def test_underflowed_class_warns_nothing(underflow):
     for k_max in (200, 600, 2000):
         with warnings.catch_warnings():
@@ -291,14 +325,16 @@ def test_stationary_window_is_the_last_three_quarters(underflow):
     # (y, y, 1) tends to 1/2 with an error of order 8^-k, within 1e-10
     # from k = 12 on; at k_max 40 the last three quarters start at k = 11
     # and the last half at k = 21, at k_max 60 the three quarters at k = 16
-    rep = eta_tilde(GrowthTable(underflow, 40), ("y", "y", 1))
-    tail = [c for _, c in rep.samples]
+    table = GrowthTable(underflow, 40)
+    rep = eta_tilde(table, ("y", "y", 1))
+    tail = table.ratios("y", "y", 1)
     last = tail[-1]
     assert all(abs(c - last) <= 1e-10 for c in tail[len(tail) // 2 :])
     assert rep.method != "stationary"
-    rep = eta_tilde(GrowthTable(underflow, 60), ("y", "y", 1))
+    table = GrowthTable(underflow, 60)
+    rep = eta_tilde(table, ("y", "y", 1))
     assert rep.method == "stationary"
-    assert rep.value == rep.samples[-1][1]
+    assert rep.value == table.ratio("y", "y", 1)(60)
 
 
 def _decay_points(samples, value, k_max):
@@ -355,10 +391,11 @@ def test_decay_fit_on_the_column_matches_the_sample_loop(m, k_max, n):
         for s in m.vertices:
             if _target_realized(m, r, s, n):
                 rep = eta_tilde(table, (r, s, n), force_iterative=True)
-                want = _fit_decay_loop(rep.samples, rep.value, k_max)
+                column = list(zip(range(n, k_max + 1), table.ratios(s, r, n)))
+                want = _fit_decay_loop(column, rep.value, k_max)
                 assert (rep.delta, rep.r_squared) == want
                 if rep.r_squared is not None:
-                    delta, r2, noise = _fit_decay_lstsq(rep.samples, rep.value, k_max)
+                    delta, r2, noise = _fit_decay_lstsq(column, rep.value, k_max)
                     # on equal residuals numpy's mean leaves a rounding
                     # spread, and its fit is that noise
                     if noise < 1e-3:
