@@ -73,9 +73,9 @@ class Edge(_Frozen):
 
 def _strong_components(
     succ: list[list[int]],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[frozenset[int], ...]]:
     """Kosaraju with explicit stacks: a component label per node, and a
-    period per component.
+    period and the set of successor components per component.
 
     The second pass emits the labels in topological order (an edge v -> w
     across components has label[v] < label[w]), one DFS per component over
@@ -122,11 +122,14 @@ def _strong_components(
                     stack.append(w)
         label += 1
     period = [0] * label
+    after: list[set[int]] = [set() for _ in range(label)]
     for v in range(n):
         for w in succ[v]:
             if comp[v] == comp[w]:
                 period[comp[v]] = math.gcd(period[comp[v]], level[w] + 1 - level[v])
-    return tuple(comp), tuple(period)
+            else:
+                after[comp[v]].add(comp[w])
+    return tuple(comp), tuple(period), tuple(frozenset(s) for s in after)
 
 
 class GraphBimodule:
@@ -141,8 +144,8 @@ class GraphBimodule:
     The condensation of the range-to-source graph is built here too:
     `component` labels each vertex with its strongly connected component,
     in topological order (an edge r <- s across components has
-    component[r] < component[s]), and `period` gives each component's
-    period, 0 for a vertex on no cycle.
+    component[r] < component[s]); `period` gives each component's period
+    (0 on no cycle) and `successors` the other components its edges reach.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
@@ -184,7 +187,7 @@ class GraphBimodule:
         }
         self.index_float = {v: float(x) for v, x in self.index_exact.items()}
         succ = [[j for j, _ in row] for row in self.integer_adjacency]
-        self.component, self.period = _strong_components(succ)
+        self.component, self.period, self.successors = _strong_components(succ)
 
     # -- structure ------------------------------------------------------
 

@@ -7,11 +7,13 @@ for the flow exactly on symbols (the flow and the exchange defect on
 symbols are the test oracle in `tests/symbolic.py`); descending to the
 quotient by the covariance relations additionally requires the weights to
 reproduce themselves under the index-normalized edge sum, which is solved
-here exactly in rational arithmetic and re-checked by `descent_residual`.
+here exactly, in integers class by class over the condensation, and
+re-checked by `descent_residual`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping
@@ -67,39 +69,43 @@ def descent_residual(module: GraphBimodule, weights: Mapping[str, Fraction]) -> 
     )
 
 
-def _rational_nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Nullspace basis of a rational matrix by Gauss-Jordan elimination."""
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
-        basis.append(vec)
-    return basis
+def _radius_vs_one(rows: list[list[int]], m: int) -> tuple[int, int]:
+    """The sign of rho(K_C) - 1, and the last positive pivot (1 if none).
+
+    The first m columns of rows hold M_C = diag(D * index) - D * N_C for a
+    strong class C, each row divided by a positive integer; columns after
+    them ride along.  Bareiss elimination in place, without pivoting, makes
+    the k-th pivot a positive multiple of the k-th leading principal minor.
+    The irreducible Z-matrix M_C is a nonsingular M-matrix (rho < 1) when
+    all m are positive, a singular one (rho = 1) when only the last is 0,
+    and no M-matrix (rho > 1) otherwise.
+    """
+    prev = 1
+    for k in range(m):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            return (0 if k == m - 1 and pivot == 0 else 1), prev
+        top = rows[k][k + 1:]
+        for i in range(k + 1, m):
+            lead = rows[i][k]
+            rows[i][k + 1:] = [
+                (pivot * a - lead * b) // prev for a, b in zip(rows[i][k + 1:], top)
+            ]
+        prev = pivot
+    return -1, prev
+
+
+def _back_substitute(rows: list[list[int]], size: int, col: int, scale: int) -> list[int]:
+    """y with rows[i] . (y, scale in column col) = 0 for i < size, on rows
+    left upper triangular by `_radius_vs_one`.  With scale the size-th
+    pivot, y is an integer vector by Cramer's rule: every division is exact.
+    """
+    y = [0] * size
+    for i in reversed(range(size)):
+        row = rows[i]
+        acc = row[col] * scale + sum(row[j] * y[j] for j in range(i + 1, size))
+        y[i] = -acc // row[i]
+    return y
 
 
 class TraceFamily(
@@ -111,11 +117,11 @@ class TraceFamily(
 ):
     """All states whose weights survive the quotient descent.
 
-    basis holds one normalized weight vector per independent direction;
-    canonical is their average (the uniform state on a connected graph
-    with unit weights).  feasible is False when no nonnegative nonzero
-    solution was found, in which case canonical is None and dimension -1.
-    Each basis vector is a dict of Fractions by vertex name.
+    basis holds one normalized weight vector per extreme ray of the cone
+    of nonnegative solutions, ordered by the least vertex of its support;
+    canonical is their average (the uniform state on a connected graph with
+    unit weights).  feasible is False when the cone is {0}, and then
+    canonical is None and dimension -1.  Vectors are Fractions by vertex.
     """
 
     __slots__ = ()
@@ -124,61 +130,57 @@ class TraceFamily(
 def invariant_traces(module: GraphBimodule) -> TraceFamily:
     """Solve w_v * index(v) = sum of w over edge sources at v, exactly.
 
-    The system splits over undirected components; each component either
-    supports a unique normalized solution, supports none, or (for
-    disconnected graphs) contributes an independent simplex direction.
-    Sign-indefinite null directions are discarded since states need
-    nonnegative weights.
+    With K = diag(index)^-1 N, N[v][u] the number of edges from u to v, the
+    extreme rays are one to one with the distinguished strong classes: C
+    with rho(K_C) = 1 where every other class with access to C has rho < 1
+    (Schneider, LAA 84, 1986).  The condensation is read last label first,
+    one Bareiss elimination per class.  A class with rho = 1 starts a ray,
+    its positive null vector; one with rho < 1 extends each ray that its
+    successors carry by solving M_A x_A = D * N x; one with rho >= 1 ends
+    each ray that reaches it.
     """
     verts = list(module.vertices)
-    vidx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in module.edges:
-        a, b = find(vidx[g.r]), find(vidx[g.s])
-        if a != b:
-            parent[a] = b
-    comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-
-    generators: list[list[Fraction]] = []
-    for members in comps.values():
-        local = {v: i for i, v in enumerate(members)}
-        m = len(members)
+    D = module.denominator
+    members: list[list[int]] = [[] for _ in module.period]
+    for v, c in enumerate(module.component):
+        members[c].append(v)
+    rays: list[list[int]] = []
+    for c in reversed(range(len(members))):
+        reaching = [x for x in rays if any(x[members[d][0]] for d in module.successors[c])]
+        rays = [x for x in rays if x not in reaching]
+        local = {v: i for i, v in enumerate(members[c])}
+        m = len(local)
         rows = []
-        for v in members:
-            row = [Fraction(0)] * m
-            row[local[v]] += module.index_exact[verts[v]]
-            for g in module.edges_with_range(verts[v]):
-                row[local[vidx[g.s]]] -= 1
+        for v in local:
+            row = [0] * (m + len(reaching))
+            diag = sum(a for _, a in module.integer_adjacency[v])
+            g = math.gcd(D, diag)
+            row[local[v]] = diag // g
+            for e in module.edges_with_range(verts[v]):
+                u = module.vertices.index(e.s)
+                if u in local:
+                    row[local[u]] -= D // g
+                else:
+                    for r, x in enumerate(reaching):
+                        row[m + r] -= D // g * x[u]
             rows.append(row)
-        for vec in _rational_nullspace(rows, m):
-            if all(x >= 0 for x in vec) or all(x <= 0 for x in vec):
-                total = sum(vec)
-                if total == 0:
-                    continue
-                norm = [x / total for x in vec]
-                full = [Fraction(0)] * n
-                for v, i in local.items():
-                    full[v] = norm[i]
-                generators.append(full)
+        sign, scale = _radius_vs_one(rows, m)
+        if sign < 0:
+            for r, x in enumerate(reaching):
+                x[:] = [scale * a for a in x]
+                for v, a in zip(local, _back_substitute(rows, m, m + r, scale)):
+                    x[v] = a
+                rays.append(x)
+        elif sign == 0:
+            rays.append([0] * len(verts))
+            for v, a in zip(local, _back_substitute(rows, m - 1, m - 1, scale) + [scale]):
+                rays[-1][v] = a
 
-    if not generators:
+    if not rays:
         return TraceFamily(module)
-    count = len(generators)
-    canonical_vec = [
-        sum(g[i] for g in generators) / count for i in range(n)
-    ]
-    canonical = TraceState(
-        module, {verts[i]: canonical_vec[i] for i in range(n)}
-    )
-    basis = tuple({verts[i]: g[i] for i in range(n)} for g in generators)
-    return TraceFamily(module, count - 1, basis, canonical, True)
+    basis = []
+    for x in sorted(rays, key=lambda x: next(v for v, a in enumerate(x) if a)):
+        total = sum(x)
+        basis.append({v: Fraction(a, total) for v, a in zip(verts, x)})
+    canonical = {v: sum(b[v] for b in basis) / len(basis) for v in verts}
+    return TraceFamily(module, len(basis) - 1, tuple(basis), TraceState(module, canonical), True)

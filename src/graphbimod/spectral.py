@@ -281,11 +281,6 @@ def growth_profile(module: GraphBimodule) -> GrowthProfile:
     """
     comp = module.component
     n_comp = len(module.period)
-    comp_succ: list[set[int]] = [set() for _ in range(n_comp)]
-    for v, row in enumerate(module.integer_adjacency):
-        for w, _ in row:
-            if comp[v] != comp[w]:
-                comp_succ[comp[v]].add(comp[w])
     # reachable radius and radius-attaining chain count per component
     best_radius = [0.0] * n_comp
     chain = [0] * n_comp
@@ -298,9 +293,9 @@ def growth_profile(module: GraphBimodule) -> GrowthProfile:
                 for v in local
             ]
             own = _perron(rows, module.denominator)[0]
-        r = max([own] + [best_radius[d] for d in comp_succ[c]])
+        r = max([own] + [best_radius[d] for d in module.successors[c]])
         m = max(
-            [chain[d] for d in comp_succ[c] if _same_radius(best_radius[d], r)],
+            [chain[d] for d in module.successors[c] if _same_radius(best_radius[d], r)],
             default=0,
         )
         best_radius[c] = r

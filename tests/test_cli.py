@@ -407,6 +407,34 @@ def test_kms_infeasible_graph_reports_and_passes(capsys, tmp_path):
     assert "canonical" not in doc
 
 
+def test_kms_reports_a_ray_per_distinguished_class(capsys, tmp_path):
+    # one weakly connected graph, two extreme rays: the loops at x and y
+    # each feed z
+    graph = {
+        "vertices": ["x", "y", "z"],
+        "edges": [
+            {"id": "a", "r": "x", "s": "x"},
+            {"id": "b", "r": "y", "s": "y"},
+            {"id": "c", "r": "z", "s": "x"},
+            {"id": "d", "r": "z", "s": "y"},
+            {"id": "e", "r": "z", "s": "z"},
+        ],
+    }
+    p = tmp_path / "two_rays.json"
+    p.write_text(json.dumps(graph))
+    code, out, _ = run(capsys, "kms", str(p))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dimension"] == 1
+    assert doc["generators"] == [
+        {"x": "2/3", "y": "0", "z": "1/3"},
+        {"x": "0", "y": "2/3", "z": "1/3"},
+    ]
+    assert doc["canonical"] == {"x": "1/3", "y": "1/3", "z": "1/3"}
+    assert doc["descent_residual"] == "0"
+    assert doc["failures"] == []
+
+
 def test_kms_trace_that_breaks_descent_exits_1(capsys, monkeypatch, golden_file):
     # (1, 0) is a state on the golden mean but not invariant: at u,
     # 1 * index(u) = 2 against w_u + w_v = 1 over the edges into u

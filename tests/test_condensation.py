@@ -117,9 +117,13 @@ def test_components_are_strong_and_topologically_labelled(m):
     for v in range(n):
         for w in range(n):
             assert (comp[v] == comp[w]) == bool(reach[v, w] and reach[w, v])
+    after = [set() for _ in m.period]
     for e in m.edges:
         r, s = m.vertices.index(e.r), m.vertices.index(e.s)
         assert comp[r] <= comp[s]
+        if comp[r] != comp[s]:
+            after[comp[r]].add(comp[s])
+    assert m.successors == tuple(after)
 
 
 @given(ANY_GRAPH)

@@ -1,9 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import graphs
 from symbolic import (
@@ -31,7 +32,75 @@ from graphbimod import (
     make_path,
     paths,
 )
-from graphbimod.kms import d_weight
+from graphbimod.kms import _radius_vs_one, d_weight
+
+# 0.1 makes the common denominator 2^55
+ANY_GRAPH = st.one_of(
+    graphs(), graphs(weights=(0.5, 1.0, 3.0)), graphs(weights=(0.1, 0.5, 1.0, 3.0))
+)
+
+# x <- x, y <- y and z <- z, with z fed by both loops: the loops are two
+# distinguished classes, so the cone has two extreme rays
+TWO_RAYS = GraphBimodule(
+    ["x", "y", "z"],
+    [Edge("a", "x", "x"), Edge("b", "y", "y"), Edge("c", "z", "x"),
+     Edge("d", "z", "y"), Edge("e", "z", "z")],
+)
+
+
+def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
+    """Nullspace basis of a rational matrix by Gauss-Jordan elimination."""
+    mat = [row[:] for row in rows]
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -mat[r][free]
+        basis.append(vec)
+    return basis
+
+
+def extreme_rays(m) -> set[tuple[Fraction, ...]]:
+    """Extreme rays of {w >= 0 : w_v index(v) = sum of w_s(e) over r(e) = v}.
+
+    A solution is extreme exactly when the system's columns on its support
+    have a one-dimensional nullspace, so each support whose nullspace is
+    one positive (or negative) vector gives one ray, normalized to mass 1.
+    """
+    verts = list(m.vertices)
+    n = len(verts)
+    index = [sum(Fraction(e.weight) for e in m.edges if e.r == v) for v in verts]
+    A = [
+        [(index[i] if u == v else 0) - Fraction(sum(e.r == v and e.s == u for e in m.edges)) for u in verts]
+        for i, v in enumerate(verts)
+    ]
+    rays = set()
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            null = nullspace([[row[j] for j in support] for row in A], size)
+            if len(null) != 1:
+                continue
+            vec = null[0]
+            if all(x > 0 for x in vec) or all(x < 0 for x in vec):
+                w = [Fraction(0)] * n
+                for j, x in zip(support, vec):
+                    w[j] = x / sum(vec)
+                rays.add(tuple(w))
+    return rays
 
 
 def test_d_weight_multiplies_index_along_ranges(golden):
@@ -101,6 +170,74 @@ def test_invariant_traces_split_across_components(two_loops):
     masses = [sum(b.values()) for b in fam.basis]
     assert all(mass == 1 for mass in masses)
     assert fam.canonical.weights["p"] == Fraction(1, 2)
+
+
+@given(ANY_GRAPH)
+@settings(max_examples=200, deadline=None)
+# the solve reaches the ray of {v2} before that of {v0, v1} (and v3)
+@example(GraphBimodule(
+    ["v0", "v1", "v2", "v3"],
+    [Edge("a", "v1", "v0"), Edge("b", "v3", "v0"), Edge("c", "v0", "v1"),
+     Edge("d", "v1", "v1"), Edge("e", "v2", "v2"), Edge("f", "v3", "v3")],
+))
+def test_basis_is_the_extreme_rays_by_support_enumeration(m):
+    fam = invariant_traces(m)
+    verts = list(m.vertices)
+    got = [tuple(b[v] for v in verts) for b in fam.basis]
+    assert set(got) == extreme_rays(m)
+    assert len(got) == len(set(got)) == fam.dimension + 1
+    assert fam.feasible == bool(got)
+    # ordered by the least vertex of each support
+    firsts = [next(i for i, x in enumerate(g) if x) for g in got]
+    assert firsts == sorted(firsts)
+
+
+def test_each_distinguished_class_gives_a_ray():
+    fam = invariant_traces(TWO_RAYS)
+    assert fam.dimension == 1
+    third = Fraction(1, 3)
+    assert [tuple(b.values()) for b in fam.basis] == [(2 * third, 0, third), (0, 2 * third, third)]
+    assert all(descent_residual(TWO_RAYS, b) == 0 for b in fam.basis)
+    assert fam.canonical.weights == {"x": third, "y": third, "z": third}
+
+
+def test_a_class_reached_by_a_unit_radius_class_gives_no_ray():
+    # rho = 1 on {x} and on {z}, but z reaches x, so only z is distinguished
+    m = GraphBimodule(
+        ["x", "z"],
+        [Edge("a", "x", "x"), Edge("b", "z", "z", 0.5), Edge("c", "z", "x", 0.5)],
+    )
+    fam = invariant_traces(m)
+    assert fam.basis == ({"x": 0, "z": 1},)
+
+
+@given(ANY_GRAPH)
+@settings(max_examples=150, deadline=None)
+def test_pivot_signs_decide_the_class_radius_against_one(m):
+    # against numpy's spectral radius of K_C = diag(index)^-1 N_C where it
+    # is clear of 1; on unit weights K is row-stochastic, so rho(K_C) = 1
+    # exactly on the classes that no edge enters from outside
+    verts = list(m.vertices)
+    D = m.denominator
+    for c, period in enumerate(m.period):
+        if not period:
+            continue
+        C = [v for v, cv in zip(verts, m.component) if cv == c]
+        index = [sum(Fraction(e.weight) for e in m.edges if e.r == v) for v in C]
+        N = [[sum(1 for e in m.edges if e.r == v and e.s == u) for u in C] for v in C]
+        size = len(C)
+        rows = [
+            [int(D * index[i]) * (i == j) - D * N[i][j] for j in range(size)]
+            for i in range(size)
+        ]
+        sign, _ = _radius_vs_one(rows, size)
+        K = np.array([[N[i][j] / float(index[i]) for j in range(size)] for i in range(size)])
+        rho = float(np.max(np.abs(np.linalg.eigvals(K))))
+        if abs(rho - 1) > 1e-9:
+            assert sign == (1 if rho > 1 else -1)
+        if all(e.weight == 1 for e in m.edges):
+            entered = any(e.r in C and e.s not in C for e in m.edges)
+            assert sign == (-1 if entered else 0)
 
 
 def test_invariant_traces_infeasible_with_bad_weights(weighted_loop):
