@@ -102,23 +102,53 @@ def _leaf(obj):
 
 def _json(obj, nl: str, out: list) -> None:
     """Append obj as json.dumps(obj, indent=2, sort_keys=True) writes it at
-    indent nl, with string keys and each leaf through `_leaf`."""
+    indent nl, with string keys and each leaf through `_leaf`.
+
+    In a container, a leaf of exact type float (finite), str, int, bool or
+    None goes out in one piece with its key or separator, without a call;
+    any other value, a Fraction or a non-finite float too, recurses."""
     if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
         inner = nl + "  "
         sep, comma = "{" + inner, "," + inner
         for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
-            out.append(f"{sep}{_quote(k)}: ")
-            _json(v, inner, out)
+            cls = v.__class__
+            if cls is float and v - v == 0:
+                out.append(f"{sep}{_quote(k)}: {float.__repr__(v)}")
+            elif cls is str:
+                out.append(f"{sep}{_quote(k)}: {_quote(v)}")
+            elif cls is int:
+                out.append(f"{sep}{_quote(k)}: {int.__repr__(v)}")
+            elif v is None or cls is bool:
+                out.append(f"{sep}{_quote(k)}: {'null' if v is None else 'true' if v else 'false'}")
+            else:
+                out.append(f"{sep}{_quote(k)}: ")
+                _json(v, inner, out)
             sep = comma
-        out.append(nl + "}" if obj else "{}")
+        out.append(nl + "}")
     elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
         inner = nl + "  "
         sep, comma = "[" + inner, "," + inner
         for v in obj:
-            out.append(sep)
-            _json(v, inner, out)
+            cls = v.__class__
+            if cls is float and v - v == 0:
+                out.append(sep + float.__repr__(v))
+            elif cls is str:
+                out.append(sep + _quote(v))
+            elif cls is int:
+                out.append(sep + int.__repr__(v))
+            elif v is None or cls is bool:
+                out.append(sep + ("null" if v is None else "true" if v else "false"))
+            else:
+                out.append(sep)
+                _json(v, inner, out)
             sep = comma
-        out.append(nl + "]" if obj else "[]")
+        out.append(nl + "]")
     else:
         obj = _leaf(obj)
         if isinstance(obj, float):
@@ -162,7 +192,8 @@ def emit(report: dict, fmt: str) -> None:
 
 
 def _level_value(num: int, den: int, k: int) -> float | dict[str, str]:
-    """num / den, an entry of level k, as the nearest float while that is finite.
+    """num / den, a positive entry of level k over den = D^k, a power of two,
+    as the nearest float while that is finite.
 
     Past the double range a JSON number is not portable, so the entry is
     an object holding the exact value as an integer or "p/q" string; there
@@ -172,8 +203,9 @@ def _level_value(num: int, den: int, k: int) -> float | dict[str, str]:
     try:
         return num / den
     except OverflowError:
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
+        if den > 1:  # in lowest terms: drop the trailing zero bits they share
+            z = min((num & -num).bit_length(), den.bit_length()) - 1
+            num, den = num >> z, den >> z
     if abs(num) >= _DIGITS_CAP:
         raise CliError(
             f"level {k} needs more than {INDEX_MAX_DIGITS} digits, above the limit of "

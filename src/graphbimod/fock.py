@@ -11,6 +11,7 @@ the test oracle in `tests/symbolic.py`.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .bimodule import Edge, GraphBimodule, _Frozen
@@ -131,9 +132,30 @@ def index_levels(module: GraphBimodule) -> Iterator[list[int]]:
 
     A and D are the module's integer adjacency and denominator, so the
     k-step index B^k 1 is exactly this level over D^k at every depth.
+    Each row is split once by its distinct entries a: the columns of the
+    unit entries are summed in one C call, and each other group's sum is
+    shifted when a is a power of two and multiplied by a once otherwise.
+    One column is read as vec[j], more through an itemgetter.
     """
-    rows = module.integer_adjacency
-    vec = [1] * len(rows)
+    plan = []
+    for row in module.integer_adjacency:
+        groups: dict[int, list[int]] = {}
+        for j, a in row:
+            groups.setdefault(a, []).append(j)
+        picks = {a: js[0] if len(js) == 1 else itemgetter(*js) for a, js in groups.items()}
+        units = picks.pop(1, None)
+        # a power of two 2^s shifts by s; shift 0 means multiply by a
+        rest = tuple((p, 0 if a & (a - 1) else a.bit_length() - 1, a) for a, p in picks.items())
+        plan.append((units, rest))
+    vec = [1] * len(plan)
     while True:
         yield vec
-        vec = [sum(a * vec[j] for j, a in row) for row in rows]
+        nxt = []
+        for units, rest in plan:
+            t = 0 if units is None else vec[units] if units.__class__ is int else sum(units(vec))
+            for pick, s, a in rest:
+                x = vec[pick] if pick.__class__ is int else sum(pick(vec))
+                x = x << s if s else x * a
+                t = t + x if t else x  # 0 + x would copy x
+            nxt.append(t)
+        vec = nxt

@@ -8,6 +8,20 @@ from hypothesis import assume, strategies as st
 from graphbimod import Edge, GraphBimodule
 
 
+# loops of weight 1 at a and 1e-300 at b and c, links c <- b <- a of weight
+# 1e-300: D = 2^1049, so the levels grow by about 1,050 bits a step
+TINY_CHAIN = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"id": "la", "r": "a", "s": "a"},
+        {"id": "lb", "r": "b", "s": "b", "weight": 1e-300},
+        {"id": "lc", "r": "c", "s": "c", "weight": 1e-300},
+        {"id": "ab", "r": "b", "s": "a", "weight": 1e-300},
+        {"id": "bc", "r": "c", "s": "b", "weight": 1e-300},
+    ],
+}
+
+
 def is_primitive(module: GraphBimodule) -> bool:
     """Some power of B is positive; the Wielandt exponent bounds which one."""
     n = len(module.vertices)

@@ -9,7 +9,9 @@ check the package and the paper's identities against them:
   operations and the sup norm: the coefficient algebra;
 * the Fock module: `FockVector` (finite combinations of paths, whose
   degree-1 vectors are the edge module E), the two actions and the two
-  inner products, the k-step index `beta_k`, the weighted diagonal trace
+  inner products, the k-step index `beta_k` and its integer levels
+  `term_levels` (one product per adjacency entry, the oracle of
+  `fock.index_levels`), the weighted diagonal trace
   `phi_k` (Watatani's trace at k = 1) and `rank_one_phi`, with the
   randomized module-axiom check and the SMEB test;
 * the symbol algebra: `SpanningElement`, finite combinations of symbols
@@ -313,6 +315,16 @@ def left_inner(x: FockVector, y: FockVector) -> AlgebraElement:
         if d is not None:
             vals[m.vertices.index(p.r)] += path_weight(p) * c * d.conjugate()
     return AlgebraElement(m.vertices, vals)
+
+
+def term_levels(module):
+    """A^k 1 for k = 0, 1, 2, ..., one product a * level[j] per entry (j, a)
+    of each row of the integer adjacency, with no grouping by a."""
+    rows = module.integer_adjacency
+    vec = [1] * len(rows)
+    while True:
+        yield vec
+        vec = [sum(a * vec[j] for j, a in row) for row in rows]
 
 
 def beta_k(module, k: int) -> AlgebraElement:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import exact_ratio, fraction_levels
+from conftest import TINY_CHAIN, exact_ratio, fraction_levels
 from dense_spectral import rate_constants, verify_rate_certificate
 
 from graphbimod import bimodule, cli, cuntz_pimsner, fock, kms, spectral
@@ -320,20 +320,7 @@ def test_kasparov_passes_a_positive_reducible_weighted_gram(capsys):
     assert json.loads(out)["classes"][0]["value"] == float(1 / Fraction(0.1))
 
 
-# loops of weight 1 at a and 1e-300 at b and c, links c <- b <- a of weight
-# 1e-300: D = 2^1050, and the class (c, a, 2) has ratio near 1e600
-TINY_CHAIN = {
-    "vertices": ["a", "b", "c"],
-    "edges": [
-        {"id": "la", "r": "a", "s": "a"},
-        {"id": "lb", "r": "b", "s": "b", "weight": 1e-300},
-        {"id": "lc", "r": "c", "s": "c", "weight": 1e-300},
-        {"id": "ab", "r": "b", "s": "a", "weight": 1e-300},
-        {"id": "bc", "r": "c", "s": "b", "weight": 1e-300},
-    ],
-}
-
-
+# on TINY_CHAIN the class (c, a, 2) has ratio near 1e600
 def test_growth_table_past_its_limits_exits_2(capsys, tmp_path):
     p = tmp_path / "chain.json"
     p.write_text(json.dumps(TINY_CHAIN))
@@ -699,6 +686,19 @@ def test_index_levels_are_exact_past_the_float_range(capsys, tmp_path):
     assert levels["322"]["u"] == float(12 * 9**321)
     assert levels["323"]["u"] == {"exact": str(12 * 9**322)}
     assert levels["700"] == {"u": {"exact": str(12 * 9**699)}, "v": {"exact": str(6 * 9**699)}}
+
+
+@given(st.integers(1, 2**2100), st.integers(0, 2100), st.integers(0, 3000))
+@settings(max_examples=200, deadline=None)
+def test_exact_levels_are_in_lowest_terms(odd, zeros, t):
+    # a level entry over D^k = 2^t, reduced by shifts, against Fraction
+    num = (odd | 1) << zeros
+    value = cli._level_value(num, 1 << t, 0)
+    q = Fraction(num, 1 << t)
+    if q <= sys.float_info.max:
+        assert value == float(q)
+    else:
+        assert value == {"exact": str(q)}
 
 
 def test_index_collapse_error_is_exact(capsys, tmp_path):

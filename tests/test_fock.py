@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import graphs
+from conftest import TINY_CHAIN, graphs
 from symbolic import (
     AlgebraElement,
     FockVector,
@@ -24,10 +24,11 @@ from symbolic import (
     right_action,
     right_inner,
     tail,
+    term_levels,
     vertex_path,
 )
 
-from graphbimod import Edge, GraphBimodule, Path, make_path, paths
+from graphbimod import Edge, GraphBimodule, Path, index_levels, make_path, paths
 
 
 def rank_one_tensor_matrix(module, k, xi, eta):
@@ -159,6 +160,22 @@ def test_beta_k_matches_matrix_powers(golden, triangular, lopsided, module):
             expect = [float(x) for x in np.linalg.matrix_power(B, k) @ ones]
             got = beta_k(m, k)
             assert [got[v].real for v in m.vertices] == expect, k
+
+
+@given(graphs() | graphs(weights=(1e-300, 0.1, 0.5, 1.0, 2.0, 3.0, 999.5)))
+@settings(max_examples=60, deadline=None)
+def test_index_levels_equal_one_product_per_entry(module):
+    # parallel edges merge into entries such as 2, so unit, shifted and
+    # multiplied groups of one or more columns all occur
+    grouped = itertools.islice(index_levels(module), 31)
+    assert list(grouped) == list(itertools.islice(term_levels(module), 31))
+
+
+def test_index_levels_of_the_tiny_chain_equal_one_product_per_entry():
+    # entries D = 2^1049 (a shift) and the odd numerator of 1e-300 (a product)
+    m = GraphBimodule(TINY_CHAIN["vertices"], [Edge(**e) for e in TINY_CHAIN["edges"]])
+    grouped = itertools.islice(index_levels(m), 61)
+    assert list(grouped) == list(itertools.islice(term_levels(m), 61))
 
 
 def test_beta_k_past_the_double_range_raises_without_numpy_warnings():
