@@ -1,9 +1,9 @@
 """Print the approach of a growth-ratio class to its limit.
 
 Picks the (range, source, length) class of a path in the given graph and
-tabulates partial ratios against k, the fitted decay exponent, and the
-extrapolated limit.  Useful for eyeballing how slow the triangular-growth
-classes are compared to the primitive ones.
+tabulates partial ratios against k, the limit from the condensation, and
+the decay exponent fitted against it.  Useful for eyeballing how slow the
+triangular-growth classes are compared to the primitive ones.
 
 usage: python scripts/residue_sweep.py scripts/graphs/triangular.json g,f --kmax 2000
 """
@@ -13,7 +13,7 @@ import sys
 
 from graphbimod import eta_tilde, make_path
 from graphbimod.cli import load_graph
-from graphbimod.spectral import GrowthTable
+from graphbimod.spectral import GrowthTable, ResidueLimits
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -27,16 +27,14 @@ def run(argv: list[str] | None = None) -> int:
     module = load_graph(args.graph)
     p = make_path(module, [t for t in args.path.split(",") if t])
     table = GrowthTable(module, args.kmax)
-    rep = eta_tilde(table, p, force_iterative=True)
+    rep = eta_tilde(ResidueLimits(module), table, p)
 
     r, s, n = rep.target
     print(f"class: range {r}, source {s}, length {n}")
     print(f"method {rep.method}, converged {rep.converged}")
-    ratio = table.ratio(s, r, n)
-    stride = max(1, (args.kmax - n + 1) // args.points)
+    ks = range(n, args.kmax + 1, max(1, (args.kmax - n + 1) // args.points))
     print(f"{'k':>6s}  {'ratio':>22s}  {'gap to limit':>14s}")
-    for k in range(n, args.kmax + 1, stride):
-        val = ratio(k)
+    for k, val in zip(ks, table.ratios(s, r, n, ks)):
         print(f"{k:6d}  {val:22.15f}  {abs(val - rep.value):14.3e}")
     print(f"limit {rep.value:.15f}")
     if rep.delta == rep.delta and rep.delta != float("inf"):

@@ -22,7 +22,7 @@ _HOME = {
     "algebra": (),
     "bimodule": ("Edge", "GraphBimodule", "GraphStructureError", "beta_is_central"),
     "fock": ("Path", "index_levels", "make_path", "path_counts", "paths"),
-    "spectral": ("GrowthTable", "ResidueReport", "eta_tilde"),
+    "spectral": ("GrowthTable", "ResidueLimits", "ResidueReport", "eta_tilde"),
     "cuntz_pimsner": (
         "CommutatorReport",
         "ConditionalExpectation",

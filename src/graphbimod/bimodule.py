@@ -132,6 +132,45 @@ def _strong_components(
     return tuple(comp), tuple(period), tuple(frozenset(s) for s in after)
 
 
+def _radius_vs_one(rows: list[list[int]], m: int) -> tuple[int, int]:
+    """The sign of rho(N) - lam, and the last positive pivot (1 if none).
+
+    The first m columns of rows hold an integer Z-matrix M = lam I - N with
+    N >= 0 irreducible, each row divided by a positive integer; columns
+    after them ride along.  Bareiss elimination in place, without pivoting,
+    makes the k-th pivot a positive multiple of the k-th leading principal
+    minor: M is a nonsingular M-matrix (rho < lam, for any N) when all m are
+    positive, a singular one (rho = lam) when only the last is 0, and no
+    M-matrix (rho > lam) otherwise.
+    """
+    prev = 1
+    for k in range(m):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            return (0 if k == m - 1 and pivot == 0 else 1), prev
+        top = rows[k][k + 1:]
+        for i in range(k + 1, m):
+            lead = rows[i][k]
+            rows[i][k + 1:] = [
+                (pivot * a - lead * b) // prev for a, b in zip(rows[i][k + 1:], top)
+            ]
+        prev = pivot
+    return -1, prev
+
+
+def _back_substitute(rows: list[list[int]], size: int, col: int, scale: int) -> list[int]:
+    """y with rows[i] . (y, scale in column col) = 0 for i < size, on rows
+    left upper triangular by `_radius_vs_one`.  With scale the size-th
+    pivot, y is an integer vector by Cramer's rule: every division is exact.
+    """
+    y = [0] * size
+    for i in reversed(range(size)):
+        row = rows[i]
+        acc = row[col] * scale + sum(row[j] * y[j] for j in range(i + 1, size))
+        y[i] = -acc // row[i]
+    return y
+
+
 class GraphBimodule:
     """Finite directed graph together with its weighted edge bimodule.
 

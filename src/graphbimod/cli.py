@@ -290,7 +290,7 @@ def _residue_entry(rep, stride: int) -> dict:
 
 def cmd_residue(args) -> int:
     from .fock import make_path, path_counts, paths
-    from .spectral import GrowthTable, check_kmax, eta_tilde, sample_stride
+    from .spectral import GrowthTable, ResidueLimits, check_kmax, eta_tilde, sample_stride
 
     module = load_graph(args.graph)
     start = time.perf_counter()
@@ -318,37 +318,22 @@ def cmd_residue(args) -> int:
     table.columns  # every class reads its top half: build the levels in this stage
     stages = {"growth_table": time.perf_counter() - start}
     mark = time.perf_counter()
+    limits = ResidueLimits(module)
     entries = {}
     for r, s in sorted({(p.r, p.s) for p in pool}):
-        rep = eta_tilde(table, (r, s, n), tol=args.tol, force_iterative=args.force_iterative)
+        rep = eta_tilde(limits, table, (r, s, n))
         entries[(r, s)] = _residue_entry(rep, sample_stride(n, args.kmax))
     stages["classes"] = time.perf_counter() - mark
-    rows = []
-    for p in sorted(pool, key=lambda q: q.sort_key()):
-        cls = entries[(p.r, p.s)]
-        rows.append(
-            {
-                "path": p.label(),
-                "edges": list(p.ids),
-                "range": p.r,
-                "source": p.s,
-                "length": n,
-                "value": cls["value"],
-                "converged": cls["converged"],
-                "method": cls["method"],
-                "delta": cls["delta"],
-            }
-        )
+    rows = [
+        {"path": p.label(), "edges": list(p.ids), "range": p.r, "source": p.s, "length": n}
+        | {key: entries[p.r, p.s][key] for key in ("value", "converged", "method", "delta")}
+        for p in sorted(pool, key=lambda q: q.sort_key())
+    ]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "residue",
         "graph": args.graph,
-        "parameters": {
-            "target": args.target,
-            "kmax": args.kmax,
-            "tol": args.tol,
-            "force_iterative": args.force_iterative,
-        },
+        "parameters": {"target": args.target, "kmax": args.kmax},
         "paths": rows,
         "classes": list(entries.values()),
     }
@@ -373,12 +358,12 @@ def cmd_kasparov(args) -> int:
     module = load_graph(args.graph)
     start = time.perf_counter()
     failures: list[str] = []
-    expectation = ConditionalExpectation(module, args.kmax, args.tol)
+    expectation = ConditionalExpectation(module)
     header = {
         "schema_version": SCHEMA_VERSION,
         "command": "kasparov",
         "graph": args.graph,
-        "parameters": {"depth": args.depth, "kmax": args.kmax, "tol": args.tol},
+        "parameters": {"depth": args.depth, "tol": args.tol},
     }
     try:
         gdata = gram(module, args.depth, expectation)
@@ -426,7 +411,6 @@ def cmd_kasparov(args) -> int:
                 "basis": gdata.basis_size,
                 "blocks": gdata.blocks,
                 "classes": gdata.classes,
-                "level_bits": expectation.table.level_bits,
             },
         }
     emit(report, args.format)
@@ -539,17 +523,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="integer degree (all classes) or comma-separated edge ids (one path)",
     )
     p_res.add_argument("--kmax", type=_count, default=200)
-    p_res.add_argument("--force-iterative", action="store_true")
     p_res.set_defaults(func=cmd_residue)
 
     p_kas = sub.add_parser("kasparov", help="gram and commutator checks")
     common(p_kas)
     p_kas.add_argument("--depth", type=_count, default=3)
-    p_kas.add_argument("--kmax", type=_count, default=200)
+    # not on index, residue or kms: their limits and checks are exact or
+    # certified, so no tolerance decides them
+    p_kas.add_argument("--tol", type=_tolerance, default=1e-10)
     p_kas.set_defaults(func=cmd_kasparov)
-    # not on index or kms: their checks are exact, so no tolerance decides them
-    for p in (p_res, p_kas):
-        p.add_argument("--tol", type=_tolerance, default=1e-10)
 
     p_kms = sub.add_parser("kms", help="invariant traces and their descent certificate")
     common(p_kms)

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .bimodule import Edge, GraphBimodule
 from .fock import path_counts, path_totals
-from .spectral import GrowthTable, ResidueLimit, residue_limit
+from .spectral import ResidueLimit, ResidueLimits, residue_limit
 
 
 class ResidueUncertifiedError(RuntimeError):
@@ -29,27 +29,20 @@ class ResidueUncertifiedError(RuntimeError):
 
 
 class ConditionalExpectation:
-    """The residue limits that weigh the expectation's diagonal symbols.
+    """The residue limits that weigh the expectation's diagonal symbols:
+    one `spectral.ResidueLimits` for every class (range, source, length),
+    each solved once and kept; an uncertified one raises
+    `ResidueUncertifiedError`."""
 
-    One growth table, `table`, up to k_max serves every class
-    (range, source, length), each solved once to `tol` by
-    `spectral.residue_limit`, and the limits are kept per class; an
-    unconverged limit raises `ResidueUncertifiedError`.  No samples or
-    decay fit are taken, and only the ratios a limit reads are divided:
-    on a graph whose Perron data certify the closed form, the table
-    builds no levels at all.
-    """
-
-    def __init__(self, module: GraphBimodule, k_max: int = 200, tol: float = 1e-10):
+    def __init__(self, module: GraphBimodule):
         self.module = module
-        self.tol = tol
         self._reports: dict[tuple[str, str, int], ResidueLimit] = {}
-        self.table = GrowthTable(module, k_max)
+        self.limits = ResidueLimits(module)
 
     def residue(self, r: str, s: str, n: int) -> ResidueLimit:
         key = (r, s, n)
         if key not in self._reports:
-            self._reports[key] = residue_limit(self.table, key, tol=self.tol)
+            self._reports[key] = residue_limit(self.limits, key)
         return self._reports[key]
 
     def limit(self, r: str, s: str, n: int) -> float:
@@ -57,8 +50,7 @@ class ConditionalExpectation:
         rep = self.residue(r, s, n)
         if not rep.converged:
             raise ResidueUncertifiedError(
-                f"residue limit for class {rep.target} did not converge "
-                f"(method {rep.method}, k_max {self.table.k_max})"
+                f"residue limit for class {rep.target} did not converge (method {rep.method})"
             )
         return rep.value
 
@@ -97,11 +89,10 @@ _TOL = 1e-10
 # rho cell of each class row.  On a 2-CPU machine a step took 1.7-2.9 us
 # with closed-form residues: golden mean at depth 120, 0.14 million steps,
 # 0.34 s; a 20-vertex graph with 3 edges per source at depth 20, 1.5
-# million, 4.3 s.  So this many keep a run under about 10 s.  Residue solves
-# are not counted: that graph with weights 0.1 to 3 also takes the closed
-# form, in 3.1 s (median of 5); one whose residues read the growth levels
-# pays for those, as tests/data/reducible_weighted.json at depth 40 does,
-# 0.43 s for 76 thousand steps (median of 5), 4.5 us a step in its Gram
+# million, 4.3 s.  So this many keep a run under about 10 s.  A reducible
+# graph's residues, solved once per reach radius, add little:
+# tests/data/reducible_weighted.json at depth 40, 76 thousand steps, takes
+# 0.22 s wall and 0.10 s in its Gram, 1.4 us a step (medians of 5)
 GRAM_MAX_PIVOTS = 4_000_000
 
 
@@ -374,9 +365,9 @@ def _commutator(data: GramData, g: Edge, walk, res) -> CommutatorReport:
     for level, limits in zip(walk, res):
         for s, (_, _, hi, squares) in level:
             c = limits[s]
-            # a sum of squares past the double range is inf, and inf * 0 nan
+            # a product, not ** 2: a square past the double range is inf, and inf * 0 nan
             if c:
-                norm2 += (g.weight * c) ** 2 * squares
+                norm2 += (g.weight * c) * (g.weight * c) * squares
                 survives = survives or abs(g.weight * hi * c) > _TOL
     ranks, total = data.operator_rank({g.r: norm2})
     predicted = {v: int(v == g.r and survives) for v in data.vertex_names}

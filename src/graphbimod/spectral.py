@@ -1,14 +1,11 @@
-"""Growth of the weighted adjacency matrix and residue-type limits.
+"""Growth of B^k 1 (B the weighted adjacency, range by source) and the
+residues of the ratios c_k(r, s, n) = (B^{k-n} 1)_s / (B^k 1)_r.
 
-Everything here is about the sequence B^k 1 (B the weighted adjacency in
-range-by-source convention) and the ratios
-
-    c_k(r, s, n) = (B^{k-n} 1)_s / (B^k 1)_r
-
-whose limits give the residue coefficients of the series built on the
-k-step index.  For primitive B the limit has a closed form through the
-Perron eigenvectors; in general it is decided structurally where possible
-and otherwise estimated by polynomial extrapolation in 1/k.
+Along each phase k = j (mod p), p the lcm of the periods of the classes of
+largest radius that r reaches, c_k has a limit fixed by the leading data
+of the condensation (Friedland and Schneider, SIAM J. Alg. Disc. Meth. 1,
+1980; Rothblum, LAA 12, 1975); the residue, the Cesaro mean of c_k, is
+the mean of those p limits.
 """
 
 from __future__ import annotations
@@ -16,12 +13,13 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from contextlib import suppress
 from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 from operator import lshift, truediv
 
-from .bimodule import GraphBimodule
+from .bimodule import GraphBimodule, _back_substitute, _radius_vs_one, _strong_components
 from .fock import Path, index_levels
 
 _CERTIFIED_WIDTH = 1e-12
@@ -34,31 +32,31 @@ _CERTIFIED_WIDTH = 1e-12
 GROWTH_MAX_LEVEL_BITS = 2**29
 # relative tolerance under which two spectral radii count as equal
 _RADIUS_RTOL = 1e-9
-# inverse iteration steps per Perron pair; shifted by the Collatz-Wielandt
-# upper bound, the steps settle to a few ulps in a handful
-_PERRON_MAX_STEPS = 100
+# inverse iteration steps per Perron pair: a handful settle to a few ulps,
+# but where weights near 1e-300 meet O(1) ones the shift falls by about 1.6
+# a step, so a root near 1e-100 takes about 500; then exact power steps,
+# for a Perron vector that spans more than the double range
+_PERRON_MAX_STEPS = 1000
+_POWER_MAX_STEPS = 60
 _EPS = 2.0**-52
 
 
 def _shifted_solve(M: list[list[float]], sigma: float, b: list[float]) -> list[float]:
-    """Solve (sigma I - M) z = b by Gaussian elimination without pivoting.
-
-    For an irreducible nonnegative M and sigma at or above its Perron root,
-    sigma I - M is an M-matrix: the pivots are positive (the last one
-    tends to 0 as sigma tends to the root), the off-diagonal entries stay
-    nonpositive, and for b > 0 forward and back substitution only add
-    nonnegative terms, so z > 0.  A pivot that rounds to at most
-    eps * sigma (or the least normal float) is raised to that, as inverse
-    iteration does for a shift on the eigenvalue: z is then large along
-    the Perron vector.
+    """Solve (sigma I - M) z = b, M >= 0, by elimination without pivoting:
+    sigma at or above the Perron root makes sigma I - M an M-matrix, with
+    positive pivots.  In floats a pivot of at most eps * sigma is raised to
+    that, as inverse iteration does; with a Fraction sigma the solve is
+    exact, and a pivot <= 0 (sigma below the root) raises ArithmeticError.
     """
     n = len(M)
-    U = [[(sigma if i == j else 0.0) - a for j, a in enumerate(row)] for i, row in enumerate(M)]
+    U = [[(sigma if i == j else 0 * sigma) - a for j, a in enumerate(r)] for i, r in enumerate(M)]
     z = list(b)
-    tiny = max(_EPS * sigma, sys.float_info.min)
+    tiny = max(_EPS * sigma, sys.float_info.min) if type(sigma) is float else 0
     for k in range(n):
         uk = U[k]
         if uk[k] <= tiny:
+            if not tiny:
+                raise ArithmeticError
             uk[k] = tiny
         for i in range(k + 1, n):
             ui = U[i]
@@ -75,22 +73,20 @@ def _shifted_solve(M: list[list[float]], sigma: float, b: list[float]) -> list[f
 
 def _perron(
     rows: list[list[tuple[int, int]]], D: int
-) -> tuple[float, tuple[float, ...], int, tuple[Fraction, Fraction]]:
+) -> tuple[float, tuple[float, ...], bool, tuple[Fraction, Fraction]]:
     """Perron root and unit positive Perron vector of an irreducible B = A / D.
 
     rows[i] holds the (column, entry) pairs of row i of the integer A.
     Shifted inverse iteration (Ipsen, SIAM Review 1997) from the unit
-    all-equal vector: each step solves (h I - B) z = x, with h the
-    Collatz-Wielandt upper bound max_i (Bx)_i / x_i of the current x,
-    which is at or above the root, so z stays positive.  It stops when the
-    float bracket [min_i, max_i] of those quotients is two ulps wide or no
-    longer narrows, and keeps the narrowest x.  Returns the root, x, the
-    number of steps and the exact bracket of x, (Ax)_i / (D x_i) in
-    Fractions, which holds the root; the root is the float nearest the
-    middle of that bracket.  A step costs O(V^3) float operations in
-    Python; the vector of a graph took about 0.25 ms at 6 vertices and
-    9-14 ms at 60 (2-CPU machine, random graphs with two edges per
-    source, 6-11 steps).
+    all-equal vector: each step solves (h I - B) z = x, h the
+    Collatz-Wielandt bound max_i (Bx)_i / x_i, at or above the root.  It
+    stops when the bracket of those quotients is two ulps wide, or no
+    longer narrows once within 1e-12 of its top, and keeps the narrowest
+    x.  Where its exact bracket, (Ax)_i / (D x_i) in Fractions, is wider,
+    exact power steps X <- A X narrow it.  Returns the root (the float
+    nearest the middle of the bracket), x, whether the bracket certifies
+    (1e-12 wide relative to its top) and the bracket.  A step took 0.25 ms
+    at 6 vertices, 9-14 ms at 60 (2-CPU machine).
     """
     n = len(rows)
     M = [[0.0] * n for _ in range(n)]
@@ -105,9 +101,10 @@ def _perron(
         ]
         hi = max(q)
         width = hi - min(q)
-        if width >= best_width:
+        if width < best_width:
+            best, best_width = x, width
+        elif best_width <= _CERTIFIED_WIDTH * hi:
             break
-        best, best_width = x, width
         if width <= 2 * _EPS * hi or steps == _PERRON_MAX_STEPS:
             break
         z = _shifted_solve(M, hi, x)
@@ -123,57 +120,29 @@ def _perron(
     ratios = [v.as_integer_ratio() for v in best]
     common = max(d for _, d in ratios)
     X = [p * (common // d) for p, d in ratios]
-    quotients = [
-        Fraction(sum(a * X[j] for j, a in row), D * xi) for row, xi in zip(rows, X)
-    ]
-    bounds = (min(quotients), max(quotients))
-    return float((bounds[0] + bounds[1]) / 2), tuple(best), steps, bounds
-
-
-class PFData(
-    namedtuple(
-        "PFData",
-        "spectral_radius right_eigenvector primitive iterations converged radius_bounds",
-    )
-):
-    """Perron data of the weighted adjacency matrix.
-
-    Computed only on an irreducible graph (one strongly connected
-    component), where the Perron root is simple and its eigenvectors are
-    positive; on a reducible graph every field but `primitive` (False) is
-    None, 0 or False.  `right_eigenvector` w is the unit Perron vector of
-    B from `_perron`, whose steps `iterations` counts.  `radius_bounds`
-    is the Collatz-Wielandt bracket
-    min_i (Bw)_i / w_i <= r <= max_i of the same, computed exactly in
-    Fractions from the integer adjacency, the denominator and the binary
-    values of w, and `spectral_radius` the float nearest its middle.
-    `converged` means the bracket's width is at most 1e-12 relative to its
-    upper end.
-    """
-
-    __slots__ = ()
-
-
-def pf_data(module: GraphBimodule) -> PFData:
-    if len(module.period) > 1:
-        return PFData(None, None, False, 0, False, None)
-    radius, w, steps, bounds = _perron(module.integer_adjacency, module.denominator)
-    converged = bounds[1] - bounds[0] <= _CERTIFIED_WIDTH * bounds[1]
-    return PFData(radius, w, module.period == (1,), steps, converged, bounds)
+    for power in range(_POWER_MAX_STEPS + 1):
+        AX = [sum(a * X[j] for j, a in row) for row in rows]
+        quotients = [Fraction(y, D * xi) for y, xi in zip(AX, X)]
+        bounds = (min(quotients), max(quotients))
+        certified = bounds[1] - bounds[0] <= _CERTIFIED_WIDTH * bounds[1]
+        if certified or power == _POWER_MAX_STEPS:
+            break
+        # a common power of two off, keeping 64 bits of the least entry
+        X = [y >> max(0, min(AX).bit_length() - 64) for y in AX]
+    if power:
+        best = [xi / max(X) for xi in X]
+        norm = math.hypot(*best)
+        best = [v / norm for v in best]
+    return float((bounds[0] + bounds[1]) / 2), tuple(best), certified, bounds
 
 
 class GrowthTable:
-    """The growth data of one graph up to k_max, built once and passed in.
+    """The exact levels of one graph up to k_max, for the `residue` report.
 
-    Holds the Perron data, built at construction, and, on first use, the
-    growth profile and the exact levels A^k 1 = D^k B^k 1 of
-    `fock.index_levels` for k = 0..k_max, transposed into one tuple per
-    vertex (`columns`): the first growth ratio read builds them all, so a
-    residue that takes the closed form builds none.  Each growth ratio is
-    the correctly rounded float of an integer quotient.  The levels gain
-    log2(D * radius) bits per entry and step, so a non-dyadic weight costs
-    much (D = 2^55 for 0.1); their total, `level_bits` (0 until they are
-    built), may not pass `GROWTH_MAX_LEVEL_BITS`.
+    On first use, the levels A^k 1 = D^k B^k 1 of `fock.index_levels` for
+    k = 0..k_max, one tuple per vertex (`columns`).  They gain
+    log2(D * radius) bits per entry and step (D = 2^55 for a weight 0.1);
+    their total, `level_bits`, may not pass `GROWTH_MAX_LEVEL_BITS`.
     """
 
     def __init__(self, module: GraphBimodule, k_max: int):
@@ -188,7 +157,6 @@ class GrowthTable:
         self.module = module
         self.k_max = k_max
         self.level_bits = 0
-        self.pf = pf_data(module)
         # every weight is a binary float, so D = 2^shift and D^n = 1 << n*shift
         self.shift = D.bit_length() - 1
 
@@ -206,100 +174,97 @@ class GrowthTable:
             levels.append(level)
         return tuple(zip(*levels))
 
-    @cached_property
-    def profile(self) -> GrowthProfile:
-        return growth_profile(self.module)
-
-    def ratio(self, s_vertex: str, r_vertex: str, n: int):
-        """The growth ratio k -> (B^{k-n} 1)_s / (B^k 1)_r, for n <= k <= k_max.
-
-        Each is (A^{k-n}1_s << n log2 D) / A^k 1_r, correctly rounded and
-        never 0/0, as every vertex is a range.  Only a class with no path,
-        or whose path weighs below 2^-1024, passes the double range:
-        reading such an entry raises ValueError.
-        """
-        if not 0 <= n <= self.k_max:
-            raise ValueError("need 0 <= n <= k_max")
-        num, den = self._pair(s_vertex, r_vertex)
-        shift = n * self.shift
-
-        def at(k: int) -> float:
-            try:
-                return (num[k - n] << shift) / den[k]
-            except OverflowError:
-                target = (r_vertex, s_vertex, n)
-                raise ValueError(f"class {target}: growth ratio past the double range")
-
-        return at
-
-    def ratios(self, s_vertex: str, r_vertex: str, n: int, lo=None, hi=None) -> list[float]:
-        """The entries of `ratio` for k = lo..hi (by default n..k_max), entry k - lo.
-
-        They divide as one block of integer quotients over two column
-        slices; a block that passes the double range reads `ratio` one
-        entry at a time, which raises ValueError at the first such entry.
-        """
-        at = self.ratio(s_vertex, r_vertex, n)
-        lo = n if lo is None else lo
-        hi = self.k_max if hi is None else hi
-        if lo < n or hi > self.k_max:
-            raise ValueError("need n <= lo and hi <= k_max")
-        num, den = self._pair(s_vertex, r_vertex)
-        nums = num[lo - n : hi - n + 1]
+    def ratios(self, s_vertex: str, r_vertex: str, n: int, ks: range | None = None) -> list[float]:
+        """(B^{k-n} 1)_s / (B^k 1)_r for k in the range ks (by default n..k_max),
+        each (A^{k-n}1_s << n log2 D) / A^k 1_r correctly rounded; a ratio
+        past the double range raises ValueError naming the class."""
+        ks = range(n, self.k_max + 1) if ks is None else ks
+        if not 0 <= n <= self.k_max or ks and (ks[0] < n or ks[-1] > self.k_max):
+            raise ValueError("need 0 <= n <= k <= k_max")
+        index = self.module.vertices.index
+        num, den = self.columns[index(s_vertex)], self.columns[index(r_vertex)]
+        nums = num[ks.start - n : ks.stop - n : ks.step]
         if n * self.shift:
             nums = map(lshift, nums, repeat(n * self.shift))
         try:
-            return list(map(truediv, nums, den[lo : hi + 1]))
+            return list(map(truediv, nums, den[ks.start : ks.stop : ks.step]))
         except OverflowError:
-            return list(map(at, range(lo, hi + 1)))
-
-    def _pair(self, s_vertex: str, r_vertex: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        index = self.module.vertices.index
-        return self.columns[index(s_vertex)], self.columns[index(r_vertex)]
+            raise ValueError(
+                f"class {(r_vertex, s_vertex, n)}: growth ratio past the double range"
+            ) from None
 
 
-# -- condensation growth profile ------------------------------------------
+# -- the condensation: Perron data per class and the growth profile -------
 
 
-class GrowthProfile(namedtuple("GrowthProfile", "radius degree")):
-    """Per-vertex growth exponents of (B^k 1)_v ~ k^degree * radius^k.
-
-    radius is the largest spectral radius among strongly connected
-    components reachable from the vertex (walking range to source), and
-    degree counts the longest reachable chain of components attaining that
-    radius, minus one.  Both are dicts by vertex name.
-    """
+class _PerronClass(namedtuple("_PerronClass", "parts rows pairs radius")):
+    """One strong class of period q: its cyclic `parts`, the (column, entry)
+    `rows` of A^q on each, each part's `_perron` result for A^q / D^q
+    (`pairs`), and the class's root (`radius`, 0.0 with no cycle)."""
 
     __slots__ = ()
 
 
-def growth_profile(module: GraphBimodule) -> GrowthProfile:
-    """Read the module's condensation, closing it from the last label down.
+def _power(rows: list, p: int, one) -> list[list]:
+    """The p-th power, dense, of the matrix with these (column, entry) rows."""
+    m = len(rows)
+    P = [[one * (i == j) for j in range(m)] for i in range(m)]
+    for _ in range(p):
+        P = [[sum((a * P[k][j] for k, a in row), one * 0) for j in range(m)] for row in rows]
+    return P
 
-    Every successor of a component has a larger label, so it is closed
-    before the component itself.
-    """
+
+def _perron_classes(module: GraphBimodule) -> list[_PerronClass]:
+    """`_PerronClass` per strong class, in label order.  A^q splits a class
+    of period q into its q cyclic parts, each primitive, so each part's
+    Perron pair certifies alone; on a primitive graph this is the one
+    `_perron` call of the closed form."""
+    out = []
+    for c, q in enumerate(module.period):
+        members = [v for v, cv in enumerate(module.component) if cv == c]
+        if not q:
+            out.append(_PerronClass((members,), (), (), 0.0))
+            continue
+        local = {v: i for i, v in enumerate(members)}
+        A = [[(local[w], a) for w, a in module.integer_adjacency[v] if w in local] for v in members]
+        parts, rows = [range(len(members))], [A]
+        if q > 1:
+            Q = _power(A, q, 1)
+            label = _strong_components([[j for j, a in enumerate(row) if a] for row in Q])[0]
+            parts = [[i for i, x in enumerate(label) if x == k] for k in range(q)]
+            rows = [[[(b, Q[i][j]) for b, j in enumerate(p) if Q[i][j]] for i in p] for p in parts]
+        pairs = [_perron(r, module.denominator**q) for r in rows]
+        parts = [[members[i] for i in p] for p in parts]
+        out.append(_PerronClass(parts, rows, pairs, pairs[0][0] ** (1 / q)))
+    return out
+
+
+class GrowthProfile(namedtuple("GrowthProfile", "radius degree")):
+    """Per-vertex growth exponents of (B^k 1)_v ~ k^degree * radius^k, as
+    dicts by vertex name: the largest radius among the classes the vertex
+    reaches, and the longest chain of them attaining it, minus one."""
+
+    __slots__ = ()
+
+
+def growth_profile(module: GraphBimodule, classes: list | None = None) -> GrowthProfile:
+    """Close the condensation from the last label down, a successor before
+    its component, on the radii of `classes` (`_perron_classes`)."""
+    own = [k.radius for k in classes or _perron_classes(module)]
+    if len(own) == 1:  # one class, which every vertex reaches
+        radius, degree = dict.fromkeys(module.vertices, own[0]), dict.fromkeys(module.vertices, 0)
+        return GrowthProfile(radius, degree)
     comp = module.component
     n_comp = len(module.period)
     # reachable radius and radius-attaining chain count per component
     best_radius = [0.0] * n_comp
     chain = [0] * n_comp
     for c in reversed(range(n_comp)):
-        own = 0.0
-        if module.period[c]:
-            local = {v: i for i, v in enumerate(v for v, cv in enumerate(comp) if cv == c)}
-            rows = [
-                [(local[w], a) for w, a in module.integer_adjacency[v] if w in local]
-                for v in local
-            ]
-            own = _perron(rows, module.denominator)[0]
-        r = max([own] + [best_radius[d] for d in module.successors[c]])
-        m = max(
-            [chain[d] for d in module.successors[c] if _same_radius(best_radius[d], r)],
-            default=0,
-        )
+        r = max([own[c]] + [best_radius[d] for d in module.successors[c]])
+        same = [chain[d] for d in module.successors[c] if _same_radius(best_radius[d], r)]
+        m = max(same, default=0)
         best_radius[c] = r
-        chain[c] = m + 1 if _same_radius(own, r) else m
+        chain[c] = m + 1 if _same_radius(own[c], r) else m
     return GrowthProfile(
         {v: best_radius[comp[i]] for i, v in enumerate(module.vertices)},
         {v: max(chain[comp[i]] - 1, 0) for i, v in enumerate(module.vertices)},
@@ -307,39 +272,169 @@ def growth_profile(module: GraphBimodule) -> GrowthProfile:
 
 
 def _same_radius(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_RADIUS_RTOL, abs_tol=1e-12)
+    # relative only: radii near 1e-300 are as far apart as any others
+    return math.isclose(a, b, rel_tol=_RADIUS_RTOL)
+
+
+# -- the leading coefficients of each reach radius ---------------------------
+
+
+class _Level(namedtuple("_Level", "method period leading scale converged")):
+    """u^(j) of one reach radius rho by vertex, `leading[j]` for j < p =
+    `period`; `scale` is rho, or Lambda = (D rho)^p if `method` is "exact"."""
+
+    __slots__ = ()
+
+
+class ResidueLimits:
+    """The residue limits of one graph, from its condensation: the Perron
+    data of each class and the growth profile, and the leading coefficients
+    of each reach radius (`level`), built on its first read."""
+
+    def __init__(self, module: GraphBimodule):
+        self.module = module
+        self.classes = _perron_classes(module)
+        self.profile = growth_profile(module, self.classes)
+        self._levels: dict[float, _Level] = {}
+
+    def level(self, rho: float) -> _Level:
+        """The leading coefficients of reach radius rho (`_solve_level`)."""
+        if rho not in self._levels:
+            module, classes = self.module, self.classes
+            S, labels, top = range(len(module.vertices)), [0], [0]  # one class
+            if len(classes) > 1:
+                rad = self.profile.radius.values()  # in vertex order
+                S = [v for v, x in enumerate(rad) if x <= rho or _same_radius(x, rho)]
+                labels = sorted({module.component[v] for v in S}, reverse=True)
+                own = [(c, classes[c].radius) for c in labels if module.period[c]]
+                top = [c for c, x in own if x == rho or _same_radius(x, rho)]
+            p = math.lcm(*(module.period[c] for c in top))
+            if len(labels) == 1 and p == 1:
+                (part,), ((_, x, certified, _),) = classes[top[0]].parts, classes[top[0]].pairs
+                names = map(module.vertices.labels.__getitem__, part)
+                level = _Level("closed_form", 1, [dict(zip(names, x))], rho, certified)
+            else:
+                try:
+                    level = _solve_level(self, S, labels, top, p, rho, exact=True)
+                except ArithmeticError:
+                    level = _solve_level(self, S, labels, top, p, rho, exact=False)
+            self._levels[rho] = level
+        return self._levels[rho]
+
+
+def _solve_level(limits, S, labels, top, p, rho, exact) -> _Level:
+    """The leading coefficients of the vertices whose reach radius is rho.
+
+    S holds the vertices of reach radius at most rho, L those below it, p
+    is the lcm of the periods of the classes of radius rho, P = (B/rho)^p
+    and y^(j) = (B/rho)^j 1.  Then (P^m y^(j))_v = binom(m, d_v) u_v^(j)
+    (1 + o(1)) for v of reach radius rho and degree d_v, and the classes,
+    read from the last label down, give u_c, with Pi_c the Perron
+    projection of P_cc at 1:
+    - Pi_c (y_c + P_cL (I - P_LL)^-1 y_L) on a class of radius rho with
+      no successor of radius rho;
+    - Pi_c sum over d_b = d_c - 1 of P_cb u_b on one that has one;
+    - (I - P_cc)^-1 sum over d_b = d_c of P_cb u_b on a lower class.
+    Exactly, on A^p and u^(j) from A^j 1, Lambda = (D rho)^p is rounded from
+    a bracket: Pi_c comes from the Bareiss null vectors of Lambda I - P_cc,
+    which exist only at its root, and a solve needs positive pivots (roots
+    below Lambda), else ArithmeticError.  In floats, Pi_c comes from the
+    right and left `_perron` pairs of A^q on each cyclic part, and the
+    level certifies when their brackets do and every u is finite.
+    """
+    module, classes, D = limits.module, limits.classes, limits.module.denominator
+    idx = {v: i for i, v in enumerate(S)}
+    m, one, zero = len(S), (1 if exact else 1.0), (Fraction(0) if exact else 0.0)
+    T = [[(idx[w], a if exact else a / D / rho) for w, a in module.integer_adjacency[v]] for v in S]
+    P, ys = _power(T, p, one), [[one] * m]
+    while len(ys) < p:
+        ys.append([sum((a * ys[-1][k] for k, a in row), zero) for row in T])
+    names = module.vertices.labels
+    deg = [limits.profile.degree[names[v]] for v in S]
+    high = [_same_radius(limits.profile.radius[names[v]], rho) for v in S]
+    low = [i for i in range(m) if not high[i]]
+    bracket = classes[top[0]].pairs[0][3]
+    lam = round((sum(bracket) / 2) ** (p // module.period[top[0]]) * D**p) if exact else 1.0
+
+    def solve(block, rhs):
+        # z with (Lambda I - P) z = rhs on a block of roots below Lambda
+        return _shifted_solve([[P[a][b] for b in block] for a in block], zero + lam, rhs)
+
+    projections, converged = {c: [] for c in top}, True
+    for c in top:
+        for part, rows, (_, x, certified, _) in zip(*classes[c][:3]):
+            pos = [idx[v] for v in part]
+            if exact:
+                M = [[lam * (a == b) - P[a][b] for b in pos] for a in pos]
+                x, left = _null_vector(M), _null_vector([list(col) for col in zip(*M)])
+            else:
+                flip = [[(i, a) for i, r in enumerate(rows) for k, a in r if k == j]
+                        for j in range(len(pos))]
+                _, left, left_certified, _ = _perron(flip, D ** module.period[c])
+                converged = converged and certified and left_certified
+            projections[c].append((pos, x, left))
+
+    def inflow(i, d, at):
+        # sum of P[i][b] u[b] over the b of degree d outside the class at
+        return sum((P[i][b] * u[b] for b in range(m) if deg[b] == d and b not in at), zero)
+
+    leading = []
+    for y in ys:
+        z, u = solve(low, [y[i] for i in low]), [zero] * m
+        for c in labels:
+            at = [idx[v] for v in S if module.component[v] == c]
+            d = deg[at[0]]
+            if c in projections:
+                if d:
+                    v = {i: inflow(i, d - 1, at) / lam for i in at}
+                else:
+                    v = {i: y[i] + sum((P[i][k] * zk for k, zk in zip(low, z)), zero) for i in at}
+                for pos, x, left in projections[c]:
+                    coef = sum((a * v[i] for i, a in zip(pos, left)), zero)
+                    coef /= sum((a * b for a, b in zip(left, x)), zero)
+                    for i, a in zip(pos, x):
+                        u[i] = a * coef
+            elif high[at[0]]:
+                for i, a in zip(at, solve(at, [inflow(i, d, at) for i in at])):
+                    u[i] = a
+        converged = converged and all(x < math.inf for x in u)
+        leading.append({names[v]: u[i] for v, i in idx.items() if high[i]})
+    if exact:
+        return _Level("exact", p, leading, lam, True)
+    return _Level("perron", p, leading, rho, converged)
+
+
+def _null_vector(M: list[list[int]]) -> list[int]:
+    """The positive null vector of a singular irreducible integer M-matrix."""
+    sign, scale = _radius_vs_one(M, len(M))
+    if sign:
+        raise ArithmeticError
+    return _back_substitute(M, len(M) - 1, len(M) - 1, scale) + [scale]
 
 
 # -- residue limits --------------------------------------------------------
 
 
 class ResidueLimit(namedtuple("ResidueLimit", "target value converged method")):
-    """Limit of the growth ratio for one (range, source, length) class:
-    `target` is the class, `value` the limit and `method` the branch that
-    found it."""
+    """The limit `value` of the growth ratio of the class `target`, and the
+    `method` that found it."""
 
     __slots__ = ()
 
 
 class ResidueReport(
-    namedtuple(
-        "ResidueReport", "target value converged method delta r_squared samples k_max"
-    )
+    namedtuple("ResidueReport", "target value converged method delta r_squared samples k_max")
 ):
-    """A `ResidueLimit` with its convergence diagnostics.
-
-    `delta` and `r_squared` (float or None) are the fitted decay, and
-    `samples` every `sample_stride`-th (k, ratio) pair from the class
-    length n to `k_max`.
-    """
+    """A `ResidueLimit` with its diagnostics: the fitted decay `delta` and
+    `r_squared` (float or None), and every `sample_stride`-th (k, ratio)
+    pair from the class length n to `k_max`."""
 
     __slots__ = ()
 
 
-def _residue_class(table: GrowthTable, target) -> tuple[str, str, int]:
+def _residue_class(module: GraphBimodule, target) -> tuple[str, str, int]:
     """The class (r, s, n) of a Path or triple, refused when no path of
-    length n runs from s to r or k_max leaves it too few samples."""
-    module = table.module
+    length n runs from s to r."""
     if isinstance(target, Path):
         r, s, n = target.r, target.s, len(target)
     else:
@@ -351,7 +446,6 @@ def _residue_class(table: GrowthTable, target) -> tuple[str, str, int]:
             raise ValueError("path length must be nonnegative")
     if not _target_realized(module, r, s, n):
         raise ValueError(f"no path of length {n} from source {s!r} to range {r!r}")
-    check_kmax(table.k_max, n)
     return (r, s, n)
 
 
@@ -363,23 +457,62 @@ def _target_realized(module: GraphBimodule, r: str, s: str, n: int) -> bool:
     return s in frontier
 
 
-def _quarter_point(n: int, k_max: int) -> int:
-    """The first k of the stationary test: the class's column k = n..k_max
-    is stationary when its last three quarters are."""
-    return n + (k_max - n + 1) // 4
+def residue_limit(limits: ResidueLimits, target) -> ResidueLimit:
+    """Residue coefficient of the class of a Path or (r, s, n) triple.
+
+    A strict growth gap between s and r forces 0 ("structural_zero");
+    otherwise the level of r's reach radius rho gives rho^-n (1/p) sum
+    over j < p of u_s^((j-n) mod p) / u_r^(j): "exact" in Fractions,
+    "perron" in floats, and rho^-n w_s / w_r from the right Perron vector w
+    of one primitive class ("closed_form").  A limit past the double range
+    raises ValueError.
+    """
+    r, s, n = _residue_class(limits.module, target)
+    rad, deg = limits.profile.radius, limits.profile.degree
+    # r reaches s, so rad[s] <= rad[r] and, at equal radii, deg[s] <= deg[r]
+    if rad[s] != rad[r] and not _same_radius(rad[s], rad[r]) or deg[s] < deg[r]:
+        return ResidueLimit((r, s, n), 0.0, True, "structural_zero")
+    level = limits._levels.get(rad[r]) or limits.level(rad[r])
+    p, u, scale = level.period, level.leading, level.scale
+    # phase j's term u_s^((j-n) mod p) / u_r^(j) times rho^-n, which is
+    # D^n Lambda^t, t = (j - n) // p, where u^(j) comes from A^j 1
+    try:
+        if level.method == "exact":
+            value = math.inf
+        elif p == 1:
+            value = scale**-n * u[0][s] / u[0][r]
+        else:
+            value = math.fsum(scale**-n * u[(j - n) % p][s] / u[j][r] for j in range(p)) / p
+    except OverflowError:
+        value = math.inf
+    except ZeroDivisionError:  # 0 / 0: both coefficients below the double range
+        value = math.nan
+    if math.isinf(value):
+        # in Fractions, where a float product may leave the double range on its way
+        lam, D = Fraction(scale), limits.module.denominator
+        terms = [(D**n * lam ** ((j - n) // p) if level.method == "exact" else lam**-n)
+                 * Fraction(u[(j - n) % p][s]) / Fraction(u[j][r]) for j in range(p)]
+        with suppress(OverflowError):
+            value = float(sum(terms) / p)
+    if math.isinf(value):
+        raise ValueError(f"class {(r, s, n)}: growth ratio past the double range")
+    return ResidueLimit((r, s, n), value, level.converged and value == value, level.method)
 
 
 def _fit_decay(top: list[float], first: int, value: float):
     """Least-squares slope of log residual against log k over the top half.
 
-    `top` holds the growth ratios for k = first..k_max, and only the
-    residuals above 1e-14 are logged.  The line is the closed-form fit of
-    y = a x + b on the centred points, with every sum taken by `math.fsum`.
+    `top` holds the growth ratios for k = first..k_max; only residuals
+    above 4 ulps of the larger of ratio and limit, past round-off, are
+    logged.  The fit of y = a x + b is closed-form on the centred points,
+    every sum by `math.fsum`.
     """
     xs, ys = [], []
+    # the least and the largest floor, which decide most residuals
+    low, cap = 4 * math.ulp(value), 4 * math.ulp(max(map(abs, top), default=0.0) + abs(value))
     for k, c in enumerate(top, first):
         res = abs(c - value)
-        if res > 1e-14:
+        if res > cap or res > low and res > 4 * math.ulp(max(abs(c), abs(value))):
             xs.append(math.log(k))
             ys.append(math.log(res))
     m = len(xs)
@@ -397,8 +530,7 @@ def _fit_decay(top: list[float], first: int, value: float):
 
 
 def sample_stride(n: int, k_max: int) -> int:
-    """The step between the samples of a class of length n, about 64 of
-    them from k = n to k_max."""
+    """The step between the about 64 samples of a class of length n."""
     return max(1, (k_max - n + 1) // 64)
 
 
@@ -416,123 +548,17 @@ def check_kmax(k_max: int, n: int) -> None:
         )
 
 
-def _extrapolation_nodes(n: int, k_max: int, count: int = 12) -> list[int]:
-    """Geometrically spaced sample indices, ascending; fewer than 4 if k_max is too small."""
-    floor = max(n + 1, 6)
-    ks = []
-    k = float(k_max)
-    while len(ks) < count:
-        ki = int(round(k))
-        if ki < floor:
-            break
-        if not ks or ki < ks[-1]:
-            ks.append(ki)
-        k /= math.sqrt(2.0)
-    return ks[::-1]
-
-
-def _extrapolate_to_zero(xs: list[float], ys: list[float]) -> tuple[float, float]:
-    """Neville evaluation at 0 with an error estimate from the last column."""
-    m = len(xs)
-    T = list(ys)
-    prev_diag = T[0]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            T[i] = T[i] + (T[i] - T[i - 1]) * xs[i] / (xs[i - j] - xs[i])
-        if j == m - 2:
-            prev_diag = T[m - 1]
-    est = abs(T[m - 1] - prev_diag)
-    return T[m - 1], est
-
-
-def residue_limit(
-    table: GrowthTable,
-    target,
-    tol: float = 1e-10,
-    force_iterative: bool = False,
-    ratio=None,
-) -> ResidueLimit:
-    """Residue coefficient for a path class, reading only the ratios it needs.
-
-    `target` is a Path or an (r, s, n) triple; the ratio depends on the
-    path only through its endpoints and length.  Primitive graphs whose
-    Perron root pf_data certifies get the closed form r^{-n} w_s / w_r
-    from the right Perron eigenvector of the adjacency matrix, and read no
-    ratio.  Otherwise a sequence stationary over its last three quarters
-    is read off directly, a strict growth gap forces the limit 0 exactly,
-    and the remaining cases are extrapolated polynomially in 1/k; a
-    sequence with no limit (oscillating growth coefficients) is reported
-    unconverged.  The growth ratio at k comes from `ratio(k)`, by default
-    `table.ratio` of the class: the stationary test reads k_max, then its
-    tail up from the quarter point to the first entry off the last, and
-    extrapolation reads at most 12 nodes.
-    """
-    r, s, n = _residue_class(table, target)
-    module, k_max, data = table.module, table.k_max, table.pf
-    if data.primitive and data.converged and not force_iterative:
-        w, index = data.right_eigenvector, module.vertices.index
-        value = data.spectral_radius ** (-n) * w[index(s)] / w[index(r)]
-        return ResidueLimit((r, s, n), value, True, "closed_form")
-    if ratio is None:
-        ratio = table.ratio(s, r, n)
-    vc = ratio(k_max)
-    scale = max(1.0, abs(vc))
-    first = _quarter_point(n, k_max)
-    if all(abs(ratio(k) - vc) <= tol * scale for k in range(first, k_max + 1)):
-        return ResidueLimit((r, s, n), vc, True, "stationary")
-    rad, deg = table.profile.radius, table.profile.degree
-    gap = rad[s] < rad[r] * (1.0 - _RADIUS_RTOL) or (
-        math.isclose(rad[s], rad[r], rel_tol=_RADIUS_RTOL) and deg[s] < deg[r]
-    )
-    if gap:
-        return ResidueLimit((r, s, n), 0.0, True, "structural_zero")
-    ks = _extrapolation_nodes(n, k_max)
-    if len(ks) < 4:
-        need = k_max + 1
-        while len(_extrapolation_nodes(n, need)) < 4:
-            need += 1
-        raise ValueError(
-            f"k_max {k_max} too small to extrapolate the class from source {s!r} "
-            f"to range {r!r} of length {n}: it needs k_max >= {need}"
-        )
-    value, est = _extrapolate_to_zero([1.0 / k for k in ks], [ratio(k) for k in ks])
-    value = float(value)
-    converged = bool(est <= max(tol * max(1.0, abs(value)), 1e-13))
-    return ResidueLimit((r, s, n), value, converged, "extrapolation")
-
-
-def eta_tilde(
-    table: GrowthTable,
-    target,
-    tol: float = 1e-10,
-    force_iterative: bool = False,
-) -> ResidueReport:
-    """`residue_limit` with convergence diagnostics, for a report.
-
-    Reads only the ratios the report prints or fits: the top half of the
-    class's column (k >= max(1, k_max // 2, n)) as one block of
-    `GrowthTable.ratios`, which the decay fit needs; the block from the
-    quarter point up to the half once the stationary test reads past its
-    first entry there; and the other extrapolation nodes and the samples
-    (every `sample_stride`-th k from n) one entry at a time.
-    """
-    r, s, n = target = _residue_class(table, target)
+def eta_tilde(limits: ResidueLimits, table: GrowthTable, target) -> ResidueReport:
+    """`residue_limit` with the diagnostics of a report, from two blocks of
+    `GrowthTable.ratios`: the top half of the class's column
+    (k >= max(1, k_max // 2, n)), fitted against the limit, and the
+    samples, every `sample_stride`-th k from n."""
+    limit = residue_limit(limits, target)
+    r, s, n = limit.target
     k_max = table.k_max
-    at = table.ratio(s, r, n)
-    first, half = _quarter_point(n, k_max), max(1, k_max // 2, n)
-    top = table.ratios(s, r, n, half, k_max)
-    below = []
-
-    def ratio(k: int) -> float:
-        if k >= half:
-            return top[k - half]
-        # the stationary test reads up from the quarter point: once its
-        # first entry there passes, the rest of its window is one block
-        if k == first + 1 and not below:
-            below.extend(table.ratios(s, r, n, first, half - 1))
-        return below[k - first] if below and k >= first else at(k)
-
-    limit = residue_limit(table, target, tol, force_iterative, ratio)
-    delta, r2 = _fit_decay(top, half, limit.value)
-    samples = tuple((k, ratio(k)) for k in range(n, k_max + 1, sample_stride(n, k_max)))
+    check_kmax(k_max, n)
+    half = max(1, k_max // 2, n)
+    delta, r2 = _fit_decay(table.ratios(s, r, n, range(half, k_max + 1)), half, limit.value)
+    ks = range(n, k_max + 1, sample_stride(n, k_max))
+    samples = tuple(zip(ks, table.ratios(s, r, n, ks)))
     return ResidueReport(*limit, delta, r2, samples, k_max)

@@ -200,3 +200,20 @@ def underflow():
             Edge("n", "y", "x"),
         ],
     )
+
+
+@pytest.fixture(scope="session")
+def spread_cycle():
+    # a loop at a and the cycle a -> b -> c -> a, whose first two edges
+    # weigh 1e-300: the Perron vector is about (1, 1e-300, 1e-600), so its
+    # entry at c has no double, and the classes that divide by it do not
+    # certify
+    return GraphBimodule(
+        ["a", "b", "c"],
+        [
+            Edge("la", "a", "a"),
+            Edge("ab", "b", "a", weight=1e-300),
+            Edge("bc", "c", "b", weight=1e-300),
+            Edge("ca", "a", "c"),
+        ],
+    )

@@ -15,6 +15,7 @@ from dense_kasparov import (
     dense_projection_matrix,
 )
 from dense_spectral import verify_rate_certificate
+from extrapolation import extrapolated_limit
 from symbolic import (
     SpanningElement,
     beta_k,
@@ -39,7 +40,7 @@ from graphbimod import (
     invariant_traces,
     paths,
 )
-from graphbimod.spectral import GrowthTable
+from graphbimod.spectral import GrowthTable, ResidueLimits
 
 
 def _mk(vertices, edges):
@@ -142,23 +143,22 @@ def test_acceptance_2_triangular_growth():
             lv = beta_k(m, n)
             if lv["v"] != 1.0 or lv["w"] != float(n + 1):
                 problems.append(f"level {n} index {lv.as_dict()} != (1, {n + 1})")
-        table, deep = GrowthTable(m, 200), GrowthTable(m, 2000)
+        limits, table, deep = ResidueLimits(m), GrowthTable(m, 200), GrowthTable(m, 2000)
         for n in (1, 2, 3):
-            stat = eta_tilde(table, ("v", "v", n))
-            if abs(stat.value - 1.0) > 1e-12 or not stat.converged:
-                problems.append(f"(v,v,{n}) limit {stat.value} != 1")
-            slow = eta_tilde(deep, ("w", "w", n))
-            if abs(slow.value - 1.0) > 1e-10 or not slow.converged:
+            flat = eta_tilde(limits, table, ("v", "v", n))
+            if flat.value != 1.0 or not flat.converged:
+                problems.append(f"(v,v,{n}) limit {flat.value} != 1")
+            slow = eta_tilde(limits, deep, ("w", "w", n))
+            if slow.value != 1.0 or not slow.converged:
                 problems.append(f"(w,w,{n}) limit {slow.value} != 1")
             if not 0.9 <= slow.delta <= 1.1:
                 problems.append(f"(w,w,{n}) fitted decay {slow.delta} outside [0.9, 1.1]")
-            zero = eta_tilde(deep, ("w", "v", n))
+            zero = eta_tilde(limits, deep, ("w", "v", n))
             if zero.value != 0.0 or not zero.converged:
                 problems.append(f"(w,v,{n}) limit {zero.value} != 0")
-        # the approach to zero is a clean first-order tail
-        fit = eta_tilde(deep, ("w", "v", 1), force_iterative=True)
-        if not 0.9 <= fit.delta <= 1.1:
-            problems.append(f"zero-class decay exponent {fit.delta} outside [0.9, 1.1]")
+            # the approach to zero is a clean first-order tail
+            if not 0.9 <= zero.delta <= 1.1:
+                problems.append(f"zero-class decay exponent {zero.delta} outside [0.9, 1.1]")
     except Exception as exc:
         problems.append(f"crash: {exc!r}")
     _verdict(2, problems, time.perf_counter() - t0, 5.0)
@@ -169,16 +169,14 @@ def test_acceptance_3_primitive_closed_form():
     t0 = time.perf_counter()
     try:
         m = _golden()
-        table = GrowthTable(m, 200)
+        limits, table = ResidueLimits(m), GrowthTable(m, 200)
         for target in (("u", "u", 1), ("u", "v", 1), ("v", "u", 1)):
-            closed = eta_tilde(table, target)
-            iterated = eta_tilde(table, target, force_iterative=True)
+            closed = eta_tilde(limits, table, target)
+            iterated, _ = extrapolated_limit(table, *target)
             if closed.method != "closed_form":
                 problems.append(f"{target} not resolved in closed form")
-            if abs(closed.value - iterated.value) > 1e-8:
-                problems.append(
-                    f"{target}: closed {closed.value} vs iterated {iterated.value}"
-                )
+            if abs(closed.value - iterated) > 1e-8:
+                problems.append(f"{target}: closed {closed.value} vs iterated {iterated}")
         cert = verify_rate_certificate(m, k_max=100)
         if not cert.passed:
             problems.append(f"rate certificate failed at k={cert.first_failure}")

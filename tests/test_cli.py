@@ -43,8 +43,8 @@ FULL_SHIFT = {
 }
 
 # the `oscillating` graph of conftest.py: the class (z, z, 1) tends to 1/2
-# with a period-2 ripple of order 1/k, which the residue layer does not
-# certify
+# with a period-2 ripple of order 1/k, which no extrapolation of its column
+# certifies; its limit is 1/2 exactly
 OSCILLATING = {
     "vertices": ["x", "y", "z"],
     "edges": [
@@ -56,8 +56,8 @@ OSCILLATING = {
 }
 
 
-# the class (v2, v1, 1) does not certify at kmax 200: its growth ratio
-# has a period-2 ripple; depth 0 needs no class of length 1
+# the class (v2, v1, 1) tends to 1 like 1 - 2/k with a period-2 ripple,
+# which no extrapolation of its column certified; its limit is 1 exactly
 RIPPLE = {
     "vertices": ["v0", "v1", "v2", "v3"],
     "edges": [
@@ -211,22 +211,17 @@ def test_residue_kmax_below_the_target_exits_before_listing(capsys, monkeypatch,
     assert code == 0
 
 
-def test_residue_kmax_short_of_the_extrapolation_nodes_exits_naming_the_bound(capsys, tmp_path):
-    # the class (z, z, 1) of the oscillating graph is extrapolated from four
-    # nodes k_max, k_max / sqrt 2, ... of at least 6: k_max 9 to 15 pass the
-    # k_max >= n + 8 margin and still leave fewer
+def test_residue_small_kmax_reports_the_exact_limit(capsys, tmp_path):
+    # a limit reads no growth ratio, so k_max only bounds the samples and
+    # the fit: k_max 9 to 15, which left the class (z, z, 1) of the
+    # oscillating graph fewer than four extrapolation nodes, report its 1/2
     p = tmp_path / "oscillating.json"
     p.write_text(json.dumps(OSCILLATING))
-    for kmax in (9, 10, 12, 15):
+    for kmax in (9, 10, 12, 15, 16):
         code, out, err = run(capsys, "residue", str(p), "--target", "1", "--kmax", str(kmax))
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: k_max {kmax} too small to extrapolate the class from source 'z' "
-            "to range 'z' of length 1: it needs k_max >= 16\n"
-        )
-    code, out, _ = run(capsys, "residue", str(p), "--target", "1", "--kmax", "16")
-    assert code == 0
-    assert "extrapolation" in [c["method"] for c in json.loads(out)["classes"]]
+        assert (code, err) == (0, "")
+        (zz,) = [c for c in json.loads(out)["classes"] if c["target"]["source"] == "z"]
+        assert (zz["value"], zz["converged"], zz["method"]) == (0.5, True, "exact")
 
 
 # a primitive graph whose adjacency is not normal: its normalized powers
@@ -267,27 +262,55 @@ def test_kasparov_clean_run(capsys, golden_file):
     assert all(c["matches"] for c in doc["commutators"])
 
 
+# a loop at a and the cycle a -> b -> c -> a, whose first two edges weigh
+# 1e-300: the Perron vector's entry at c, about 1e-600, has no double
+SPREAD_CYCLE = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"id": "la", "r": "a", "s": "a"},
+        {"id": "ab", "r": "b", "s": "a", "weight": 1e-300},
+        {"id": "bc", "r": "c", "s": "b", "weight": 1e-300},
+        {"id": "ca", "r": "a", "s": "c"},
+    ],
+}
+
+
 def test_kasparov_propagates_uncertified_residues(capsys, tmp_path):
+    # the oscillating graph certifies: its (z, z, 1) is 1/2 exactly, and
+    # with the no-limit loop of weight 1 the parity mean 41/80
     p = tmp_path / "osc.json"
-    p.write_text(json.dumps(OSCILLATING))
-    code, out, _ = run(capsys, "kasparov", str(p), "--depth", "1", "--kmax", "80")
-    assert code == 1
-    doc = json.loads(out)
-    assert len(doc["failures"]) == 1
-    assert "did not converge" in doc["failures"][0]
+    for loop, want in ((2.0, 0.5), (1.0, 0.5125)):
+        doc = json.loads(json.dumps(OSCILLATING))
+        doc["edges"][2]["weight"] = loop
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "kasparov", str(p), "--depth", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["failures"] == []
+        code, out, _ = run(capsys, "residue", str(p), "--target", "l")
+        (cls,) = json.loads(out)["classes"]
+        assert (cls["value"], cls["converged"], cls["method"]) == (want, True, "exact")
+    # a class that does not certify fails the run, at the vacuum of c
+    p.write_text(json.dumps(SPREAD_CYCLE))
+    code, out, err = run(capsys, "kasparov", str(p), "--depth", "0")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["failures"] == [
+        "residue limit for class ('c', 'c', 0) did not converge (method closed_form)"
+    ]
 
 
 def test_kasparov_reports_uncertified_commutator_residues(capsys, tmp_path):
+    # the commutator of e3 reads the class (v2, v1, 1), which certifies at 1
     p = tmp_path / "ripple.json"
     p.write_text(json.dumps(RIPPLE))
-    code, out, err = run(capsys, "kasparov", str(p), "--depth", "0")
-    assert code == 0 and err == ""
-    assert json.loads(out)["failures"] == []
-    code, out, err = run(capsys, "kasparov", str(p), "--depth", "1")
-    assert code == 1 and err == ""
-    doc = json.loads(out)
-    assert len(doc["failures"]) == 1
-    assert "class ('v2', 'v1', 1) did not converge" in doc["failures"][0]
+    for depth in ("0", "1", "2"):
+        code, out, err = run(capsys, "kasparov", str(p), "--depth", depth)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["failures"] == []
+    code, out, _ = run(capsys, "residue", str(p), "--target", "e3")
+    (cls,) = json.loads(out)["classes"]
+    assert (cls["target"], cls["value"], cls["converged"]) == (
+        {"range": "v2", "source": "v1", "length": 1}, 1.0, True
+    )
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -325,16 +348,28 @@ def test_growth_table_past_its_limits_exits_2(capsys, tmp_path):
     p = tmp_path / "chain.json"
     p.write_text(json.dumps(TINY_CHAIN))
     # about 3 * 1050 * k^2 / 2 level bits pass 2^29 at k = 585
-    for argv in (["residue", str(p), "--target", "1"], ["kasparov", str(p)]):
-        code, out, err = run(capsys, *argv, "--kmax", "2000")
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: the index levels to k_max 2000 pass the limit of 536870912 "
-            "bits (64 MiB, about 1 s and 100 MiB) at level 585\n"
-        )
-    code, out, err = run(capsys, "residue", str(p), "--target", "2", "--kmax", "40")
+    code, out, err = run(capsys, "residue", str(p), "--target", "1", "--kmax", "2000")
     assert (code, out) == (2, "")
-    assert err == "error: class ('c', 'a', 2): growth ratio past the double range\n"
+    assert err == (
+        "error: the index levels to k_max 2000 pass the limit of 536870912 "
+        "bits (64 MiB, about 1 s and 100 MiB) at level 585\n"
+    )
+    # the limit of (c, a, 2) is past the double range too, on both routes
+    for argv in (["residue", "--target", "2", "--kmax", "40"], ["kasparov", "--depth", "2"]):
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: class ('c', 'a', 2): growth ratio past the double range\n"
+
+
+@pytest.mark.parametrize("argv", [["residue", "--target", "2"], ["kasparov", "--depth", "2"]])
+def test_limit_past_the_double_range_exits_2(capsys, tmp_path, argv):
+    # one loop of weight 1e-300: the class (z, z, 2) is 1e600
+    p = tmp_path / "faint_loop.json"
+    loop = {"id": "l", "r": "z", "s": "z", "weight": 1e-300}
+    p.write_text(json.dumps({"vertices": ["z"], "edges": [loop]}))
+    code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: class ('z', 'z', 2): growth ratio past the double range\n"
 
 
 def test_kasparov_negative_pivot_exits_1(capsys, monkeypatch, golden_file):
@@ -490,26 +525,25 @@ def test_residue_timings_report_stages_and_counters(capsys, tmp_path):
     assert set(timings) == {"seconds", "stages", "counters"}
     assert set(timings["stages"]) == {"growth_table", "classes"}
     assert all(t >= 0 for t in timings["stages"].values())
-    # one class per edge; (z, z, 1) is the one left unconverged
-    assert [c["method"] for c in doc["classes"]] == [
-        "stationary", "stationary", "structural_zero", "extrapolation"
-    ]
+    # one class per edge, each certified; (z, x, 1) is on a growth gap
+    assert [c["method"] for c in doc["classes"]] == ["exact", "exact", "structural_zero", "exact"]
     # level_bits: the bit lengths of the exact levels A^k 1, k <= 200
     assert timings["counters"] == {
         "classes": 4,
-        "method": {"stationary": 2, "structural_zero": 1, "extrapolation": 1},
+        "method": {"exact": 3, "structural_zero": 1},
         "level_bits": 61788,
     }
 
 
 def test_kasparov_timings_report_stages_and_counters(capsys, monkeypatch, golden_file):
     builds = []
-    index_levels = spectral.index_levels
+    index_levels = fock.index_levels
 
     def counted(module):
         builds.append(module)
         return index_levels(module)
 
+    monkeypatch.setattr(fock, "index_levels", counted)
     monkeypatch.setattr(spectral, "index_levels", counted)
     _, plain, _ = run(capsys, "kasparov", golden_file, "--depth", "2")
     code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2", "--timings")
@@ -521,20 +555,17 @@ def test_kasparov_timings_report_stages_and_counters(capsys, monkeypatch, golden
     assert set(timings["stages"]) == {"gram"}
     assert all(t >= 0 for t in timings["stages"].values())
     # paths of length at most 2 by source: 6 at u and 4 at v, so 6² + 4²
-    # symbols; they fall in 30 blocks, which have 15 residue classes.  Every
-    # residue takes the closed form, so no level is built
-    assert timings["counters"] == {
-        "basis": 52, "blocks": 30, "classes": 15, "level_bits": 0
-    }
-    assert builds == []
-    # the triangular chain is reducible: its residues read the levels
-    # A^k 1 = (1, k + 1) to k_max 200, built once for all 14 classes
+    # symbols; they fall in 30 blocks, which have 15 residue classes
+    assert timings["counters"] == {"basis": 52, "blocks": 30, "classes": 15}
+    # the limits come from the condensation, on a reducible graph too: no
+    # growth level is built
     code, out, _ = run(capsys, "kasparov", str(GRAPHS / "triangular.json"), "--depth", "2", "--timings")
     assert code == 0
-    assert json.loads(out)["timings"]["counters"] == {
-        "basis": 45, "blocks": 28, "classes": 14, "level_bits": 1562
-    }
-    assert len(builds) == 1
+    assert json.loads(out)["timings"]["counters"] == {"basis": 45, "blocks": 28, "classes": 14}
+    for graph in (GRAPHS / "triangular.json", DATA / "reducible_weighted.json"):
+        code, out, _ = run(capsys, "kasparov", str(graph), "--depth", "40")
+        assert code == 0 and json.loads(out)["failures"] == []
+    assert builds == []
 
 
 def test_reports_are_byte_identical(capsys, golden_file):
@@ -756,13 +787,28 @@ def test_negative_counts_exit_2_naming_the_flag(capsys, golden_file, argv, flag)
         main([argv[0], golden_file, *argv[1:]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    if flag == "--seed" and argv[0] != "kms":
-        # only kms draws random pairs, so only kms takes a seed
-        assert "unrecognized arguments: --seed 3" in err
+    if (argv[0], flag) in RETIRED or flag == "--seed" and argv[0] != "kms":
+        # only kms draws random pairs, so only kms takes a seed; kasparov
+        # reads no growth level, and residue limits need no tolerance
+        assert f"unrecognized arguments: {' '.join(argv[argv.index(flag):])}" in err
     elif flag == "--tol":
         assert "argument --tol: expected a finite nonnegative number" in err
     else:
         assert f"argument {flag}: expected a nonnegative integer" in err
+
+
+# options that went with the growth-table route of the residue limits
+RETIRED = {("kasparov", "--kmax"), ("residue", "--tol"), ("residue", "--force-iterative")}
+
+
+@pytest.mark.parametrize("command, flag", sorted(RETIRED))
+def test_retired_residue_options_exit_2(capsys, golden_file, command, flag):
+    argv = [command, golden_file, *(["--target", "1"] if command == "residue" else [])]
+    value = [] if flag == "--force-iterative" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join([flag, *value])}" in capsys.readouterr().err
 
 
 def test_kms_takes_no_tolerance(capsys, golden_file):
@@ -861,7 +907,7 @@ def test_reports_match_stored(capsys, monkeypatch, graph, argv, stored):
 
 def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
     calls = {
-        "pf_data": 0,
+        "ResidueLimits": 0,
         "GrowthTable": 0,
         "strong_components": 0,
         "growth_profile": 0,
@@ -900,28 +946,28 @@ def test_one_build_of_each_derived_object_per_run(capsys, monkeypatch):
 
     monkeypatch.setattr(cuntz_pimsner, "gram", kept_gram)
     count(np.linalg, "eigh", "eigh")
-    count(spectral, "pf_data", "pf_data")
+    count(spectral.ResidueLimits, "__init__", "ResidueLimits")
     count(spectral.GrowthTable, "__init__", "GrowthTable")
     count(bimodule, "_strong_components", "strong_components")
     count(spectral, "growth_profile", "growth_profile")
 
     assert main(["kasparov", str(GRAPHS / "golden_mean.json"), "--depth", "2"]) == 0
-    assert (calls["pf_data"], calls["GrowthTable"]) == (1, 1)
+    assert (calls["ResidueLimits"], calls["GrowthTable"]) == (1, 0)
     # one Gram, at the report's depth, whose ranks and positivity come
     # from pivots: 15 residue classes for 30 blocks, and no eigensolve
     assert calls["eigh"] == 0
     assert [(g.blocks, g.classes) for g in grams] == [(30, 15)]
     argv = ["residue", str(GRAPHS / "triangular.json"), "--target", "2", "--kmax", "2000"]
     assert main(argv) == 0
-    assert calls["GrowthTable"] == 2
+    assert (calls["ResidueLimits"], calls["GrowthTable"]) == (2, 1)
     assert main(["index", str(GRAPHS / "golden_mean.json"), "--depth", "40"]) == 0
     assert main(["kms", str(GRAPHS / "golden_mean.json")]) == 0
     capsys.readouterr()
     assert len(loaded_states) == 4
-    # one condensation per loaded graph; the golden mean's residues take
-    # the closed form, and only the triangular table reads its profile
+    # one condensation per loaded graph, and one growth profile per set of
+    # residue limits
     assert calls["strong_components"] == 4
-    assert calls["growth_profile"] == 1
+    assert calls["growth_profile"] == 2
     for module, before in loaded_states:
         assert state(module) == before
 

@@ -234,12 +234,13 @@ def test_finite_level_matches_dense_compression(triangular, oscillating):
 
 
 def test_finite_level_converges_to_phi_infty(triangular):
-    exp_ = ConditionalExpectation(triangular, k_max=2000)
+    exp_ = ConditionalExpectation(triangular)
     x = sym(triangular, ["g"], ["g"])
     limit = phi(exp_, x)
-    far = finite_level(exp_.table, x, 1500)
+    table = GrowthTable(triangular, 2000)
+    far = finite_level(table, x, 1500)
     assert (limit - far).norm() < 1e-2
-    near = finite_level(exp_.table, x, 10)
+    near = finite_level(table, x, 10)
     assert (limit - near).norm() > (limit - far).norm()
 
 
@@ -251,11 +252,27 @@ def test_finite_level_stops_at_k_max(triangular):
         finite_level(table, x, 51)
 
 
-def test_unconverged_residue_raises(oscillating):
-    pl = make_path(oscillating, ["l"])
-    x = SpanningElement.symbol(oscillating, pl, pl)
-    with pytest.raises(ResidueUncertifiedError):
-        phi(ConditionalExpectation(oscillating), x)
+def test_unconverged_residue_raises(oscillating, no_limit, spread_cycle):
+    # the loop l at z: weight(l) times its class (z, z, 1), which is 1/2 on
+    # the oscillating graph and the parity mean 41/80 where it has no limit
+    for m, want in ((oscillating, 1.0), (no_limit, 41 / 80)):
+        pl = make_path(m, ["l"])
+        x = SpanningElement.symbol(m, pl, pl)
+        assert phi(ConditionalExpectation(m), x)["z"] == want
+    # the ripple graph's (v2, v1, 1), through the edge e3 v2 <- v1
+    ripple = GraphBimodule(
+        ["v0", "v1", "v2", "v3"],
+        [Edge(f"e{i}", r, s) for i, (r, s) in enumerate(
+            [("v0", "v0"), ("v3", "v0"), ("v2", "v0"), ("v2", "v1"),
+             ("v1", "v2"), ("v3", "v2"), ("v3", "v3")])],
+    )
+    pe = make_path(ripple, ["e3"])
+    assert phi(ConditionalExpectation(ripple), SpanningElement.symbol(ripple, pe, pe))["v2"] == 1.0
+    # a class still uncertified raises: c's entry of the Perron vector is
+    # below the double range, so (c, c, 0) is 0 / 0
+    pc = vertex_path(spread_cycle, "c")
+    with pytest.raises(ResidueUncertifiedError, match=r"class \('c', 'c', 0\) did not converge"):
+        phi(ConditionalExpectation(spread_cycle), SpanningElement.symbol(spread_cycle, pc, pc))
 
 
 def test_spanning_basis_sizes(full_shift2, golden, triangular):

@@ -50,12 +50,24 @@ K20 = {
     "edges": [{"id": f"e{i}_{j}", "r": f"v{i}", "s": f"v{j}"} for i in range(20) for j in range(20)],
 }
 HUGE = {"vertices": ["z"], "edges": [{"id": "a", "r": "z", "s": "z", "weight": 10**400}]}
+# the cycle a -> b -> c -> a with a loop at a, two edges of weight 1e-300:
+# the Perron vector's entry at c has no double, so (c, c, 0) does not certify
+SPREAD = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"id": "la", "r": "a", "s": "a"},
+        {"id": "ab", "r": "b", "s": "a", "weight": 1e-300},
+        {"id": "bc", "r": "c", "s": "b", "weight": 1e-300},
+        {"id": "ca", "r": "a", "s": "c"},
+    ],
+}
 
 
 def _forms(tmp_path):
     """(argv, exit code) of every CLI form: each subcommand on each graph,
     each output option, and each refusal."""
-    for name, doc in (("osc", OSCILLATING), ("o10", O10), ("k20", K20), ("huge", HUGE)):
+    docs = (("osc", OSCILLATING), ("o10", O10), ("k20", K20), ("huge", HUGE), ("spread", SPREAD))
+    for name, doc in docs:
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     (tmp_path / "broken.json").write_text('{"vertices": [')
     graphs = [str(GRAPHS / f"{name}.json") for name in
@@ -70,10 +82,11 @@ def _forms(tmp_path):
     for graph in graphs:
         yield ["kasparov", graph, "--depth", "2"], 0
     yield ["index", golden, "--format", "csv", "--timings"], 0
-    yield ["residue", golden, "--target", "a,b", "--force-iterative", "--timings"], 0
+    yield ["residue", golden, "--target", "a,b", "--timings"], 0
     yield ["kasparov", golden, "--timings", "--tol", "1e-9"], 0
     yield ["kms", golden, "--timings", "--format", "csv"], 0
-    yield ["kasparov", osc, "--depth", "1", "--kmax", "80"], 1
+    yield ["kasparov", osc, "--depth", "1"], 0
+    yield ["kasparov", str(tmp_path / "spread.json"), "--depth", "0"], 1
     yield ["index", str(tmp_path / "missing.json")], 2
     yield ["index", str(tmp_path / "broken.json")], 2
     yield ["index", str(tmp_path / "huge.json")], 2

@@ -14,17 +14,18 @@ from dense_spectral import (
     rate_constants,
     verify_rate_certificate,
 )
+from extrapolation import extrapolated_limit
 from hypothesis import given, settings, strategies as st
 from symbolic import SpanningElement, phi_s_partial
 
 from graphbimod import Edge, GraphBimodule, eta_tilde, make_path, paths
 from graphbimod.spectral import (
     GrowthTable,
-    PFData,
+    ResidueLimits,
     _perron,
+    _perron_classes,
     _target_realized,
     growth_profile,
-    pf_data,
     residue_limit,
 )
 
@@ -35,7 +36,7 @@ def _power_iteration(M, tol=1e-14, max_iter=20_000):
     """Leading eigenpair of a nonnegative matrix by normalized iteration.
 
     An independent route to the Perron data, kept as an oracle for the
-    inverse iteration in pf_data.
+    inverse iteration in `_perron`.
     """
     n = M.shape[0]
     v = np.full(n, 1.0 / n)
@@ -49,29 +50,45 @@ def _power_iteration(M, tol=1e-14, max_iter=20_000):
     raise AssertionError("power iteration did not converge")
 
 
+def perron(m):
+    """`_perron` on the whole adjacency of an irreducible graph."""
+    return _perron(m.integer_adjacency, m.denominator)
+
+
 def test_pf_radius_against_dense_eigensolve(golden, lopsided, cycle3):
+    # the class radius: for the period-3 cycle, the root of A^3 on a part
     for m in (golden, lopsided, cycle3):
-        data = pf_data(m)
+        (cls,) = _perron_classes(m)
         vals = np.linalg.eigvals(adjacency(m))
-        assert data.spectral_radius == pytest.approx(
-            max(abs(vals)), abs=1e-10
-        )
+        assert cls.radius == pytest.approx(max(abs(vals)), abs=1e-10)
 
 
 def test_pf_eigenvectors_solve_both_problems(golden, lopsided):
     for m in (golden, lopsided):
-        data = pf_data(m)
+        lam, w, _, _ = perron(m)
         B = adjacency(m)
-        lam = data.spectral_radius
-        # only the right Perron vector is computed: B w = lam w
-        w = np.array(data.right_eigenvector)
+        # the right Perron vector: B w = lam w
+        w = np.array(w)
         assert np.linalg.norm(B @ w - lam * w) < 1e-10
         assert w.min() > 0
         assert abs(np.linalg.norm(w) - 1) < 1e-12
+        # and the left one, from the transposed rows, as a perron level takes it
+        lam_t, v, _, _ = _perron(_transposed(m), m.denominator)
+        v = np.array(v)
+        assert lam_t == pytest.approx(lam, rel=1e-14)
+        assert np.linalg.norm(v @ B - lam * v) < 1e-10
+
+
+def _transposed(m):
+    rows = [[] for _ in m.vertices]
+    for i, row in enumerate(m.integer_adjacency):
+        for j, a in row:
+            rows[j].append((i, a))
+    return rows
 
 
 def test_golden_radius_is_golden_ratio(golden):
-    assert pf_data(golden).spectral_radius == pytest.approx(PHI, abs=1e-12)
+    assert perron(golden)[0] == pytest.approx(PHI, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["golden", "lopsided", "random_primitive"])
@@ -79,10 +96,10 @@ def test_closed_form_matches_power_iteration_oracle(name, request):
     m = request.getfixturevalue(name)
     lam, w = _power_iteration(adjacency(m))
     wi = dict(zip(m.vertices, w))
-    table = GrowthTable(m, 200)
+    table, limits = GrowthTable(m, 200), ResidueLimits(m)
     for n in (0, 1, 2):
         for r, s in sorted({(p.r, p.s) for p in paths(m, n)}):
-            rep = eta_tilde(table, (r, s, n))
+            rep = eta_tilde(limits, table, (r, s, n))
             assert rep.method == "closed_form"
             assert rep.value == pytest.approx(lam**-n * wi[s] / wi[r], abs=1e-13)
 
@@ -90,28 +107,31 @@ def test_closed_form_matches_power_iteration_oracle(name, request):
 def test_radius_bounds_hold_exact_roots(
     full_shift2, full_shift3, golden, random_primitive
 ):
-    assert pf_data(full_shift2).radius_bounds == (2, 2)
-    assert pf_data(full_shift3).radius_bounds == (3, 3)
+    assert perron(full_shift2)[3] == (2, 2)
+    assert perron(full_shift3)[3] == (3, 3)
     # phi is the root of x^2 - x - 1, which increases past 1/2
-    lo, hi = pf_data(golden).radius_bounds
+    lo, hi = perron(golden)[3]
     assert Fraction(1, 2) < lo <= hi
     assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
-    data = pf_data(random_primitive)
-    lo, hi = data.radius_bounds
+    _, _, certified, (lo, hi) = perron(random_primitive)
     assert lo <= 2 <= hi
-    assert data.converged
+    assert certified
     # B = [[2, 2], [1, 1]]: in floats both quotients (Bw)_i / w_i round to
     # 3 + 2^-51, above the root 3
     edges = [Edge(e, r, s) for e, r, s in zip("abcdef", "uuuuvv", "uuvvuv")]
-    lo, hi = pf_data(GraphBimodule(["u", "v"], edges)).radius_bounds
+    lo, hi = perron(GraphBimodule(["u", "v"], edges))[3]
     assert lo <= 3 <= hi
 
 
 def test_radius_bounds_absent_without_positive_eigenvector(triangular):
-    data = pf_data(triangular)
-    assert data.radius_bounds is None
-    assert not data.converged
-    assert data.iterations == 0
+    # B = [[1, 0], [1, 1]] has no positive eigenvector, so no class takes
+    # the closed form: each strong class has its own exact bracket, and the
+    # limits come from the exact route
+    assert [cls.pairs[0][3] for cls in _perron_classes(triangular)] == [(1, 1), (1, 1)]
+    limits = ResidueLimits(triangular)
+    targets = (("v", "v", 1), ("w", "w", 1), ("w", "v", 1))
+    methods = {residue_limit(limits, t).method for t in targets}
+    assert methods == {"exact", "structural_zero"}
 
 
 @given(
@@ -122,13 +142,12 @@ def test_radius_bounds_absent_without_positive_eigenvector(triangular):
 )
 @settings(max_examples=60, deadline=None)
 def test_perron_data_on_random_primitive_graphs(m):
-    data = pf_data(m)
+    rho, w, certified, (lo, hi) = perron(m)
     B = adjacency(m)
-    rho, w = data.spectral_radius, np.array(data.right_eigenvector)
+    w = np.array(w)
     assert np.linalg.norm(B @ w - rho * w) <= 1e-12 * rho
     assert w.min() > 0
-    assert data.converged
-    lo, hi = data.radius_bounds
+    assert certified
     out_degrees = {sum(e.s == v for e in m.edges) for v in m.vertices}
     if len(out_degrees) == 1:
         # 1^T B = d 1^T with a positive left eigenvector, so the root is d
@@ -150,39 +169,40 @@ def _component_rows(m, c):
 @given(st.one_of(graphs(weights=WEIGHTS), graphs(primitive=True, weights=WEIGHTS)))
 @settings(max_examples=80, deadline=None)
 def test_perron_routine_matches_the_eig_oracle(m):
-    # on every component with a cycle, and on the whole graph when it is
-    # one component: the root to 1e-12 relative, and a certified bracket
-    # wherever eig's eigenvector certifies one
+    # on every component with a cycle: the root to 1e-12 relative, and a
+    # certified bracket wherever eig's eigenvector certifies one; the class
+    # radius agrees, and on an aperiodic class the class data is this call
     B = adjacency(m)
+    classes = _perron_classes(m)
     for c, period in enumerate(m.period):
         if not period:
+            assert classes[c].radius == 0.0
             continue
         idx, rows = _component_rows(m, c)
-        root, w, _, bounds = _perron(rows, m.denominator)
+        root, w, certified, bounds = _perron(rows, m.denominator)
         want, w_eig = perron_pair(B[np.ix_(idx, idx)])
         assert root == pytest.approx(want, rel=1e-12)
+        assert classes[c].radius == pytest.approx(want, rel=1e-12)
         assert min(w) > 0 and bounds[0] <= bounds[1]
+        assert root == float((bounds[0] + bounds[1]) / 2)
+        assert certified == certifies(bounds)
         if certifies(collatz_wielandt(rows, m.denominator, w_eig)):
-            assert certifies(bounds)
-    data = pf_data(m)
-    if len(m.period) > 1:
-        assert data == PFData(None, None, False, 0, False, None)
-        return
-    want, w_eig = perron_pair(B)
-    assert data.spectral_radius == pytest.approx(want, rel=1e-12)
-    if certifies(collatz_wielandt(m.integer_adjacency, m.denominator, w_eig)):
-        assert data.converged
-    lo, hi = data.radius_bounds
-    assert data.spectral_radius == float((lo + hi) / 2)
+            assert certified
+        if period == 1:
+            assert classes[c].pairs == [(root, w, certified, bounds)]
 
 
 def test_primitivity_classification(golden, triangular, cycle3, full_shift2):
-    assert pf_data(golden).primitive
-    assert pf_data(full_shift2).primitive
+    # the closed form is the route of one aperiodic class
+    def method(m, v):
+        return residue_limit(ResidueLimits(m), (v, v, 0)).method
+
+    assert method(golden, "u") == "closed_form"
+    assert method(full_shift2, "z") == "closed_form"
     # a pure cycle is irreducible but period 3
-    assert not pf_data(cycle3).primitive
+    assert method(cycle3, "a") == "exact"
     # triangular growth: reducible
-    assert not pf_data(triangular).primitive
+    assert method(triangular, "w") == "exact"
 
 
 def test_rank_one_matrix_rate_constants(full_shift2):
@@ -246,27 +266,24 @@ def test_ratio_column_is_the_scalar_ratio_bit_for_bit(m, k_max, n):
 @pytest.mark.parametrize(
     "strategy", [graphs(), graphs(weights=(0.1, 0.25, 0.5, 1.0, 3.0))], ids=["unit", "weighted"]
 )
-@given(data=st.data(), k_max=st.sampled_from([40, 200]), n=st.integers(0, 3), forced=st.booleans())
+@given(data=st.data(), k_max=st.sampled_from([40, 200]), n=st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
-def test_limit_on_demand_is_the_reports_limit_bit_for_bit(strategy, data, k_max, n, forced):
-    # residue_limit reads ratios from a table that builds its levels on the
-    # first read; eta_tilde hands it the whole column
+def test_limit_on_demand_is_the_reports_limit_bit_for_bit(strategy, data, k_max, n):
+    # residue_limit reads no growth level; eta_tilde adds the report's
+    # samples and fit to the same limit, from a table
     m = data.draw(strategy)
     table = GrowthTable(m, k_max)
     for r in m.vertices:
         for s in m.vertices:
             try:
-                rep = eta_tilde(table, (r, s, n), force_iterative=forced)
+                rep = eta_tilde(ResidueLimits(m), table, (r, s, n))
             except ValueError:
                 continue
-            fresh = GrowthTable(m, k_max)
-            got = residue_limit(fresh, (r, s, n), force_iterative=forced)
+            got = residue_limit(ResidueLimits(m), (r, s, n))
             want = rep[:4]
             assert (got.target, got.value.hex(), got.converged, got.method) == (
                 want[0], want[1].hex(), want[2], want[3]
             )
-            # the closed form reads no ratio, so no level is built
-            assert (fresh.level_bits == 0) == (got.method == "closed_form")
 
 
 def test_ratio_column_is_exact_where_the_floats_underflowed(underflow):
@@ -285,18 +302,21 @@ def test_ratio_past_the_double_range_raises_value_error():
     )
     table = GrowthTable(chain, 100)
     with pytest.raises(ValueError, match=r"class \('c', 'a', 2\): growth ratio past"):
-        table.ratio("a", "c", 2)(100)
+        table.ratios("a", "c", 2, range(100, 101))
     with pytest.raises(ValueError, match=r"class \('c', 'a', 2\): growth ratio past"):
-        table.ratios("a", "c", 2, 90, 100)
+        table.ratios("a", "c", 2, range(90, 101))
+    # its limit, 2^-1049 times the ratio's, raises the same error
+    with pytest.raises(ValueError, match=r"class \('c', 'a', 2\): growth ratio past"):
+        residue_limit(ResidueLimits(chain), ("c", "a", 2))
     levels = fraction_levels(chain, 100)
     for s, r, n in (("c", "c", 1), ("b", "c", 1), ("a", "a", 3)):
-        assert table.ratio(s, r, n)(100) == exact_ratio(levels, s, r, n, 100)
+        assert table.ratios(s, r, n, range(100, 101)) == [exact_ratio(levels, s, r, n, 100)]
 
 
 @given(graphs(weights=(0.1, 0.3, 0.25, 1.0, 3.0, 7.5, 1e-300, 1e300, 2.0**-1074)))
 @settings(max_examples=60, deadline=None)
 def test_denominator_is_a_power_of_two(m):
-    # GrowthTable.ratio shifts by n log2 D in place of multiplying by D^n
+    # GrowthTable.ratios shifts by n log2 D in place of multiplying by D^n
     D = m.denominator
     assert D & (D - 1) == 0
     assert 1 << GrowthTable(m, 0).shift == D
@@ -311,30 +331,29 @@ def test_growth_table_refuses_a_weight_that_is_not_binary():
 
 
 def test_underflowed_class_warns_nothing(underflow):
+    # x alone is one primitive class, of radius 1/4; y reaches x and has
+    # radius 2, so (y, y, 1) is 1/2 from the exact route, with D = 4 and
+    # Lambda = 8
     for k_max in (200, 600, 2000):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = GrowthTable(underflow, k_max)
-            x = eta_tilde(table, ("x", "x", 1))
-            y = eta_tilde(table, ("y", "y", 1))
-        assert (x.value, x.method, x.converged) == (4.0, "stationary", True)
-        assert (y.value, y.method, y.converged) == (0.5, "stationary", True)
+            table, limits = GrowthTable(underflow, k_max), ResidueLimits(underflow)
+            x = eta_tilde(limits, table, ("x", "x", 1))
+            y = eta_tilde(limits, table, ("y", "y", 1))
+        assert (x.value, x.method, x.converged) == (4.0, "closed_form", True)
+        assert (y.value, y.method, y.converged) == (0.5, "exact", True)
 
 
-def test_stationary_window_is_the_last_three_quarters(underflow):
-    # (y, y, 1) tends to 1/2 with an error of order 8^-k, within 1e-10
-    # from k = 12 on; at k_max 40 the last three quarters start at k = 11
-    # and the last half at k = 21, at k_max 60 the three quarters at k = 16
-    table = GrowthTable(underflow, 40)
-    rep = eta_tilde(table, ("y", "y", 1))
-    tail = table.ratios("y", "y", 1)
-    last = tail[-1]
-    assert all(abs(c - last) <= 1e-10 for c in tail[len(tail) // 2 :])
-    assert rep.method != "stationary"
-    table = GrowthTable(underflow, 60)
-    rep = eta_tilde(table, ("y", "y", 1))
-    assert rep.method == "stationary"
-    assert rep.value == table.ratio("y", "y", 1)(60)
+def test_underflow_class_is_exact_at_small_k_max(underflow):
+    # (y, y, 1) tends to 1/2 with an error of order 8^-k: 1.5e-10 at
+    # k = 11, 4.9e-6 at k = 6.  Its limit takes no ratio, so even k_max 9,
+    # the least a class of length 1 admits, reports it exactly
+    for k_max in (9, 40, 60):
+        table = GrowthTable(underflow, k_max)
+        rep = eta_tilde(ResidueLimits(underflow), table, ("y", "y", 1))
+        assert (rep.value, rep.converged, rep.method) == (0.5, True, "exact")
+        tail = table.ratios("y", "y", 1)
+        assert tail[0] == 1 / 3 and all(c <= 0.5 for c in tail)
 
 
 def _decay_points(samples, value, k_max):
@@ -342,7 +361,7 @@ def _decay_points(samples, value, k_max):
     xs, ys = [], []
     for k, c in samples:
         res = abs(c - value)
-        if k >= max(1, k_max // 2) and res > 1e-14:
+        if k >= max(1, k_max // 2) and res > 4 * math.ulp(max(abs(c), abs(value))):
             xs.append(math.log(k))
             ys.append(math.log(res))
     return xs, ys
@@ -386,11 +405,11 @@ def _fit_decay_lstsq(samples, value, k_max):
 @given(graphs(weights=(0.25, 0.5, 1.0, 3.0)), st.integers(40, 300), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_decay_fit_on_the_column_matches_the_sample_loop(m, k_max, n):
-    table = GrowthTable(m, k_max)
+    table, limits = GrowthTable(m, k_max), ResidueLimits(m)
     for r in m.vertices:
         for s in m.vertices:
             if _target_realized(m, r, s, n):
-                rep = eta_tilde(table, (r, s, n), force_iterative=True)
+                rep = eta_tilde(limits, table, (r, s, n))
                 column = list(zip(range(n, k_max + 1), table.ratios(s, r, n)))
                 want = _fit_decay_loop(column, rep.value, k_max)
                 assert (rep.delta, rep.r_squared) == want
@@ -415,58 +434,59 @@ def test_growth_profile_radii_and_degrees(triangular, oscillating):
     assert prof2.radius["z"] == pytest.approx(2.0)
 
 
+def eta(m, k_max, target):
+    return eta_tilde(ResidueLimits(m), GrowthTable(m, k_max), target)
+
+
 def test_eta_full_shift_exact(full_shift2):
-    table = GrowthTable(full_shift2, 200)
     for n in (0, 1, 2, 3):
-        rep = eta_tilde(table, ("z", "z", n))
+        rep = eta(full_shift2, 200, ("z", "z", n))
         assert rep.converged
         assert rep.value == pytest.approx(2.0**-n, abs=0)
 
 
 def test_eta_golden_closed_form_values(golden):
     # coefficients r^-n w_s / w_r with w = (phi, 1)
-    table = GrowthTable(golden, 200)
-    rep = eta_tilde(table, ("u", "u", 1))
+    rep = eta(golden, 200, ("u", "u", 1))
     assert rep.method == "closed_form"
     assert rep.value == pytest.approx(1 / PHI, abs=1e-12)
-    rep2 = eta_tilde(table, ("v", "u", 1))
+    rep2 = eta(golden, 200, ("v", "u", 1))
     assert rep2.value == pytest.approx(1.0, abs=1e-12)
-    rep3 = eta_tilde(table, ("u", "v", 1))
+    rep3 = eta(golden, 200, ("u", "v", 1))
     assert rep3.value == pytest.approx(1 / PHI**2, abs=1e-12)
 
 
 def test_eta_closed_form_agrees_with_forced_iteration(golden, lopsided):
+    # the iterated route is the test-side extrapolation of the exact column
     for m, target in ((golden, ("u", "u", 1)), (lopsided, ("u", "v", 1))):
-        closed = eta_tilde(GrowthTable(m, 200), target)
-        iterated = eta_tilde(GrowthTable(m, 300), target, force_iterative=True)
+        closed = eta(m, 200, target)
+        iterated, converged = extrapolated_limit(GrowthTable(m, 300), *target)
         assert closed.method == "closed_form"
-        assert iterated.method != "closed_form"
-        assert iterated.converged
-        assert closed.value == pytest.approx(iterated.value, abs=1e-8)
+        assert converged
+        assert closed.value == pytest.approx(iterated, abs=1e-8)
 
 
 def test_eta_lopsided_uses_growth_eigenvector(lopsided):
     # adjacency [[1,2],[1,0]]: growth eigenvector (2,1), radius 2, so the
     # v -> u class limit is (1/2) * (1/2); the transpose eigenvector would
     # give 1/2 instead
-    rep = eta_tilde(GrowthTable(lopsided, 200), ("u", "v", 1))
+    rep = eta(lopsided, 200, ("u", "v", 1))
     assert rep.value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_eta_triangular_case_table(triangular):
-    table = GrowthTable(triangular, 2000)
-    stationary = eta_tilde(GrowthTable(triangular, 200), ("v", "v", 2))
-    assert stationary.converged
-    assert stationary.value == 1.0
-    assert math.isinf(stationary.delta)
+    # A^k 1 = (1, k + 1): (v, v, n) is 1 at every k, so no residual is
+    # fitted; (w, w, n) tends to 1 like 1 - n / k
+    flat = eta(triangular, 200, ("v", "v", 2))
+    assert (flat.value, flat.converged, flat.method) == (1.0, True, "exact")
+    assert math.isinf(flat.delta) and flat.r_squared is None
 
-    slow = eta_tilde(table, ("w", "w", 2))
-    assert slow.converged
-    assert slow.value == pytest.approx(1.0, abs=1e-10)
+    slow = eta(triangular, 2000, ("w", "w", 2))
+    assert (slow.value, slow.converged, slow.method) == (1.0, True, "exact")
     assert 0.9 <= slow.delta <= 1.1
     assert slow.r_squared > 0.9
 
-    zero = eta_tilde(table, ("w", "v", 1))
+    zero = eta(triangular, 2000, ("w", "v", 1))
     assert zero.converged
     assert zero.value == 0.0
     assert zero.method == "structural_zero"
@@ -475,38 +495,118 @@ def test_eta_triangular_case_table(triangular):
 def test_eta_unrealized_class_raises(triangular):
     # no path of positive length ends at v coming from w
     with pytest.raises(ValueError):
-        eta_tilde(GrowthTable(triangular, 200), ("v", "w", 1))
+        eta(triangular, 200, ("v", "w", 1))
 
 
 def test_eta_oscillating_is_honestly_unconverged(oscillating):
-    rep = eta_tilde(GrowthTable(oscillating, 120), ("z", "z", 1))
-    assert not rep.converged
+    # the ratio tends to 1/2 with a period-2 ripple of order 1/k, which
+    # the extrapolation of the column does not certify; the limit is 1/2
+    # exactly, from the classes of radius 2 with p = 2 and Lambda = 4
+    rep = eta(oscillating, 120, ("z", "z", 1))
+    assert (rep.value, rep.converged, rep.method) == (0.5, True, "exact")
+    assert not extrapolated_limit(GrowthTable(oscillating, 2000), "z", "z", 1)[1]
 
 
 def test_eta_class_with_no_limit_is_unconverged(no_limit):
+    # the ratio alternates between 2/5 and 5/8 and has no limit: the
+    # residue is their mean, 41/80, exactly
     table = GrowthTable(no_limit, 2000)
     *_, odd, even = table.ratios("z", "z", 1)
     assert odd == pytest.approx(0.4, abs=1e-12)
     assert even == pytest.approx(0.625, abs=1e-12)
     for k_max in (120, 2000):
-        rep = eta_tilde(GrowthTable(no_limit, k_max), ("z", "z", 1))
-        assert rep.method == "extrapolation"
-        assert not rep.converged
+        rep = eta(no_limit, k_max, ("z", "z", 1))
+        assert (rep.value, rep.converged, rep.method) == (41 / 80, True, "exact")
+        assert exact_limit(ResidueLimits(no_limit), "z", "z", 1) == Fraction(41, 80)
 
 
 def test_eta_accepts_path_target(golden):
     p = make_path(golden, ["c"])
-    table = GrowthTable(golden, 200)
-    by_path = eta_tilde(table, p)
-    by_class = eta_tilde(table, ("v", "u", 1))
+    by_path = eta(golden, 200, p)
+    by_class = eta(golden, 200, ("v", "u", 1))
     assert by_path.value == by_class.value
 
 
 def test_eta_linearity_through_class_values(triangular):
     # limits are linear, so a two-term combination evaluates termwise
-    a = eta_tilde(GrowthTable(triangular, 200), ("v", "v", 1)).value
-    b = eta_tilde(GrowthTable(triangular, 2000), ("w", "w", 1)).value
-    assert 2 * a + 3 * b == pytest.approx(5.0, abs=1e-9)
+    a = eta(triangular, 200, ("v", "v", 1)).value
+    b = eta(triangular, 2000, ("w", "w", 1)).value
+    assert 2 * a + 3 * b == 5.0
+
+
+def exact_limit(limits, r, s, n):
+    """The class's limit in Fractions, as `residue_limit` takes it, where
+    it is structurally zero or its level is exact; else None."""
+    rep = residue_limit(limits, (r, s, n))
+    if rep.method == "structural_zero":
+        return Fraction(0)
+    level = limits.level(limits.profile.radius[r])
+    if level.method != "exact":
+        return None
+    p, u = level.period, level.leading
+    D, lam = limits.module.denominator, Fraction(level.scale)
+    return sum(D**n * lam ** ((j - n) // p) * u[(j - n) % p][s] / u[j][r] for j in range(p)) / p
+
+
+def _weighted_powers(m, depth):
+    """(B^n)_{rs} in Fractions, by (r, s), for n = 0..depth."""
+    B = {(e.r, e.s): Fraction(0) for e in m.edges}
+    for e in m.edges:
+        B[e.r, e.s] += Fraction(e.weight)
+    power = {(v, v): Fraction(1) for v in m.vertices}
+    out = [power]
+    for _ in range(depth):
+        nxt = {}
+        for (r, u), a in power.items():
+            for (u2, s), b in B.items():
+                if u2 == u:
+                    nxt[r, s] = nxt.get((r, s), 0) + a * b
+        power = nxt
+        out.append(power)
+    return out
+
+
+@pytest.mark.parametrize(
+    "strategy", [graphs(), graphs(weights=(0.1, 0.25, 0.5, 1, 3))], ids=["unit", "weighted"]
+)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_limits_certify_and_keep_the_path_sum_identities(strategy, data):
+    # every realized class of length <= 3 certifies.  Weighted over the
+    # paths of length n from r, the limits sum to 1, and a class is the
+    # weighted sum of the classes one edge on: exactly where the level is
+    # exact, to 1e-12 in floats.  Where the extrapolation of the exact
+    # column certifies, it agrees to 1e-9
+    m = data.draw(strategy)
+    limits, table = ResidueLimits(m), GrowthTable(m, 200)
+    powers = _weighted_powers(m, 4)
+    value, exact = {}, {}
+    for n in range(5):
+        for (r, s) in powers[n]:
+            rep = residue_limit(limits, (r, s, n))
+            assert rep.converged, rep
+            value[r, s, n], exact[r, s, n] = rep.value, exact_limit(limits, r, s, n)
+            if exact[r, s, n] is not None:
+                assert rep.value == float(exact[r, s, n])
+            if n <= 3:
+                oracle, certified = extrapolated_limit(table, r, s, n)
+                if certified:
+                    assert rep.value == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+    def check(total, terms):
+        if all(exact[key] is not None for _, key in terms):
+            assert total == sum(w * exact[key] for w, key in terms)
+        else:
+            got = math.fsum(float(w) * value[key] for w, key in terms)
+            scale = math.fsum(abs(float(w) * value[key]) for w, key in terms)
+            assert abs(got - total) <= 1e-12 * max(1.0, scale, abs(total))
+
+    for n in range(4):
+        for r in m.vertices:
+            check(1, [(w, (r, s, n)) for (r0, s), w in powers[n].items() if r0 == r])
+        for (r, s) in powers[n]:
+            terms = [(Fraction(e.weight), (r, e.s, n + 1)) for e in m.edges_with_range(s)]
+            check(exact[r, s, n] if exact[r, s, n] is not None else value[r, s, n], terms)
 
 
 def test_phi_s_partial_identity(golden):
