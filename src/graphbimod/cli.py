@@ -372,8 +372,8 @@ def cmd_kasparov(args) -> int:
         return 1
     stages = {"gram": time.perf_counter() - start}
     iso_defect = gdata.isometry_defect()
-    if min(gdata.psd_min) < -args.tol:
-        failures.append(f"gram not positive: min pivot {min(gdata.psd_min)}")
+    if gdata.harmonic_defect > args.tol:
+        failures.append(f"gram not certified: harmonic defect {gdata.harmonic_defect}")
     if iso_defect > args.tol:
         failures.append(f"path block not isometric: defect {iso_defect}")
     commutators = []
@@ -396,7 +396,7 @@ def cmd_kasparov(args) -> int:
         **header,
         "basis_size": gdata.basis_size,
         "gram": {
-            "psd_min": {v: m for v, m in zip(gdata.vertex_names, gdata.psd_min)},
+            "harmonic_defect": gdata.harmonic_defect,
             "isometry_defect": iso_defect,
             "ranks": {v: r for v, r in zip(gdata.vertex_names, gdata.gram_ranks)},
         },

@@ -297,6 +297,38 @@ class ResidueLimits:
         self.profile = growth_profile(module, self.classes)
         self._levels: dict[float, _Level] = {}
 
+    def limit(self, r: str, s: str, n: int) -> ResidueLimit:
+        """The limit of the class (r, s, n), which the caller knows a path of
+        length n from s to r realizes (`residue_limit` checks it)."""
+        if structural_zero(self.profile, r, s):
+            return ResidueLimit((r, s, n), 0.0, True, "structural_zero")
+        rho = self.profile.radius[r]
+        level = self._levels.get(rho) or self.level(rho)
+        p, u, scale = level.period, level.leading, level.scale
+        # phase j's term u_s^((j-n) mod p) / u_r^(j) times rho^-n, which is
+        # D^n Lambda^t, t = (j - n) // p, where u^(j) comes from A^j 1
+        try:
+            if level.method == "exact":
+                value = math.inf
+            elif p == 1:
+                value = scale**-n * u[0][s] / u[0][r]
+            else:
+                value = math.fsum(scale**-n * u[(j - n) % p][s] / u[j][r] for j in range(p)) / p
+        except OverflowError:
+            value = math.inf
+        except ZeroDivisionError:  # 0 / 0: both coefficients below the double range
+            value = math.nan
+        if math.isinf(value):
+            # in Fractions, where a float product may leave the double range on its way
+            lam, D = Fraction(scale), self.module.denominator
+            terms = [(D**n * lam ** ((j - n) // p) if level.method == "exact" else lam**-n)
+                     * Fraction(u[(j - n) % p][s]) / Fraction(u[j][r]) for j in range(p)]
+            with suppress(OverflowError):
+                value = float(sum(terms) / p)
+        if math.isinf(value):
+            raise ValueError(f"class {(r, s, n)}: growth ratio past the double range")
+        return ResidueLimit((r, s, n), value, level.converged and value == value, level.method)
+
     def level(self, rho: float) -> _Level:
         """The leading coefficients of reach radius rho (`_solve_level`)."""
         if rho not in self._levels:
@@ -458,7 +490,8 @@ def _target_realized(module: GraphBimodule, r: str, s: str, n: int) -> bool:
 
 
 def residue_limit(limits: ResidueLimits, target) -> ResidueLimit:
-    """Residue coefficient of the class of a Path or (r, s, n) triple.
+    """Residue coefficient of the class of a Path or (r, s, n) triple,
+    refused when no path realizes it.
 
     A strict growth gap between s and r forces 0 ("structural_zero");
     otherwise the level of r's reach radius rho gives rho^-n (1/p) sum
@@ -467,36 +500,15 @@ def residue_limit(limits: ResidueLimits, target) -> ResidueLimit:
     of one primitive class ("closed_form").  A limit past the double range
     raises ValueError.
     """
-    r, s, n = _residue_class(limits.module, target)
-    rad, deg = limits.profile.radius, limits.profile.degree
-    # r reaches s, so rad[s] <= rad[r] and, at equal radii, deg[s] <= deg[r]
-    if rad[s] != rad[r] and not _same_radius(rad[s], rad[r]) or deg[s] < deg[r]:
-        return ResidueLimit((r, s, n), 0.0, True, "structural_zero")
-    level = limits._levels.get(rad[r]) or limits.level(rad[r])
-    p, u, scale = level.period, level.leading, level.scale
-    # phase j's term u_s^((j-n) mod p) / u_r^(j) times rho^-n, which is
-    # D^n Lambda^t, t = (j - n) // p, where u^(j) comes from A^j 1
-    try:
-        if level.method == "exact":
-            value = math.inf
-        elif p == 1:
-            value = scale**-n * u[0][s] / u[0][r]
-        else:
-            value = math.fsum(scale**-n * u[(j - n) % p][s] / u[j][r] for j in range(p)) / p
-    except OverflowError:
-        value = math.inf
-    except ZeroDivisionError:  # 0 / 0: both coefficients below the double range
-        value = math.nan
-    if math.isinf(value):
-        # in Fractions, where a float product may leave the double range on its way
-        lam, D = Fraction(scale), limits.module.denominator
-        terms = [(D**n * lam ** ((j - n) // p) if level.method == "exact" else lam**-n)
-                 * Fraction(u[(j - n) % p][s]) / Fraction(u[j][r]) for j in range(p)]
-        with suppress(OverflowError):
-            value = float(sum(terms) / p)
-    if math.isinf(value):
-        raise ValueError(f"class {(r, s, n)}: growth ratio past the double range")
-    return ResidueLimit((r, s, n), value, level.converged and value == value, level.method)
+    return limits.limit(*_residue_class(limits.module, target))
+
+
+def structural_zero(profile: GrowthProfile, r: str, s: str) -> bool:
+    """Whether a strict growth gap between s and r, which reaches it, makes
+    every class (r, s, n) a zero: s's reach radius below r's, or at an equal
+    radius a lower degree."""
+    rad, deg = profile.radius, profile.degree
+    return rad[s] != rad[r] and not _same_radius(rad[s], rad[r]) or deg[s] < deg[r]
 
 
 def _fit_decay(top: list[float], first: int, value: float):

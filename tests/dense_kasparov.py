@@ -5,10 +5,10 @@ spanning basis: the Gram slices by one symbol product per pair, the
 projection and the edge shifts column by column, and the commutator by
 matrix products.  The basis itself is built here too, by pairing every
 two paths with a common source and sorting.  The package counts the basis
-and its blocks and reads the Gram's ranks and positivity from pivots, with
-no eigensolve; tests compare the two, against the eigenvalues and against
-an LDL^T elimination of each dense block.  Memory grows with N^2 per
-vertex, so keep the bases small.
+and its blocks, counts the Gram's ranks and certifies its positivity by a
+harmonic defect, with no eigensolve; tests compare the two, against the
+eigenvalues and against an LDL^T elimination of each dense block.  Memory
+grows with N^2 per vertex, so keep the bases small.
 """
 
 from __future__ import annotations

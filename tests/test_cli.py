@@ -372,25 +372,48 @@ def test_limit_past_the_double_range_exits_2(capsys, tmp_path, argv):
     assert err == "error: class ('z', 'z', 2): growth ratio past the double range\n"
 
 
+def test_kasparov_commutator_norm_is_scaled(capsys, tmp_path):
+    # weights 1e-300 and 0.1-1 with the limit (v0, v0, 2) = 6.25e299: the
+    # cell of e0 has a sum of squared weights of 1e-600 and (w_g c)^2 is
+    # past the double range, so an unscaled norm was inf * 0 = nan, rank 0
+    # against the predicted 1.  Scaled by the cell's greatest weight, each
+    # term w_g c (greatest weight) is of order one
+    p = tmp_path / "spread.json"
+    edges = [("e0", "v1", "v0", 1e-300), ("e1", "v0", "v1", 0.1),
+             ("e2", "v0", "v1", 0.5), ("e3", "v0", "v1", 1.0)]
+    p.write_text(json.dumps({
+        "vertices": ["v0", "v1"],
+        "edges": [{"id": i, "r": r, "s": s, "weight": w} for i, r, s, w in edges],
+    }))
+    code, out, err = run(capsys, "kasparov", str(p), "--depth", "2")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["failures"] == []
+    assert [(c["edge"], c["total_rank"], c["predicted_total"]) for c in doc["commutators"]] == [
+        ("e0", 1, 1), ("e1", 1, 1), ("e2", 1, 1), ("e3", 1, 1)
+    ]
+
+
 def test_kasparov_negative_pivot_exits_1(capsys, monkeypatch, golden_file):
     # with every residue 1, the vacuum block of u has the pivot
-    # c(u) - c(a) - c(b) = -1 at rho = (), and that of v the pivot -1 one
-    # edge further on
+    # c(u) - c(a) - c(b) = -1 at rho = (): the class (u, u, 0) has the
+    # harmonic defect h = -1, and |h| / c = 1 fails the certificate
     monkeypatch.setattr(
         cuntz_pimsner.ConditionalExpectation, "limit", lambda self, r, s, n: 1.0
     )
     code, out, _ = run(capsys, "kasparov", golden_file, "--depth", "2")
     assert code == 1
     doc = json.loads(out)
-    assert doc["gram"]["psd_min"] == {"u": -1.0, "v": -1.0}
-    assert doc["failures"] == ["gram not positive: min pivot -1.0"]
+    assert doc["gram"]["harmonic_defect"] == 1.0
+    assert doc["failures"] == ["gram not certified: harmonic defect 1.0"]
 
 
 def test_kasparov_commutator_off_its_prediction_exits_1(capsys, monkeypatch, golden_file):
     # residues of 9e-11 past the vacuum: no entry of a commutator row
     # passes the rank tolerance 1e-10, so rank 0 is predicted, but at
-    # depth 2 each row has two or three entries, whose norm passes it.  The
-    # lowest pivot, -9e-11, stays within --tol
+    # depth 2 each row has two or three entries, whose norm passes it.
+    # They are not harmonic either: (u, u, 1) has c = 9e-11 and two edges
+    # into u, so h = -9e-11 and |h| / c = 1
     monkeypatch.setattr(
         cuntz_pimsner.ConditionalExpectation,
         "limit",
@@ -402,7 +425,9 @@ def test_kasparov_commutator_off_its_prediction_exits_1(capsys, monkeypatch, gol
     assert [(c["edge"], c["total_rank"], c["predicted_total"]) for c in doc["commutators"]] == [
         ("a", 1, 0), ("b", 1, 0), ("c", 1, 0)
     ]
-    assert doc["failures"] == [f"commutator {g}: rank 1 != predicted 0" for g in "abc"]
+    assert doc["failures"] == ["gram not certified: harmonic defect 1.0"] + [
+        f"commutator {g}: rank 1 != predicted 0" for g in "abc"
+    ]
 
 
 def test_kms_report(capsys, golden_file):
